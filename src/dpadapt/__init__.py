@@ -8,11 +8,9 @@ baselines, and a reproducible simulation harness.
 
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
 from .engine import (
-    MaskedPValue,
     MaskedTable,
     RejectionReport,
     StallError,
-    ThresholdMonotonicityError,
     ThresholdState,
     ThresholdUpdater,
     fdr_hat,
@@ -30,7 +28,7 @@ from .privacy import (
     ed_to_gdp,
     gdp_to_ed,
 )
-from .selection import SelectionResult, mirror_peel, report_noisy_min
+from .selection import BudgetAuditError, SelectionResult, mirror_peel, report_noisy_min
 from .simulate import (
     MethodConfig,
     Scenario,
@@ -56,17 +54,17 @@ from .twogroup import (
     TwoGroupFit,
     TwoGroupUpdater,
     em_fit,
-    greedy_update,
     null_probability,
     observed_loglik,
+    removal_order,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BHConfig",
+    "BudgetAuditError",
     "CalibrationRegimeWarning",
-    "MaskedPValue",
     "MaskedTable",
     "MethodConfig",
     "NoSolutionError",
@@ -77,7 +75,6 @@ __all__ = [
     "SelectionResult",
     "Sensitivity",
     "StallError",
-    "ThresholdMonotonicityError",
     "ThresholdState",
     "ThresholdUpdater",
     "TransformKernel",
@@ -97,12 +94,12 @@ __all__ = [
     "gdp_to_ed",
     "gen_grid",
     "gen_no_side_info",
-    "greedy_update",
     "kernel_by_name",
     "mirror_peel",
     "noisy_pvalue",
     "null_probability",
     "observed_loglik",
+    "removal_order",
     "report_noisy_min",
     "run_adapt_nonprivate",
     "run_campaign",

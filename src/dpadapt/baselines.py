@@ -15,6 +15,7 @@ import numpy as np
 
 from ._normal import normal_quantile
 from .privacy import PrivacyBudget
+from .selection import _check_pvalues
 from .transform import TransformKernel
 
 
@@ -60,10 +61,8 @@ def bh(pvalues, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    p = np.asarray(pvalues, dtype=float)
+    p = _check_pvalues(pvalues)
     n = p.size
-    if n == 0:
-        return np.empty(0, dtype=int)
     order = np.argsort(p, kind="stable")
     passed = p[order] <= alpha * np.arange(1, n + 1) / n
     if not passed.any():
@@ -79,12 +78,10 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     and with it the threshold correction vanish, and the procedure reduces to
     step-up BH restricted to the m smallest p-values.
     """
-    p = np.asarray(pvalues, dtype=float)
+    p = _check_pvalues(pvalues)
     n = p.size
     if config.m > n:
         raise ValueError(f"m={config.m} exceeds the number of hypotheses {n}")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p-values must lie in [0, 1]")
     lam = 0.0 if zero_noise else config.laplace_scale
     f = np.log(np.maximum(config.nu, p))
 

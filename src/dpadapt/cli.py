@@ -20,7 +20,7 @@ import scipy
 
 from . import __version__
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
-from .engine import StallError, ThresholdMonotonicityError, run_adapt_nonprivate, run_dp_adapt
+from .engine import StallError, run_adapt_nonprivate, run_dp_adapt
 from .io import IngestError, ingest_csv, write_rejections_csv, write_text_atomic, report_json
 from .privacy import (
     PrivacyBudget,
@@ -30,6 +30,7 @@ from .privacy import (
     ed_to_gdp,
     gdp_to_ed,
 )
+from .selection import BudgetAuditError
 from .simulate import METHOD_NAMES, MethodConfig, Scenario, full_scale, run_campaign
 from .transform import kernel_by_name
 from .twogroup import TwoGroupUpdater
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (StallError, ThresholdMonotonicityError, AssertionError) as exc:
+    except (StallError, BudgetAuditError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

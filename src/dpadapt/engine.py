@@ -3,8 +3,11 @@
 The loop owns the information barrier: threshold updaters only ever see a
 MaskedTable, which exposes the fold minimum min(p, 1-p) for every hypothesis
 and the actual value only once it lies strictly between the thresholds
-(where it can no longer be rejected or serve as a control). Thresholds may
-only shrink, so values revealed once stay revealed, and the analyst's
+(where it can no longer be rejected or serve as a control). Updaters propose
+ordered batches of hidden rows to remove; the loop applies one removal per
+step by dropping that row's threshold just below its fold minimum, keeping
+the candidate set and both counters up to date in O(1). Thresholds therefore
+only shrink, values revealed once stay revealed, and the analyst's
 knowledge grows monotonically while the estimate
 
     fdr_hat = (1 + A_t) / max(R_t, 1)
@@ -22,33 +25,12 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .privacy import PrivacyBudget
-from .selection import mirror_peel
+from .selection import _check_pvalues, mirror_peel
 from .transform import TransformKernel, clamp_unit
 
 
 class StallError(RuntimeError):
-    """Updater failed to shrink the candidate set; the loop would not terminate."""
-
-
-class ThresholdMonotonicityError(RuntimeError):
-    """Updater proposed thresholds above the current ones."""
-
-
-@dataclass(frozen=True)
-class MaskedPValue:
-    """Single-hypothesis masked view: fold minimum always, value only if open."""
-
-    id: int
-    masked_min: float
-    revealed: float | None
-
-    def __post_init__(self):
-        if not 0.0 <= self.masked_min <= 0.5:
-            raise ValueError(f"masked_min must lie in [0, 0.5], got {self.masked_min!r}")
-        if self.revealed is not None:
-            folded = min(self.revealed, 1.0 - self.revealed)
-            if not math.isclose(folded, self.masked_min, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("revealed value inconsistent with masked_min")
+    """Updater proposed a removal that does not shrink the candidate set."""
 
 
 @dataclass(frozen=True)
@@ -66,19 +48,6 @@ class MaskedTable:
     @property
     def size(self) -> int:
         return int(self.ids.size)
-
-    def records(self) -> list[MaskedPValue]:
-        out = []
-        for i in range(self.size):
-            r = self.revealed[i]
-            out.append(
-                MaskedPValue(
-                    id=int(self.ids[i]),
-                    masked_min=float(self.masked_min[i]),
-                    revealed=None if np.isnan(r) else float(r),
-                )
-            )
-        return out
 
 
 @dataclass
@@ -118,9 +87,12 @@ class RejectionReport:
 class ThresholdUpdater(Protocol):
     """Contract for threshold update rules.
 
-    propose receives only the masked view, public covariates, the counters,
-    and the current thresholds; it must return elementwise smaller-or-equal
-    thresholds that strictly shrink the candidate set {masked_min <= s}.
+    propose receives only the masked view, public covariates and the
+    counters. It returns an ordered batch of row indices to remove from the
+    candidate set, each a still-hidden row (revealed is NaN) listed once. The
+    loop removes them one at a time, stopping early if fdr_hat reaches alpha,
+    and calls propose again once the batch is used up; a batch is valid only
+    until that next call.
     """
 
     def propose(
@@ -129,7 +101,6 @@ class ThresholdUpdater(Protocol):
         x: np.ndarray | None,
         a_t: int,
         r_t: int,
-        s: np.ndarray,
     ) -> np.ndarray: ...
 
 
@@ -161,37 +132,54 @@ def _adapt_loop(
     ids.setflags(write=False)
     masked_min.setflags(write=False)
     s = np.full(m, float(s0))
+    below = p <= s
+    above = p >= 1.0 - s
+    candidate = masked_min <= s
+    r_t = int(np.count_nonzero(below))
+    a_t = int(np.count_nonzero(above))
+    n_candidates = int(np.count_nonzero(candidate))
+    # per-row scalar reads in the loop are faster from Python lists
+    p_list, mm_list = p.tolist(), masked_min.tolist()
+    pending: list[int] = []
     trajectory = []
     t = 0
     while True:
-        r_t = int(np.count_nonzero(p <= s))
-        a_t = int(np.count_nonzero(p >= 1.0 - s))
         fh = fdr_hat(a_t, r_t)
         trajectory.append((t, a_t, r_t, fh))
-        candidates = masked_min <= s
-        n_candidates = int(np.count_nonzero(candidates))
         if fh <= alpha:
-            rejected = ids[p <= s]
+            rejected = ids[below]
             break
         if n_candidates == 0:
             rejected = ids[:0]
             break
-        revealed = np.where(~candidates, p, np.nan)
-        revealed.setflags(write=False)
-        table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
-        s_new = np.asarray(updater.propose(table, x, a_t, r_t, s.copy()), dtype=float)
-        if s_new.shape != s.shape:
-            raise ValueError("updater returned thresholds of the wrong shape")
-        if np.any(s_new > s):
-            raise ThresholdMonotonicityError("thresholds may only shrink")
-        if np.array_equal(s_new, s):
-            raise StallError("updater returned unchanged thresholds")
-        if int(np.count_nonzero(masked_min <= s_new)) >= n_candidates:
-            raise StallError("updater did not shrink the candidate set")
-        s = np.maximum(s_new, 0.0)
+        if not pending:
+            revealed = np.where(candidate, np.nan, p)
+            revealed.setflags(write=False)
+            table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
+            batch = np.asarray(updater.propose(table, x, a_t, r_t))
+            if batch.size == 0:
+                raise StallError("updater proposed no removal")
+            if batch.ndim != 1 or batch.dtype.kind not in "iu":
+                raise ValueError("updater must return a 1-d array of integer row indices")
+            pending = batch.tolist()[::-1]
+        i = pending.pop()
+        # a removed row is no longer a candidate, so this also rejects repeats
+        if not (0 <= i < m and candidate[i]):
+            raise StallError(f"updater proposed row {i}, which is not a candidate")
+        # Drop the threshold an ulp-scale step below the fold minimum, sized on
+        # the 1 - s scale too, so the row leaves both p <= s and p >= 1 - s.
+        mm = mm_list[i]
+        s_i = max(0.0, mm - 2.0 * math.ulp(1.0 - mm))
+        s[i] = s_i
+        candidate[i] = False
+        n_candidates -= 1
+        now_below = p_list[i] <= s_i
+        now_above = p_list[i] >= 1.0 - s_i
+        r_t += int(now_below) - int(below[i])
+        a_t += int(now_above) - int(above[i])
+        below[i] = now_below
+        above[i] = now_above
         t += 1
-        if t > m + 1:  # unreachable given the shrink checks; belt and braces
-            raise StallError("loop exceeded the maximum possible step count")
     model = None
     diag = getattr(updater, "diagnostics", None)
     if callable(diag):
@@ -278,9 +266,7 @@ def run_adapt_nonprivate(
     rng is accepted for interface symmetry; the loop itself is deterministic.
     """
     del rng
-    p = np.asarray(pvalues, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p-values must lie in [0, 1]")
+    p = _check_pvalues(pvalues)
     ids = np.arange(p.size)
     config = {
         "method": "adapt",

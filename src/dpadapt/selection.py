@@ -19,6 +19,10 @@ from .privacy import NoiseSpec, calibrate_gaussian, calibrate_laplace, compose
 from .transform import TransformKernel, clamp_unit
 
 
+class BudgetAuditError(RuntimeError):
+    """Per-round privacy budgets do not compose to the declared total."""
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Ordered (index, released noisy p-value) pairs from a peeling run."""
@@ -112,7 +116,10 @@ def mirror_peel(
             noise = calibrate_gaussian(delta_g, per_round)
             # Budget audit: the per-round budgets must recombine to the total.
             total = compose([per_round] * int(m)).mu
-            assert abs(total - mu) <= 1e-12 * max(1.0, mu)
+            if not abs(total - mu) <= 1e-12 * max(1.0, mu):
+                raise BudgetAuditError(
+                    f"{m} rounds at mu={per_round!r} compose to {total!r}, not {mu!r}"
+                )
         else:
             noise = NoiseSpec("gaussian", 0.0)
     elif noise_family == "laplace":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .engine import MaskedTable, ThresholdUpdater
+from .engine import MaskedTable
 from .transform import P_FLOOR
 
 A_MIN = 0.05
@@ -302,39 +302,26 @@ def null_probability(x, p_prime, fit: TwoGroupFit):
     return float(out[0]) if scalar else out
 
 
-def _greedy_step(s: np.ndarray, masked_min: np.ndarray, scores: np.ndarray):
-    """Remove the most-likely-null candidate from the rejection region.
+def removal_order(masked: MaskedTable, x, fit: TwoGroupFit) -> np.ndarray:
+    """Hidden rows ordered most-likely-null first, ties to the lowest index.
 
-    Returns the new thresholds and the removed index. The removed hypothesis
-    gets its threshold dropped an ulp-scale step below its fold minimum,
-    which reveals it on the next pass; ties break to the lowest index. The
-    step is sized on the 1 - s scale as well, so the removal is visible both
-    to p <= s and to p >= 1 - s comparisons.
+    Scores are null probabilities under the fit; they depend only on the fold
+    minima and the fit, so the order is the sequence of greedy one-at-a-time
+    removals for as long as the fit is held fixed.
     """
-    cand = masked_min <= s
-    if not cand.any():
-        raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
-    masked_scores = np.where(cand, scores, -np.inf)
-    i = int(np.argmax(masked_scores))
-    mm = float(masked_min[i])
-    eps = 2.0 * float(np.spacing(1.0 - mm))
-    s_new = s.copy()
-    s_new[i] = max(0.0, mm - eps)
-    return s_new, i
-
-
-def greedy_update(s: np.ndarray, masked: MaskedTable, x, fit: TwoGroupFit):
-    """One greedy removal with scores recomputed from scratch (reference path)."""
     scores = null_probability(x, masked.masked_min, fit)
-    return _greedy_step(np.asarray(s, dtype=float), masked.masked_min, scores)
+    hidden = np.flatnonzero(np.isnan(masked.revealed))
+    return hidden[np.argsort(-scores[hidden], kind="stable")]
 
 
 class TwoGroupUpdater:
     """Threshold updater: cadenced EM refits plus greedy local-null removal.
 
-    Refits every refit_every removals (default max(1, m // 20), since the
-    fit is the expensive part); between refits the removal scores are cached,
-    which is exact because they depend only on the fold minima and the fit.
+    Each propose call refits the working model and returns the next
+    refit_every hidden rows in removal_order (default max(1, m // 20), since
+    the fit is the expensive part). The loop removes them one per step, which
+    is exactly the greedy most-likely-null removal with the scores held fixed
+    between refits.
 
     The fit window is the fit_count most extreme fold minima (default
     max(200, 20% of the table), so small pre-selected tables are fitted
@@ -358,31 +345,26 @@ class TwoGroupUpdater:
         self.fit_count = fit_count
         self._feature_map = feature_map
         self._fit: TwoGroupFit | None = None
-        self._scores: np.ndarray | None = None
-        self._steps_since_fit = 0
 
-    def propose(self, masked: MaskedTable, x, a_t: int, r_t: int, s: np.ndarray) -> np.ndarray:
+    def propose(self, masked: MaskedTable, x, a_t: int, r_t: int) -> np.ndarray:
         del a_t, r_t
+        if not np.isnan(masked.revealed).any():
+            raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, masked.size // 20)
-        if self._fit is None or self._steps_since_fit >= cadence:
-            n_fit = self.fit_count or max(200, round(0.2 * masked.size))
-            n_fit = min(n_fit, masked.size)
-            window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
-            sub = MaskedTable(
-                ids=masked.ids[window],
-                masked_min=masked.masked_min[window],
-                revealed=masked.revealed[window],
-            )
-            sub_x = None if x is None else np.asarray(x)[window]
-            init = self._fit
-            if init is None and self._feature_map is not None:
-                init = default_fit(sub_x, n_rows=sub.size, basis=self._feature_map)
-            self._fit = em_fit(sub, sub_x, init=init, k=self.em_iters)
-            self._scores = null_probability(x, masked.masked_min, self._fit)
-            self._steps_since_fit = 0
-        s_new, _ = _greedy_step(np.asarray(s, dtype=float), masked.masked_min, self._scores)
-        self._steps_since_fit += 1
-        return s_new
+        n_fit = self.fit_count or max(200, round(0.2 * masked.size))
+        n_fit = min(n_fit, masked.size)
+        window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
+        sub = MaskedTable(
+            ids=masked.ids[window],
+            masked_min=masked.masked_min[window],
+            revealed=masked.revealed[window],
+        )
+        sub_x = None if x is None else np.asarray(x)[window]
+        init = self._fit
+        if init is None and self._feature_map is not None:
+            init = default_fit(sub_x, n_rows=sub.size, basis=self._feature_map)
+        self._fit = em_fit(sub, sub_x, init=init, k=self.em_iters)
+        return removal_order(masked, x, self._fit)[:cadence]
 
     def diagnostics(self) -> dict | None:
         if self._fit is None:
@@ -394,7 +376,3 @@ class TwoGroupUpdater:
             "em_iters": self._fit.em_iters,
             "loglik_trace": [float(v) for v in self._fit.loglik_trace],
         }
-
-
-def _protocol_check(u: TwoGroupUpdater) -> ThresholdUpdater:
-    return u

@@ -29,6 +29,12 @@ class TestBH:
     def test_all_ones_empty(self):
         assert bh([1.0, 1.0, 1.0], 0.1).size == 0
 
+    def test_non_finite_pvalues_rejected(self):
+        for bad in (np.nan, np.inf):
+            p = [0.01, 0.2, 0.5, bad, 0.9]
+            with pytest.raises(ValueError):
+                bh(p, 0.1)
+
     def test_boundary_non_strict(self):
         assert set(bh([0.1], 0.1)) == {0}
 
@@ -98,6 +104,14 @@ class TestDpBh:
             rng = np.random.default_rng(99)  # same noise realization per alpha
             sets.append(set(dp_bh(p, cfg, rng, zero_noise=True).tolist()))
         assert sets[0] <= sets[1] <= sets[2]
+
+    def test_non_finite_pvalues_rejected(self):
+        # a NaN used to be peeled like a very small p-value and rejected
+        config = BHConfig(nu=1e-4, eta=1e-4, alpha=0.1, epsilon=0.5, delta=1e-3, m=3)
+        for bad in (np.nan, -np.inf):
+            p = np.array([0.3, 0.2, 0.5, bad, 0.9])
+            with pytest.raises(ValueError):
+                dp_bh(p, config, np.random.default_rng(0))
 
     def test_m_exceeding_n_rejected(self):
         with pytest.raises(ValueError):

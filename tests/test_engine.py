@@ -1,52 +1,141 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpadapt import engine
 from dpadapt.engine import (
-    MaskedPValue,
     StallError,
-    ThresholdMonotonicityError,
     fdr_hat,
     run_adapt_nonprivate,
     run_dp_adapt,
 )
 from dpadapt.privacy import PrivacyBudget
+from dpadapt.simulate import Scenario, data_rng, gen_grid, gen_no_side_info, method_rng
 from dpadapt.transform import gaussian_kernel
 from dpadapt.twogroup import TwoGroupUpdater
+
+from .adapt_oracle import ReferenceGreedyUpdater, reference_adapt_loop
 
 K = gaussian_kernel()
 
 
-class LargestMinUpdater:
-    """Model-free reference updater: drop the candidate with the largest fold min."""
+def hidden_rows(masked):
+    return np.flatnonzero(np.isnan(masked.revealed))
 
-    def propose(self, masked, x, a_t, r_t, s):
-        mm = masked.masked_min
-        cand = mm <= s
-        scores = np.where(cand, mm, -np.inf)
-        i = int(np.argmax(scores))
-        s_new = s.copy()
-        s_new[i] = max(0.0, mm[i] - 2 * np.spacing(1.0 - mm[i]))
-        return s_new
+
+class LargestMinUpdater:
+    """Model-free reference updater: drop hidden rows by largest fold min first."""
+
+    def __init__(self, batch=1):
+        self.batch = batch
+
+    def propose(self, masked, x, a_t, r_t):
+        hidden = hidden_rows(masked)
+        order = hidden[np.argsort(-masked.masked_min[hidden], kind="stable")]
+        return order[: self.batch]
+
+
+class FixedBatch:
+    """Proposes the same rows at every call, valid or not."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def propose(self, masked, x, a_t, r_t):
+        return self.rows
+
+
+class RandomUpdater:
+    """Random permutations of the hidden rows in random batch sizes."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def propose(self, masked, x, a_t, r_t):
+        hidden = self.rng.permutation(hidden_rows(masked))
+        return hidden[: int(self.rng.integers(1, hidden.size + 1))]
+
+
+def removal_threshold(mm):
+    return max(0.0, mm - 2 * np.spacing(1.0 - mm))
 
 
 class RecordingUpdater:
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = []
+    """Records every view the loop hands over and every batch returned.
 
-    def propose(self, masked, x, a_t, r_t, s):
-        s_new = self.inner.propose(masked, x, a_t, r_t, s)
-        self.calls.append(
-            {
-                "masked_min": masked.masked_min.copy(),
-                "revealed": masked.revealed.copy(),
-                "a_t": a_t,
-                "r_t": r_t,
-                "s": s.copy(),
-                "s_new": np.asarray(s_new).copy(),
-            }
-        )
-        return s_new
+    With per_step (the default) the inner updater's batches reach the loop
+    one row at a time, so the loop calls propose at every step, as it did
+    when updaters returned whole threshold vectors. Each record then also
+    carries the thresholds before and after its step ("s", "s_new"), rebuilt
+    independently of the loop from s0 and the removed rows.
+    """
+
+    def __init__(self, inner, per_step=True, s0=0.45):
+        self.inner = inner
+        self.per_step = per_step
+        self.s0 = s0
+        self.calls = []
+        self._pending = []
+        self._s = None
+
+    def propose(self, masked, x, a_t, r_t):
+        record = {
+            "masked_min": masked.masked_min.copy(),
+            "revealed": masked.revealed.copy(),
+            "a_t": a_t,
+            "r_t": r_t,
+        }
+        if self.per_step:
+            if not self._pending:
+                self._pending = np.asarray(self.inner.propose(masked, x, a_t, r_t)).tolist()[::-1]
+            i = self._pending.pop()
+            s = np.full(masked.size, self.s0) if self._s is None else self._s
+            self._s = s.copy()
+            self._s[i] = removal_threshold(masked.masked_min[i])
+            record.update(s=s, s_new=self._s.copy())
+            batch = np.array([i])
+        else:
+            batch = np.asarray(self.inner.propose(masked, x, a_t, r_t))
+        record["batch"] = batch.copy()
+        self.calls.append(record)
+        return batch
+
+    def diagnostics(self):
+        diag = getattr(self.inner, "diagnostics", None)
+        return diag() if callable(diag) else None
+
+
+def replay(rep, calls, s0=0.45):
+    """Thresholds after each step, rebuilt from the recorded batches.
+
+    Returns stop_t + 1 threshold vectors, one per trajectory row; the
+    removals after the stopping step in the last batch are never applied.
+    """
+    vals = np.asarray(rep.noisy_p)
+    mm = np.minimum(vals, 1 - vals)
+    s = np.full(vals.size, s0)
+    states = [s.copy()]
+    removed = [int(i) for call in calls for i in call["batch"]][: rep.stop_t]
+    for i in removed:
+        s[i] = removal_threshold(mm[i])
+        states.append(s.copy())
+    assert len(states) == rep.stop_t + 1
+    return states
+
+
+def assert_counters_match(rep, calls, s0=0.45):
+    vals = np.asarray(rep.noisy_p)
+    states = replay(rep, calls, s0)
+    for s, row in zip(states, rep.trajectory, strict=True):
+        t, a_t, r_t, fh = row
+        assert r_t == int(np.sum(vals <= s))
+        assert a_t == int(np.sum(vals >= 1 - s))
+        assert fh == (1 + a_t) / max(r_t, 1)
+    assert np.array_equal(states[-1], np.asarray(rep.final_thresholds))
+    return states
 
 
 class TestFdrHat:
@@ -60,19 +149,6 @@ class TestFdrHat:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fdr_hat(-1, 3)
-
-
-class TestMaskedPValue:
-    def test_consistent_record(self):
-        MaskedPValue(id=3, masked_min=0.2, revealed=0.8)
-
-    def test_inconsistent_revealed_rejected(self):
-        with pytest.raises(ValueError):
-            MaskedPValue(id=3, masked_min=0.2, revealed=0.3)
-
-    def test_masked_min_range(self):
-        with pytest.raises(ValueError):
-            MaskedPValue(id=0, masked_min=0.7, revealed=None)
 
 
 class TestLoopBehavior:
@@ -101,32 +177,41 @@ class TestLoopBehavior:
         assert rep.rejected == ()  # 1/20 = 0.05 > alpha and no removable mass helps
 
     def test_stall_on_unchanged_thresholds(self):
-        class Frozen:
-            def propose(self, masked, x, a_t, r_t, s):
-                return s
-
+        # an empty batch removes nothing, so the thresholds would never change
         with pytest.raises(StallError):
-            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, Frozen())
+            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, FixedBatch([]))
 
     def test_stall_on_non_shrinking_candidates(self):
-        class Cosmetic:
-            def propose(self, masked, x, a_t, r_t, s):
-                s_new = s.copy()
-                s_new[0] = s_new[0] * 0.999  # still above the fold min
-                return s_new
+        # row 3 (p = 0.5) is already revealed; out-of-range rows are not rows
+        for row in (3, 4, -1):
+            with pytest.raises(StallError):
+                run_adapt_nonprivate([0.01, 0.2, 0.93, 0.5], None, 0.01, FixedBatch([row]))
 
+    def test_repeated_index_stalls(self):
         with pytest.raises(StallError):
-            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, Cosmetic())
+            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, FixedBatch([0, 0]))
 
-    def test_monotonicity_violation(self):
-        class Riser:
-            def propose(self, masked, x, a_t, r_t, s):
-                s_new = s.copy()
-                s_new[0] = s_new[0] + 0.01
-                return s_new
+    def test_non_integer_batch_rejected(self):
+        with pytest.raises(ValueError):
+            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, FixedBatch([0.0]))
 
-        with pytest.raises(ThresholdMonotonicityError):
-            run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, Riser())
+    def test_removals_past_the_stop_are_not_applied(self):
+        # one batch holding every row; the loop stops after the first removal
+        class Everything:
+            def propose(self, masked, x, a_t, r_t):
+                return hidden_rows(masked)[::-1]
+
+        p = np.array([0.001, 0.002, 0.003, 0.97])
+        rep = run_adapt_nonprivate(p, None, 0.4, Everything())
+        assert rep.stop_t == 1
+        assert rep.rejected == (0, 1, 2)
+        assert rep.final_thresholds[:3] == (0.45, 0.45, 0.45)
+
+    def test_non_finite_pvalues_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            p = np.array([0.01, 0.2, 0.5, bad, 0.9])
+            with pytest.raises(ValueError):
+                run_adapt_nonprivate(p, None, 0.1, LargestMinUpdater())
 
     def test_alpha_and_s0_validated(self):
         with pytest.raises(ValueError):
@@ -160,25 +245,26 @@ def flip_pair_instance(rng):
 
 class TestInformationBarrier:
     def test_fold_flip_of_masked_pair_is_invisible(self):
+        # per_step: a call at every step, as with whole-vector updaters;
+        # otherwise the loop consumes batches of three
         g = np.random.default_rng(77)
-        for _ in range(40):
+        for _, per_step in itertools.product(range(40), (True, False)):
             p, (i, j) = flip_pair_instance(g)
             flipped = p.copy()
             flipped[i], flipped[j] = 1.0 - p[i], 1.0 - p[j]
 
-            rec_a = RecordingUpdater(LargestMinUpdater())
+            rec_a = RecordingUpdater(LargestMinUpdater(3), per_step)
             rep_a = run_adapt_nonprivate(p, None, 0.1, rec_a)
-            rec_b = RecordingUpdater(LargestMinUpdater())
+            rec_b = RecordingUpdater(LargestMinUpdater(3), per_step)
             rep_b = run_adapt_nonprivate(flipped, None, 0.1, rec_b)
 
             assert len(rec_a.calls) == len(rec_b.calls)
             for ca, cb in zip(rec_a.calls, rec_b.calls):
-                assert np.array_equal(ca["masked_min"], cb["masked_min"])
-                assert np.array_equal(ca["revealed"], cb["revealed"], equal_nan=True)
-                assert (ca["a_t"], ca["r_t"]) == (cb["a_t"], cb["r_t"])
-                assert np.array_equal(ca["s"], cb["s"])
-                assert np.array_equal(ca["s_new"], cb["s_new"])
+                assert ca.keys() == cb.keys()
+                for key in ca:
+                    assert np.array_equal(ca[key], cb[key], equal_nan=True), key
             assert rep_a.trajectory == rep_b.trajectory
+            assert rep_a.final_thresholds == rep_b.final_thresholds
             # the flip is real: exactly one of the pair is rejected in each run
             assert (i in rep_a.rejected) != (i in rep_b.rejected)
 
@@ -187,33 +273,60 @@ class TestInformationBarrier:
         p, (i, j) = flip_pair_instance(g)
         rec = RecordingUpdater(LargestMinUpdater())
         run_adapt_nonprivate(p, None, 0.1, rec)
+        assert rec.calls
         for call in rec.calls:
             assert np.isnan(call["revealed"][i]) and np.isnan(call["revealed"][j])
+
+    def test_view_reveals_exactly_the_removed_rows(self):
+        # at every call the hidden rows are the candidates under the replayed
+        # thresholds, and the counters handed over are the trajectory's
+        g = np.random.default_rng(9)
+        p = g.random(80)
+        rec = RecordingUpdater(RandomUpdater(3), per_step=False)
+        rep = run_adapt_nonprivate(p, None, 0.05, rec)
+        states = replay(rep, rec.calls)
+        vals = np.asarray(rep.noisy_p)
+        mm = np.minimum(vals, 1 - vals)
+        step = 0
+        for call in rec.calls:
+            s = states[step]
+            hidden = mm <= s
+            assert np.array_equal(np.isnan(call["revealed"]), hidden)
+            assert np.array_equal(call["revealed"][~hidden], vals[~hidden])
+            assert (call["a_t"], call["r_t"]) == rep.trajectory[step][1:3]
+            step += call["batch"].size
 
 
 class TestBookkeeping:
     def test_double_entry_counters(self):
-        # recompute every trajectory row from the noisy values and thresholds
+        # replay every recorded batch and recompute each trajectory row
+        # from the noisy values and the rebuilt thresholds
         g = np.random.default_rng(21)
         for _ in range(25):
             n = int(g.integers(30, 90))
             p = g.random(n)
-            rec = RecordingUpdater(TwoGroupUpdater())
+            rec = RecordingUpdater(TwoGroupUpdater(), per_step=False)
             rep = run_dp_adapt(
                 p, None, K, 1e-3, PrivacyBudget.from_mu(0.3), min(n, 25), 0.1,
                 rec, g, zero_noise=False,
             )
-            vals = np.asarray(rep.noisy_p)
-            for call, row in zip(rec.calls, rep.trajectory):
-                t, a_t, r_t, fh = row
-                s = call["s"]
-                assert r_t == int(np.sum(vals <= s))
-                assert a_t == int(np.sum(vals >= 1 - s))
-                assert fh == pytest.approx((1 + a_t) / max(r_t, 1))
-            final = np.asarray(rep.final_thresholds)
-            t, a_t, r_t, fh = rep.trajectory[-1]
-            assert r_t == int(np.sum(vals <= final))
-            assert a_t == int(np.sum(vals >= 1 - final))
+            assert_counters_match(rep, rec.calls)
+            step = 0
+            for call in rec.calls:
+                assert np.unique(call["batch"]).size == call["batch"].size
+                assert (call["a_t"], call["r_t"]) == rep.trajectory[step][1:3]
+                step += call["batch"].size
+
+    def test_batches_equal_single_steps(self):
+        # consuming a batch in one go or one row per call is the same loop
+        g = np.random.default_rng(22)
+        for _ in range(10):
+            p = np.concatenate([g.random(150), g.uniform(0, 1e-3, 10)])
+            whole = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
+            rec = RecordingUpdater(TwoGroupUpdater())
+            single = run_adapt_nonprivate(p, None, 0.1, rec)
+            assert len(rec.calls) == single.stop_t
+            assert whole == single
 
     def test_rejection_set_matches_final_thresholds(self):
         g = np.random.default_rng(31)
@@ -237,9 +350,74 @@ class TestBookkeeping:
         g = np.random.default_rng(41)
         p = g.random(60)
         rec = RecordingUpdater(TwoGroupUpdater())
-        run_dp_adapt(p, None, K, 1e-3, PrivacyBudget.from_mu(0.3), 30, 0.1, rec, g)
-        for call in rec.calls:
-            assert np.all(call["s_new"] <= call["s"] + 0.0)
+        rep = run_dp_adapt(p, None, K, 1e-3, PrivacyBudget.from_mu(0.3), 30, 0.1, rec, g)
+        states = assert_counters_match(rep, rec.calls)
+        for call, before, after in zip(rec.calls, states, states[1:]):
+            assert np.array_equal(call["s"], before) and np.array_equal(call["s_new"], after)
+            assert np.all(after <= before)
+            assert np.count_nonzero(after < before) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+    alpha=st.floats(0.01, 0.6),
+    s0=st.floats(0.05, 0.49),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_valid_updaters_keep_the_books(p, alpha, s0, seed):
+    rec = RecordingUpdater(RandomUpdater(seed), per_step=False)
+    rep = run_adapt_nonprivate(p, None, alpha, rec, s0=s0)
+    states = assert_counters_match(rep, rec.calls, s0)
+    for before, after in zip(states, states[1:]):
+        assert np.all(after <= before)
+    # the loop stops at the first row with fdr_hat <= alpha, or when no
+    # candidate is left to remove
+    fhs = [row[3] for row in rep.trajectory]
+    assert all(fh > alpha for fh in fhs[:-1])
+    vals = np.asarray(rep.noisy_p)
+    final = states[-1]
+    exhausted = not np.any(np.minimum(vals, 1 - vals) <= final)
+    assert fhs[-1] <= alpha or exhausted
+    expected = np.flatnonzero(vals <= final) if fhs[-1] <= alpha else []
+    assert rep.rejected == tuple(int(i) for i in expected)
+
+
+def oracle_inputs(kind, seed):
+    rng = data_rng(seed, 0)
+    if kind == "no_side_info":
+        x, p, _ = gen_no_side_info(Scenario(n=2000), rng)
+    else:
+        x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), rng)
+    return x, p
+
+
+def run_arm(method, x, p, seed, updater):
+    if method == "adapt":
+        return run_adapt_nonprivate(p, x, 0.1, updater)
+    return run_dp_adapt(
+        p, x, K, 1e-4, PrivacyBudget.from_mu(0.5), max(10, round(0.05 * p.size)), 0.1,
+        updater, method_rng(seed, 0, 1),
+    )
+
+
+class TestOracle:
+    @pytest.mark.parametrize("kind", ["no_side_info", "grid"])
+    @pytest.mark.parametrize("method", ["adapt", "dp-adapt"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_whole_vector_loop(self, monkeypatch, kind, method, seed):
+        x, p = oracle_inputs(kind, seed)
+        new = run_arm(method, x, p, seed, TwoGroupUpdater())
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_adapt_loop", reference_adapt_loop)
+            old = run_arm(method, x, p, seed, ReferenceGreedyUpdater())
+        assert new.stop_t > 0
+        assert new.rejected == old.rejected
+        assert new.trajectory == old.trajectory
+        assert new.stop_t == old.stop_t
+        assert new.final_thresholds == old.final_thresholds
+        assert new.model == old.model
+        assert new == old
 
 
 class TestEmpiricalFdr:

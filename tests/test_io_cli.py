@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from dpadapt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from dpadapt import selection
+from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
-from dpadapt.privacy import gdp_to_ed
+from dpadapt.privacy import PrivacyBudget, gdp_to_ed
 
 
 def write(path, text):
@@ -127,6 +128,14 @@ class TestRunCommand:
         data = write(tmp_path / "d.csv", "id,p\ng0,0.5\n")
         assert main(["run", "--input", data, "--method", "dp-adapt", "--mu", "-1",
                      "--seed", "1", "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
+
+    def test_failed_budget_audit_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(selection, "compose", lambda budgets: PrivacyBudget.from_mu(9.0))
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(12)))
+        code = main(["run", "--input", data, "--method", "dp-adapt", "--mu", "0.24",
+                     "--m", "5", "--seed", "1", "--out-prefix", str(tmp_path / "x")])
+        assert code == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

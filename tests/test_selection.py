@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpadapt.privacy import CalibrationRegimeWarning, compose
-from dpadapt.selection import SelectionResult, mirror_peel, report_noisy_min
+from dpadapt import selection
+from dpadapt.privacy import CalibrationRegimeWarning, PrivacyBudget, compose
+from dpadapt.selection import BudgetAuditError, SelectionResult, mirror_peel, report_noisy_min
 from dpadapt.transform import gaussian_kernel
 
 K = gaussian_kernel()
@@ -83,6 +84,12 @@ class TestMirrorPeel:
         # the loop asserts this internally; verified here through compose
         m, mu = 17, 0.73
         assert compose([mu / math.sqrt(m)] * m).mu == pytest.approx(mu, abs=1e-12)
+
+    def test_budget_audit_is_an_explicit_error(self, monkeypatch):
+        # survives python -O, unlike an assert
+        monkeypatch.setattr(selection, "compose", lambda budgets: PrivacyBudget.from_mu(0.5))
+        with pytest.raises(BudgetAuditError):
+            mirror_peel([0.1, 0.5, 0.9], K, 1e-4, 0.3, 2, rng())
 
     def test_selection_invariant_under_global_reflection(self):
         # same seed = shared noise; the fold masking makes p and 1-p identical

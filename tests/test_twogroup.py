@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpadapt.engine import MaskedTable
+from dpadapt.engine import MaskedTable, run_adapt_nonprivate
 from dpadapt.twogroup import (
     A_MAX,
     A_MIN,
@@ -13,9 +13,9 @@ from dpadapt.twogroup import (
     TwoGroupUpdater,
     default_fit,
     em_fit,
-    greedy_update,
     null_probability,
     observed_loglik,
+    removal_order,
 )
 
 
@@ -186,55 +186,51 @@ class TestGreedyUpdate:
     def test_single_candidate_removed(self):
         p = np.array([0.02, 0.48])
         tbl = table_with_threshold(p, 0.3)
-        s = np.array([0.3, 0.3])
-        s_new, removed = greedy_update(s, tbl, None, self.fit)
-        assert removed == 0
-        assert s_new[0] < 0.02
-        assert s_new[1] == 0.3
+        assert removal_order(tbl, None, self.fit).tolist() == [0]
 
     def test_larger_fold_min_removed_first(self):
         p = np.array([0.01, 0.04])
         tbl = table_with_threshold(p, 0.3)
-        s_new, removed = greedy_update(np.array([0.3, 0.3]), tbl, None, self.fit)
-        assert removed == 1
+        assert removal_order(tbl, None, self.fit)[0] == 1
 
     def test_exactly_one_threshold_changes(self):
+        # every proposal is a permutation prefix of the hidden rows, and the
+        # loop lowers exactly one threshold per removal
         rng = np.random.default_rng(3)
         p = rng.random(50)
         tbl = table_with_threshold(p, 0.4)
-        s = np.full(50, 0.4)
-        s_new, removed = greedy_update(s, tbl, None, self.fit)
-        changed = np.flatnonzero(s_new != s)
-        assert changed.tolist() == [removed]
-        assert np.all(s_new <= s)
+        order = removal_order(tbl, None, self.fit)
+        assert sorted(order.tolist()) == np.flatnonzero(np.isnan(tbl.revealed)).tolist()
+        batch = TwoGroupUpdater(refit_every=7).propose(tbl, None, 0, 0)
+        assert batch.size == 7 and np.unique(batch).size == 7
+        assert np.all(np.isnan(tbl.revealed[batch]))
+
+        rep = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(refit_every=7))
+        changed = np.flatnonzero(np.asarray(rep.final_thresholds) != 0.45)
+        assert changed.size == rep.stop_t
+        mm = np.minimum(p, 1 - p)
+        assert np.all(np.asarray(rep.final_thresholds)[changed] < mm[changed])
 
     def test_exhaustion_signalled(self):
         p = np.array([0.49, 0.51])
         tbl = table_with_threshold(p, 0.3)
+        assert removal_order(tbl, None, self.fit).size == 0
         with pytest.raises(CandidatesExhausted):
-            greedy_update(np.array([0.3, 0.3]), tbl, None, self.fit)
+            TwoGroupUpdater().propose(tbl, None, 0, 0)
 
     def test_removal_order_matches_full_recompute_oracle(self):
-        # the updater's cached-score path must replay an independent
-        # from-scratch reimplementation: sort candidates by recomputed score
+        # the updater's batch must replay an independent from-scratch
+        # reimplementation: sort candidates by recomputed score
         rng = np.random.default_rng(12)
         n = 200
         p = np.concatenate([rng.beta(0.3, 1, 40), rng.random(160)])
         x = rng.normal(size=n)
         tbl = table_with_threshold(p, 0.45)
-        fit = em_fit(tbl, x, k=5)
 
-        updater = TwoGroupUpdater(refit_every=10**9)  # freeze the fit
-        updater._fit = fit
-        updater._scores = null_probability(x, tbl.masked_min, fit)
-        updater._steps_since_fit = 0
-
-        s = np.full(n, 0.45)
-        order = []
-        for _ in range(60):
-            s_new = updater.propose(tbl, x, 0, 0, s)
-            order.append(int(np.flatnonzero(s_new != s)[0]))
-            s = s_new
+        updater = TwoGroupUpdater(refit_every=60)
+        order = updater.propose(tbl, x, 0, 0).tolist()
+        fit = updater._fit
+        assert fit is not None and fit.em_iters == 5
 
         scores = null_probability(x, tbl.masked_min, fit)
         cand = tbl.masked_min <= 0.45
