@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import PrivacyBudget
-from .selection import _check_pvalues
+from .privacy import NoiseSpec, PrivacyBudget
+from .selection import _check_pvalues, peel
 from .transform import TransformKernel
 
 
@@ -85,19 +85,9 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     lam = 0.0 if zero_noise else config.laplace_scale
     f = np.log(np.maximum(config.nu, p))
 
-    alive = np.ones(n, dtype=bool)
-    sel_idx = np.empty(config.m, dtype=int)
-    sel_val = np.empty(config.m)
-    round_rngs = rng.spawn(config.m)
-    for j in range(config.m):
-        rr = round_rngs[j]
-        idx = np.flatnonzero(alive)
-        noise = rr.laplace(0.0, lam, size=idx.size) if lam > 0 else 0.0
-        winner = int(idx[np.argmin(f[idx] + noise)])
-        alive[winner] = False
-        fresh = rr.laplace(0.0, lam) if lam > 0 else 0.0
-        sel_idx[j] = winner
-        sel_val[j] = f[winner] + fresh
+    noise = NoiseSpec("laplace", lam)
+    sel_idx = peel(f, noise, config.m, rng)
+    sel_val = f[sel_idx] + noise.draw(rng, size=config.m)
 
     correction = lam * math.log(6.0 * config.m / config.alpha)
     for j in range(config.m, 0, -1):
@@ -130,12 +120,8 @@ def dp_bonf(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    p = np.asarray(pvalues, dtype=float)
+    p = _check_pvalues(pvalues)
     n = p.size
-    if n == 0:
-        return np.empty(0, dtype=int)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p-values must lie in [0, 1]")
     sigma = 0.0 if zero_noise else delta_g * n / budget.mu
     q = kernel.quantile(p)
     z = q + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)

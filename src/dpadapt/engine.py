@@ -104,6 +104,17 @@ class ThresholdUpdater(Protocol):
     ) -> np.ndarray: ...
 
 
+def _check_covariates(x, n: int) -> np.ndarray | None:
+    if x is None:
+        return None
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[0] != n:
+        raise ValueError(f"covariates must have one row per p-value ({n}), got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("covariates must be finite")
+    return xs
+
+
 def fdr_hat(a_t: int, r_t: int) -> float:
     """(1 + A_t) / max(R_t, 1)."""
     if a_t < 0 or r_t < 0:
@@ -218,6 +229,7 @@ def run_dp_adapt(
     perturbation for oracle tests and marks the run non-private.
     """
     p = np.asarray(pvalues, dtype=float)
+    xs = _check_covariates(x, p.size)
     if noise_family == "laplace" and not zero_noise and budget.epsilon is None:
         raise ValueError("laplace mode requires a budget built from (epsilon, delta)")
     selection = mirror_peel(
@@ -232,9 +244,7 @@ def run_dp_adapt(
         delta=budget.delta,
         zero_noise=zero_noise,
     )
-    sel_x = None
-    if x is not None:
-        sel_x = np.asarray(x)[selection.indices]
+    sel_x = xs[selection.indices] if xs is not None else None
     config = {
         "method": "dp-adapt",
         "n": int(p.size),
@@ -276,5 +286,4 @@ def run_adapt_nonprivate(
         "s0": float(s0),
         "private": False,
     }
-    sel_x = np.asarray(x) if x is not None else None
-    return _adapt_loop(ids, p, sel_x, alpha, s0, updater, config)
+    return _adapt_loop(ids, p, _check_covariates(x, p.size), alpha, s0, updater, config)

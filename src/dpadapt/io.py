@@ -13,6 +13,7 @@ import io as _stdio
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,13 @@ def ingest_csv(path) -> Dataset:
         x.append(cov)
     if bad_p:
         raise IngestError(f"{path}: p outside [0, 1] for ids: {', '.join(bad_p)}")
+    if len(set(ids)) != len(ids):
+        dup = sorted(rid for rid, count in Counter(ids).items() if count > 1)
+        raise IngestError(f"{path}: duplicate ids: {', '.join(dup)}")
     xs = np.array(x, dtype=float) if n_cov else None
+    if xs is not None and not np.isfinite(xs).all():
+        bad_x = [ids[i] for i in np.flatnonzero(~np.isfinite(xs).all(axis=1))]
+        raise IngestError(f"{path}: non-finite covariates for ids: {', '.join(bad_x)}")
     return Dataset(
         ids=tuple(ids),
         p=np.array(p, dtype=float),

@@ -1,4 +1,4 @@
-"""Private selection: report-noisy-min and the mirror peeling loop.
+"""Private selection: the peeling primitive, report-noisy-min and mirror peeling.
 
 Mirror peeling pre-selects the m hypotheses most likely to matter while only
 ever ranking the folded values min(p, 1-p), so both tails are captured: the
@@ -6,6 +6,9 @@ small p-values that may be rejected and the large ones that later serve as
 the false-discovery controls. Each round spends budget mu/sqrt(m); the
 winner's released value is a freshly noised copy of the ORIGINAL p-value,
 never of the folded one.
+
+Every peel in the package (these two and the private BH in baselines) runs
+through `peel`, one exact but lazy noisy-argmin loop.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import normal_quantile
 from .privacy import NoiseSpec, calibrate_gaussian, calibrate_laplace, compose
 from .transform import TransformKernel, clamp_unit
 
@@ -56,6 +60,77 @@ def _check_pvalues(pvalues) -> np.ndarray:
     return p
 
 
+# Half-width of the explicitly noised block, in noise-scale units, for a pool
+# of n: a few scales past the typical minimum of n noises (about
+# sqrt(2 ln n) for Gaussian, ln n for Laplace), so the tail rarely needs
+# resolving.
+def _block_width(family: str, n: int) -> float:
+    if family == "gaussian":
+        return math.sqrt(2.0 * math.log(n)) + 3.0
+    return math.log(n) + 4.0
+
+
+def _noise_ppf(noise: NoiseSpec, f):
+    """Inverse CDF of the noise at probabilities f in (0, 1)."""
+    if noise.family == "gaussian":
+        return noise.scale * normal_quantile(f)
+    f = np.asarray(f, dtype=float)
+    upper = f >= 0.5
+    # log of twice the smaller tail mass; 1 - f is exact for f >= 1/2
+    log_tail = np.log(2.0 * np.where(upper, 1.0 - f, f))
+    return noise.scale * np.where(upper, -log_tail, log_tail)
+
+
+def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices won by m rounds of noisy argmin over scores, winners removed.
+
+    The outputs have the distribution of the dense loop that adds fresh iid
+    noise to every remaining score each round, but the work is lazy. The
+    scores are sorted once; each round draws noise only for the alive scores
+    within _block_width noise scales of the smallest one, and bounds the k
+    alive scores past that block by W, an exactly sampled minimum of k
+    noises: S(W) = exp(-E/k) with E ~ Exp(1), since P(W > w) = S(w)^k. If
+    the block's best value is below the first tail score plus W, no tail
+    score can win. Otherwise the tail is resolved exactly: one uniformly
+    chosen tail score gets W and every other one a draw conditioned on
+    exceeding W, by inverse CDF. Zero noise gives the stable sort prefix
+    (ties to the lowest index), as the dense loop does.
+    """
+    s = np.asarray(scores, dtype=float)
+    order = np.argsort(s, kind="stable")
+    if noise.scale == 0.0:
+        return order[:m]
+    t = s[order]
+    n = t.size
+    width = _block_width(noise.family, n) * noise.scale
+    alive = np.ones(n, dtype=bool)
+    winners = np.empty(m, dtype=np.intp)
+    first = 0
+    for j in range(m):
+        while not alive[first]:
+            first += 1
+        end = int(np.searchsorted(t, t[first] + width, side="right"))
+        block = first + np.flatnonzero(alive[first:end])
+        values = t[block] + noise.draw(rng, size=block.size)
+        best = int(np.argmin(values))
+        winner = int(block[best])
+        k = n - j - block.size
+        if k > 0:
+            w_cdf = -math.expm1(-rng.standard_exponential() / k)
+            w = float(_noise_ppf(noise, w_cdf))
+            if not values[best] < t[end] + w:
+                tail = end + np.flatnonzero(alive[end:])
+                z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))
+                z[rng.integers(k)] = w
+                tail_values = t[tail] + z
+                i = int(np.argmin(tail_values))
+                if tail_values[i] < values[best]:
+                    winner = int(tail[i])
+        alive[winner] = False
+        winners[j] = order[winner]
+    return winners
+
+
 def report_noisy_min(
     pvalues,
     kernel: TransformKernel,
@@ -75,9 +150,8 @@ def report_noisy_min(
     p = _check_pvalues(pvalues)
     noise = NoiseSpec("gaussian", 0.0) if zero_noise else calibrate_gaussian(delta_g, mu)
     q = kernel.quantile(p)
-    shifted = q + noise.draw(rng, size=p.size)
     # G is monotone, so the argmin of G(q + Z) is the argmin of q + Z.
-    winner = int(np.argmin(shifted))
+    winner = int(peel(q, noise, 1, rng)[0])
     released = float(clamp_unit(kernel.G(q[winner] + noise.draw(rng))))
     return winner, released
 
@@ -100,9 +174,18 @@ def mirror_peel(
     Gaussian mode splits the total budget evenly across rounds (mu/sqrt(m)
     each, recombining to mu); laplace mode uses the scale from
     calibrate_laplace, whose sqrt(m) factor plays the same role. Each round
-    draws fresh per-element noise over the remaining pool, removes the
-    winner, and releases G(G_inv(p_winner) + Z) computed from the original
-    p-value at the same scale.
+    takes the noisy argmin over the remaining pool and removes the winner;
+    each winner's released value G(G_inv(p_winner) + Z) is computed from the
+    original p-value with fresh noise at the same scale.
+
+    The rounds run through `peel`, which samples them exactly but lazily:
+    only the folded scores near the running minimum get explicit noise, and
+    the rest of the pool is bounded by an exactly sampled minimum of its
+    noise. The selection has the distribution of the dense loop that noises
+    the whole pool every round, but not its random stream. The work done
+    therefore depends on the data (how many scores sit near the minimum, how
+    often the bound fails); the privacy guarantee covers the released
+    outputs, not the running time.
     """
     p = _check_pvalues(pvalues)
     n = p.size
@@ -136,15 +219,9 @@ def mirror_peel(
     q_folded = kernel.quantile(folded)
     q_orig = kernel.quantile(p)
 
-    alive = np.ones(n, dtype=bool)
-    pairs = []
-    round_rngs = rng.spawn(int(m))
-    for j in range(int(m)):
-        rr = round_rngs[j]
-        idx = np.flatnonzero(alive)
-        shifted = q_folded[idx] + noise.draw(rr, size=idx.size)
-        winner = int(idx[np.argmin(shifted)])
-        alive[winner] = False
-        released = float(clamp_unit(kernel.G(q_orig[winner] + noise.draw(rr))))
-        pairs.append((winner, released))
-    return SelectionResult(pairs=tuple(pairs), m=int(m), private=not zero_noise)
+    winners = peel(q_folded, noise, int(m), rng)
+    fresh = noise.draw(rng, size=int(m))
+    pairs = tuple(
+        (int(i), float(clamp_unit(kernel.G(q_orig[i] + z)))) for i, z in zip(winners, fresh)
+    )
+    return SelectionResult(pairs=pairs, m=int(m), private=not zero_noise)

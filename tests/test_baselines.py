@@ -151,6 +151,17 @@ class TestDpBonf:
             expected = {int(i) for i in np.flatnonzero(p <= 0.1 / n)}
             assert got == expected
 
+    def test_non_finite_pvalues_rejected(self):
+        # a NaN used to pass through and compare false against the threshold
+        for bad in (np.nan, np.inf, -np.inf):
+            p = np.array([1e-9, 0.2, bad, 0.9])
+            with pytest.raises(ValueError):
+                dp_bonf(p, 1e-4, K, PrivacyBudget.from_mu(0.24), 0.1, np.random.default_rng(0), zero_noise=True)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            dp_bonf([], 1e-4, K, PrivacyBudget.from_mu(0.24), 0.1, np.random.default_rng(0))
+
     def test_benchmark_regime_power_near_zero(self):
         # strong signals, but the family-wise noise allowance forecloses detection
         from dpadapt._normal import normal_cdf

@@ -213,6 +213,22 @@ class TestLoopBehavior:
             with pytest.raises(ValueError):
                 run_adapt_nonprivate(p, None, 0.1, LargestMinUpdater())
 
+    def test_non_finite_covariates_rejected(self):
+        # one NaN used to flow into the EM and make adapt reject nothing
+        p = np.random.default_rng(0).random(40)
+        budget = PrivacyBudget.from_mu(0.24)
+        for bad in (np.nan, np.inf):
+            x = np.linspace(0.0, 1.0, 40)
+            x[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                run_adapt_nonprivate(p, x, 0.1, LargestMinUpdater())
+            with pytest.raises(ValueError, match="finite"):
+                run_dp_adapt(p, x, K, 1e-4, budget, 10, 0.1, LargestMinUpdater(), np.random.default_rng(0))
+
+    def test_covariate_rows_must_match(self):
+        with pytest.raises(ValueError, match="one row per p-value"):
+            run_adapt_nonprivate([0.1, 0.5, 0.9], np.zeros((2, 1)), 0.1, LargestMinUpdater())
+
     def test_alpha_and_s0_validated(self):
         with pytest.raises(ValueError):
             run_adapt_nonprivate([0.1], None, 1.5, LargestMinUpdater())

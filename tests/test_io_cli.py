@@ -34,6 +34,16 @@ class TestIngest:
         with pytest.raises(IngestError, match="r2"):
             ingest_csv(f)
 
+    def test_duplicate_ids_named(self, tmp_path):
+        f = write(tmp_path / "d.csv", "id,p\nr1,0.1\nr2,0.2\nr1,0.3\n")
+        with pytest.raises(IngestError, match="duplicate ids: r1"):
+            ingest_csv(f)
+
+    def test_non_finite_covariates_name_offenders(self, tmp_path):
+        f = write(tmp_path / "d.csv", "id,p,x1\nh1,0.1,nan\nh2,0.2,inf\nh3,0.3,1.0\n")
+        with pytest.raises(IngestError, match="h1, h2"):
+            ingest_csv(f)
+
     def test_missing_columns(self, tmp_path):
         f = write(tmp_path / "d.csv", "name,pval\na,0.1\n")
         with pytest.raises(IngestError, match="name, pval"):
@@ -102,6 +112,10 @@ class TestRunCommand:
                      "--out-prefix", prefix]) == EXIT_OK
         report = json.loads((tmp_path / "bh.report.json").read_text())
         assert report["rejected_ids"] == ["g0"]
+
+    def test_duplicate_ids_is_data_error(self, tmp_path):
+        f = write(tmp_path / "d.csv", "id,p\na,0.1\na,0.2\n")
+        assert main(["run", "--input", str(f), "--method", "bh", "--out-prefix", str(tmp_path / "o")]) == EXIT_DATA
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"), "--method", "bh",
