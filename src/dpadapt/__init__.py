@@ -28,7 +28,7 @@ from .privacy import (
     ed_to_gdp,
     gdp_to_ed,
 )
-from .selection import BudgetAuditError, SelectionResult, mirror_peel, report_noisy_min
+from .selection import BudgetAuditError, SelectionResult, mirror_peel, report_noisy_min, validate_inputs
 from .simulate import (
     MethodConfig,
     Scenario,
@@ -110,5 +110,6 @@ __all__ = [
     "transform_with_shift",
     "truncated_normal_kernel",
     "two_sided_bound_constant",
+    "validate_inputs",
     "__version__",
 ]

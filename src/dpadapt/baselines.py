@@ -15,7 +15,7 @@ import numpy as np
 
 from ._normal import normal_quantile
 from .privacy import NoiseSpec, PrivacyBudget
-from .selection import _check_pvalues, peel
+from .selection import peel, validate_inputs
 from .transform import TransformKernel
 
 
@@ -61,7 +61,7 @@ def bh(pvalues, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    p = _check_pvalues(pvalues)
+    p, _ = validate_inputs(pvalues)
     n = p.size
     order = np.argsort(p, kind="stable")
     passed = p[order] <= alpha * np.arange(1, n + 1) / n
@@ -78,7 +78,7 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     and with it the threshold correction vanish, and the procedure reduces to
     step-up BH restricted to the m smallest p-values.
     """
-    p = _check_pvalues(pvalues)
+    p, _ = validate_inputs(pvalues)
     n = p.size
     if config.m > n:
         raise ValueError(f"m={config.m} exceeds the number of hypotheses {n}")
@@ -120,7 +120,7 @@ def dp_bonf(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    p = _check_pvalues(pvalues)
+    p, _ = validate_inputs(pvalues)
     n = p.size
     sigma = 0.0 if zero_noise else delta_g * n / budget.mu
     q = kernel.quantile(p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io as _stdio
 import json
 import os
@@ -19,21 +20,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .baselines import BHConfig, bh, dp_bh, dp_bonf
-from .engine import StallError, run_adapt_nonprivate, run_dp_adapt
+from .engine import StallError
+# Unused here, but the benchmark's output capture replaces these two names on
+# this module, so they must stay bound.
+from .engine import run_adapt_nonprivate, run_dp_adapt  # noqa: F401
 from .io import IngestError, ingest_csv, write_rejections_csv, write_text_atomic, report_json
-from .privacy import (
-    PrivacyBudget,
-    calibrate_gaussian,
-    calibrate_laplace,
-    compose,
-    ed_to_gdp,
-    gdp_to_ed,
-)
+from .privacy import calibrate_gaussian, calibrate_laplace, compose, ed_to_gdp, gdp_to_ed
 from .selection import BudgetAuditError
-from .simulate import METHOD_NAMES, MethodConfig, Scenario, full_scale, run_campaign
-from .transform import kernel_by_name
-from .twogroup import TwoGroupUpdater
+from .simulate import METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,10 +87,10 @@ def build_parser() -> _Parser:
     run.add_argument("--delta", type=float)
     run.add_argument("--delta-g", type=float, dest="delta_g")
     run.add_argument("--m", type=int)
-    run.add_argument("--s0", type=float, default=0.45)
-    run.add_argument("--kernel", default=None)
-    run.add_argument("--noise-family", choices=("gaussian", "laplace"), default="gaussian")
-    run.add_argument("--em-iters", type=int, default=5)
+    run.add_argument("--s0", type=float)
+    run.add_argument("--kernel")
+    run.add_argument("--noise-family", choices=("gaussian", "laplace"))
+    run.add_argument("--em-iters", type=int)
     run.add_argument("--refit-every", type=int)
     run.add_argument("--eta", type=float)
     run.add_argument("--nu", type=float)
@@ -116,13 +110,13 @@ def build_parser() -> _Parser:
     sim.add_argument("--full-scale", action="store_true", help="benchmark-scale sizes")
     sim.add_argument("--methods", default="dp-adapt,dp-bh", help="comma-separated arms")
     sim.add_argument("--trials", type=int, default=100)
-    sim.add_argument("--alpha", type=float, default=0.1)
+    sim.add_argument("--alpha", type=float)
     sim.add_argument("--mu", type=float)
-    sim.add_argument("--epsilon", type=float, default=0.5)
-    sim.add_argument("--delta", type=float, default=1e-3)
-    sim.add_argument("--delta-g", type=float, dest="delta_g", default=1e-4)
+    sim.add_argument("--epsilon", type=float)
+    sim.add_argument("--delta", type=float)
+    sim.add_argument("--delta-g", type=float, dest="delta_g")
     sim.add_argument("--m", type=int)
-    sim.add_argument("--s0", type=float, default=0.45)
+    sim.add_argument("--s0", type=float)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
     sim.add_argument("--out-dir", default="dpadapt-sim")
@@ -177,85 +171,52 @@ def cmd_privacy(args) -> int:
     return EXIT_OK
 
 
-def _budget_from_args(args) -> PrivacyBudget:
+_METHOD_FIELDS = {f.name for f in dataclasses.fields(MethodConfig)}
+
+
+def _method_config(name: str, args) -> MethodConfig:
+    """The arm `name` with every method parameter the flags set; MethodConfig supplies the rest."""
+    given = {k: v for k, v in vars(args).items() if k in _METHOD_FIELDS and v is not None}
+    return MethodConfig(name=name, **given)
+
+
+def _resolve_run_budget(args) -> None:
+    """Check the budget flags of `run` and turn an (epsilon, delta) pair into mu.
+
+    `run` converts by the exact duality mu = ed_to_gdp(epsilon, delta), and
+    keeps the pair so the report echoes it. The GDP arms get no default
+    budget on the command line; dp-bh falls back to MethodConfig's
+    (epsilon, delta).
+    """
     has_mu = args.mu is not None
     has_ed = args.epsilon is not None or args.delta is not None
     if has_mu and has_ed:
         raise UsageError("give either --mu or the --epsilon/--delta pair, not both")
-    if has_mu:
-        return PrivacyBudget.from_mu(args.mu)
-    if args.epsilon is None or args.delta is None:
+    if has_mu and args.noise_family == "laplace":
+        raise UsageError("laplace noise is calibrated from --epsilon/--delta, not --mu")
+    if args.epsilon is not None and args.delta is not None:
+        args.mu = ed_to_gdp(args.epsilon, args.delta)
+    elif args.mu is None and args.method in ("dp-adapt", "dp-bonf"):
         raise UsageError("a budget needs --mu, or both --epsilon and --delta")
-    return PrivacyBudget.from_epsilon_delta(args.epsilon, args.delta)
 
 
 def cmd_run(args) -> int:
-    # Resolution order: explicit flag > preset > builtin default.
+    # Resolution order: explicit flag > preset > MethodConfig default.
     if args.preset:
         for key, value in PRESETS[args.preset].items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
-    for key, value in (("alpha", 0.1), ("delta_g", 1e-4), ("kernel", "gaussian")):
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    _resolve_run_budget(args)
+    cfg = _method_config(args.method, args)
     dataset = ingest_csv(args.input)
-    n = dataset.n
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    m = args.m if args.m is not None else min(n, max(10, round(0.05 * n)))
-    config_echo = {
-        "input": os.fspath(args.input),
-        "method": args.method,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "n": n,
-    }
-    report = None
-    if args.method == "bh":
-        rejected = bh(dataset.p, args.alpha)
-        noisy = dataset.p
-        thresholds = np.full(n, np.nan)
-    elif args.method == "dp-bh":
-        budget_cfg = BHConfig(
-            nu=args.nu if args.nu is not None else 0.5 * args.alpha / n,
-            eta=args.eta if args.eta is not None else args.delta_g,
-            alpha=args.alpha,
-            epsilon=args.epsilon if args.epsilon is not None else 0.5,
-            delta=args.delta if args.delta is not None else 1e-3,
-            m=m,
-        )
-        rejected = dp_bh(dataset.p, budget_cfg, rng)
-        noisy = dataset.p
-        thresholds = np.full(n, np.nan)
-        config_echo.update({"m": m, "nu": budget_cfg.nu, "eta": budget_cfg.eta})
-    elif args.method == "dp-bonf":
-        budget = _budget_from_args(args)
-        rejected = dp_bonf(dataset.p, args.delta_g, kernel_by_name(args.kernel), budget, args.alpha, rng)
-        noisy = dataset.p
-        thresholds = np.full(n, np.nan)
-        config_echo.update({"mu": budget.mu, "delta_g": args.delta_g})
-    elif args.method == "adapt":
-        updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)
-        report = run_adapt_nonprivate(dataset.p, dataset.x, args.alpha, updater, rng, s0=args.s0)
-    else:  # dp-adapt
-        budget = _budget_from_args(args)
-        updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)
-        report = run_dp_adapt(
-            dataset.p,
-            dataset.x,
-            kernel_by_name(args.kernel),
-            args.delta_g,
-            budget,
-            m,
-            args.alpha,
-            updater,
-            rng,
-            s0=args.s0,
-            noise_family=args.noise_family,
-        )
+    rejected, report = run_arm(cfg, dataset.x, dataset.p, rng)
 
+    source = os.fspath(args.input)
+    resolved = cfg.resolved(dataset.n)
+    rejected_ids = [dataset.ids[i] for i in rejected]
     if report is not None:
         selected_pos = {sel: k for k, sel in enumerate(report.selected)}
-        rejected_ids = [dataset.ids[i] for i in report.rejected]
         rows = [
             (
                 dataset.ids[i],
@@ -264,15 +225,18 @@ def cmd_run(args) -> int:
             )
             for i in report.rejected
         ]
-        json_text = report_json(report, args.seed, extra={"input": os.fspath(args.input),
-                                                          "rejected_ids": rejected_ids})
+        json_text = report_json(report, args.seed, extra={
+            "input": source, "rejected_ids": rejected_ids, "resolved": resolved,
+        })
     else:
-        rows = [(dataset.ids[i], float(noisy[i]), float(thresholds[i])) for i in rejected]
+        rows = [(dataset.ids[i], float(dataset.p[i]), float("nan")) for i in rejected]
         payload = {
             "rejected": [int(i) for i in rejected],
-            "rejected_ids": [dataset.ids[i] for i in rejected],
+            "rejected_ids": rejected_ids,
             "n_rejected": int(len(rejected)),
-            "config": config_echo,
+            "config": {"input": source, "method": cfg.name, "seed": args.seed,
+                       "n": dataset.n} | resolved,
+            "resolved": resolved,
             "seed": args.seed,
         }
         json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -324,29 +288,14 @@ def cmd_simulate(args) -> int:
     if args.full_scale:
         scenario = full_scale(scenario)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise UsageError(f"unknown method {name!r}; choose from {', '.join(METHOD_NAMES)}")
-    methods = [
-        MethodConfig(
-            name=name,
-            alpha=args.alpha,
-            delta_g=args.delta_g,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            mu=args.mu,
-            m=args.m,
-            s0=args.s0,
-        )
-        for name in names
-    ]
+    methods = [_method_config(name, args) for name in names]
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     write_text_atomic(os.path.join(args.out_dir, "trials.csv"), _trials_csv(result))
     write_text_atomic(os.path.join(args.out_dir, "aggregate.csv"), _aggregate_csv(result))
     manifest = {
         "scenario": vars(result.scenario) | {"total_n": result.scenario.total_n},
-        "methods": [vars(m) for m in result.methods],
+        "methods": [m.resolved(result.scenario.total_n) for m in result.methods],
         "trials": args.trials,
         "seed": args.seed,
         "failures": [vars(f) for f in result.failures],

@@ -25,7 +25,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .privacy import PrivacyBudget
-from .selection import _check_pvalues, mirror_peel
+from .selection import mirror_peel, validate_inputs
 from .transform import TransformKernel, clamp_unit
 
 
@@ -102,17 +102,6 @@ class ThresholdUpdater(Protocol):
         a_t: int,
         r_t: int,
     ) -> np.ndarray: ...
-
-
-def _check_covariates(x, n: int) -> np.ndarray | None:
-    if x is None:
-        return None
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim not in (1, 2) or xs.shape[0] != n:
-        raise ValueError(f"covariates must have one row per p-value ({n}), got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise ValueError("covariates must be finite")
-    return xs
 
 
 def fdr_hat(a_t: int, r_t: int) -> float:
@@ -228,8 +217,7 @@ def run_dp_adapt(
     budget to carry its (epsilon, delta) pair. zero_noise disables all
     perturbation for oracle tests and marks the run non-private.
     """
-    p = np.asarray(pvalues, dtype=float)
-    xs = _check_covariates(x, p.size)
+    p, xs = validate_inputs(pvalues, x)
     if noise_family == "laplace" and not zero_noise and budget.epsilon is None:
         raise ValueError("laplace mode requires a budget built from (epsilon, delta)")
     selection = mirror_peel(
@@ -276,7 +264,7 @@ def run_adapt_nonprivate(
     rng is accepted for interface symmetry; the loop itself is deterministic.
     """
     del rng
-    p = _check_pvalues(pvalues)
+    p, xs = validate_inputs(pvalues, x)
     ids = np.arange(p.size)
     config = {
         "method": "adapt",
@@ -286,4 +274,4 @@ def run_adapt_nonprivate(
         "s0": float(s0),
         "private": False,
     }
-    return _adapt_loop(ids, p, _check_covariates(x, p.size), alpha, s0, updater, config)
+    return _adapt_loop(ids, p, xs, alpha, s0, updater, config)

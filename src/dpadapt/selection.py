@@ -51,13 +51,25 @@ class SelectionResult:
         return np.array([v for _, v in self.pairs], dtype=float)
 
 
-def _check_pvalues(pvalues) -> np.ndarray:
+def validate_inputs(pvalues, x=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The input check of every public procedure: (p, x) as float arrays.
+
+    p must be a non-empty 1-d array of finite values in [0, 1]; covariates,
+    when given, must be finite with one row per p-value. Raises ValueError.
+    """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-d array")
     if np.any((p < 0) | (p > 1)) or np.any(~np.isfinite(p)):
         raise ValueError("p-values must lie in [0, 1]")
-    return p
+    if x is None:
+        return p, None
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[0] != p.size:
+        raise ValueError(f"covariates must have one row per p-value ({p.size}), got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("covariates must be finite")
+    return p, xs
 
 
 # Half-width of the explicitly noised block, in noise-scale units, for a pool
@@ -147,7 +159,7 @@ def report_noisy_min(
     with an independent draw at the same scale. Ties break to the lowest
     index (relevant only in zero-noise test mode).
     """
-    p = _check_pvalues(pvalues)
+    p, _ = validate_inputs(pvalues)
     noise = NoiseSpec("gaussian", 0.0) if zero_noise else calibrate_gaussian(delta_g, mu)
     q = kernel.quantile(p)
     # G is monotone, so the argmin of G(q + Z) is the argmin of q + Z.
@@ -187,7 +199,7 @@ def mirror_peel(
     often the bound fails); the privacy guarantee covers the released
     outputs, not the running time.
     """
-    p = _check_pvalues(pvalues)
+    p, _ = validate_inputs(pvalues)
     n = p.size
     if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
         raise ValueError(f"m must be an integer in [1, n={n}], got {m!r}")

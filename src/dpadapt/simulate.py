@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ._normal import normal_cdf
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
-from .engine import run_adapt_nonprivate, run_dp_adapt
+from .engine import RejectionReport, run_adapt_nonprivate, run_dp_adapt
 from .privacy import PrivacyBudget
 from .transform import kernel_by_name
 from .twogroup import TwoGroupUpdater
@@ -74,10 +74,13 @@ class Scenario:
 class MethodConfig:
     """Per-arm configuration; None fields resolve to scenario-derived defaults.
 
-    mu defaults to 4*epsilon/sqrt(10*log(1/delta)), the convention that puts
-    the Gaussian-mode noise on the same footing as the Laplace-mode scale for
-    the private BH arm. m defaults to 5% of the hypotheses (at least 10), nu
-    to 0.5*alpha/n, and eta to delta_g.
+    These are the only method defaults in the package: `dpadapt run` and
+    `dpadapt simulate` build their arms from this class. mu defaults to
+    4*epsilon/sqrt(10*log(1/delta)), the campaign convention that puts the
+    Gaussian-mode noise on the same footing as the Laplace-mode scale for the
+    private BH arm. m defaults to 5% of the hypotheses (at least 10), nu to
+    0.5*alpha/n, and eta to delta_g. An explicit m is used as given, so one
+    larger than n fails in the mechanisms that peel.
     """
 
     name: str
@@ -107,7 +110,7 @@ class MethodConfig:
 
     def resolved_m(self, n: int) -> int:
         if self.m is not None:
-            return min(self.m, n)
+            return self.m
         return min(n, max(10, round(0.05 * n)))
 
     def resolved_nu(self, n: int) -> float:
@@ -115,6 +118,15 @@ class MethodConfig:
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else self.delta_g
+
+    def resolved(self, n: int) -> dict:
+        """Every field, with mu, m, nu and eta resolved for n hypotheses."""
+        return asdict(self) | {
+            "mu": self.resolved_mu(),
+            "m": self.resolved_m(n),
+            "nu": self.resolved_nu(n),
+            "eta": self.resolved_eta(),
+        }
 
 
 @dataclass(frozen=True)
@@ -228,15 +240,17 @@ def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
     return fdp, power
 
 
-def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Execute one arm on (x, p); returns rejected indices."""
+def run_arm(
+    cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, RejectionReport | None]:
+    """Execute one arm on (x, p): the only map from a method name to a procedure.
+
+    Returns the rejected indices and, for adapt and dp-adapt, the run's
+    report (None for bh, dp-bh and dp-bonf).
+    """
     n = p.size
     if cfg.name == "bh":
-        return bh(p, cfg.alpha)
-    if cfg.name == "adapt":
-        updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
-        report = run_adapt_nonprivate(p, x, cfg.alpha, updater, rng, s0=cfg.s0)
-        return np.asarray(report.rejected, dtype=int)
+        return bh(p, cfg.alpha), None
     if cfg.name == "dp-bh":
         config = BHConfig(
             nu=cfg.resolved_nu(n),
@@ -246,19 +260,22 @@ def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) ->
             delta=cfg.delta,
             m=cfg.resolved_m(n),
         )
-        return dp_bh(p, config, rng, zero_noise=cfg.zero_noise)
+        return dp_bh(p, config, rng, zero_noise=cfg.zero_noise), None
     if cfg.name == "dp-bonf":
         budget = PrivacyBudget.from_mu(cfg.resolved_mu())
-        return dp_bonf(
-            p, cfg.delta_g, kernel_by_name(cfg.kernel), budget, cfg.alpha, rng,
-            zero_noise=cfg.zero_noise,
+        rejected = dp_bonf(
+            p, cfg.delta_g, kernel_by_name(cfg.kernel), budget, cfg.alpha, rng, zero_noise=cfg.zero_noise
         )
+        return rejected, None
+    updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
+    if cfg.name == "adapt":
+        report = run_adapt_nonprivate(p, x, cfg.alpha, updater, rng, s0=cfg.s0)
+        return np.asarray(report.rejected, dtype=int), report
     # dp-adapt
     if cfg.noise_family == "laplace":
         budget = PrivacyBudget.from_epsilon_delta(cfg.epsilon, cfg.delta)
     else:
         budget = PrivacyBudget.from_mu(cfg.resolved_mu())
-    updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
     report = run_dp_adapt(
         p,
         x,
@@ -273,7 +290,12 @@ def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) ->
         noise_family=cfg.noise_family,
         zero_noise=cfg.zero_noise,
     )
-    return np.asarray(report.rejected, dtype=int)
+    return np.asarray(report.rejected, dtype=int), report
+
+
+def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Execute one arm on (x, p); returns rejected indices."""
+    return run_arm(cfg, x, p, rng)[0]
 
 
 def data_rng(base_seed: int, trial: int) -> np.random.Generator:

@@ -118,14 +118,13 @@ class TwoGroupFit:
         return np.clip(np.exp(design @ self.f1_weights), A_MIN, A_MAX)
 
 
-def default_fit(x, n_rows: int | None = None, basis: FeatureMap | None = None) -> TwoGroupFit:
+def default_fit(x, basis: FeatureMap | None = None) -> TwoGroupFit:
     """Signal-agnostic start: pi ~ 0.1 and a ~ 0.5, flat in the covariates."""
     basis = basis or FeatureMap.for_covariates(x)
     w = np.zeros(basis.dim)
     w[0] = math.log(0.1 / 0.9)
     v = np.zeros(basis.dim)
     v[0] = math.log(0.5)
-    del n_rows
     return TwoGroupFit(w, v, basis, 0, ())
 
 
@@ -213,7 +212,7 @@ def em_fit(
         raise ValueError("masked table must be non-empty")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
-    fit = init if init is not None else default_fit(x, n_rows=masked.size)
+    fit = init if init is not None else default_fit(x)
     basis = fit.basis
     design = basis.design(x, n_rows=masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
@@ -362,7 +361,7 @@ class TwoGroupUpdater:
         sub_x = None if x is None else np.asarray(x)[window]
         init = self._fit
         if init is None and self._feature_map is not None:
-            init = default_fit(sub_x, n_rows=sub.size, basis=self._feature_map)
+            init = default_fit(sub_x, basis=self._feature_map)
         self._fit = em_fit(sub, sub_x, init=init, k=self.em_iters)
         return removal_order(masked, x, self._fit)[:cadence]
 

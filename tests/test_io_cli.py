@@ -7,7 +7,11 @@ import pytest
 from dpadapt import selection
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
-from dpadapt.privacy import PrivacyBudget, gdp_to_ed
+from dpadapt._normal import normal_cdf
+from dpadapt.privacy import PrivacyBudget, ed_to_gdp, gdp_to_ed
+from dpadapt.simulate import METHOD_NAMES, MethodConfig
+
+from . import cli_oracle
 
 
 def write(path, text):
@@ -151,6 +155,101 @@ class TestRunCommand:
         assert code == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
 
+    def test_explicit_m_above_n_is_usage_error(self, tmp_path):
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(20)))
+        for method in ("dp-adapt", "dp-bh"):
+            assert main(["run", "--input", data, "--method", method, "--mu", "0.24",
+                         "--m", "50", "--out-prefix", str(tmp_path / method)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_mu_with_pair_is_usage_error_for_every_method(self, tmp_path, method):
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(20)))
+        assert main(["run", "--input", data, "--method", method, "--mu", "0.24",
+                     "--epsilon", "0.5", "--delta", "0.001",
+                     "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
+
+    def test_report_echoes_resolved_config(self, tmp_path):
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        prefix = str(tmp_path / "dpbh")
+        assert main(["run", "--input", data, "--method", "dp-bh", "--epsilon", "0.4",
+                     "--delta", "0.01", "--m", "3", "--out-prefix", prefix]) == EXIT_OK
+        report = json.loads((tmp_path / "dpbh.report.json").read_text())
+        for echo in (report["config"], report["resolved"]):
+            assert (echo["epsilon"], echo["delta"]) == (0.4, 0.01)
+            assert (echo["m"], echo["nu"], echo["eta"]) == (3, 0.5 * 0.1 / 9, 1e-4)
+        assert report["resolved"]["mu"] == ed_to_gdp(0.4, 0.01)
+
+        prefix = str(tmp_path / "dpadapt")
+        assert main(["run", "--input", data, "--method", "dp-adapt", "--mu", "0.3",
+                     "--m", "4", "--out-prefix", prefix]) == EXIT_OK
+        report = json.loads((tmp_path / "dpadapt.report.json").read_text())
+        assert report["resolved"]["mu"] == report["config"]["mu"] == 0.3
+        assert report["resolved"]["m"] == 4
+
+
+def _oracle_csv(path):
+    """400 rows with two covariates; the first 80 are strong signals."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, size=(400, 2))
+    p = rng.random(400)
+    p[:80] = normal_cdf(rng.standard_normal(80) - 4.0)
+    rows = "".join(f"h{i:03d},{float(p[i])!r},{float(x[i, 0])!r},{float(x[i, 1])!r}\n" for i in range(400))
+    return write(path, "id,p,x1,x2\n" + rows)
+
+
+_BUDGETS = {
+    "mu": ["--mu", "0.5"],
+    "epsilon-delta": ["--epsilon", "0.5", "--delta", "1e-3"],
+    "preset": ["--preset", "bottomly-like"],
+    "preset-m": ["--preset", "bottomly-like", "--m", "40"],
+    "none": [],
+    "both": ["--mu", "0.5", "--epsilon", "0.5", "--delta", "1e-3"],
+}
+_ORACLE_CASES = (
+    [(method, budget, []) for method in METHOD_NAMES for budget in _BUDGETS if budget != "both"]
+    + [("dp-adapt", "both", []), ("dp-bonf", "both", [])]
+    + [("dp-adapt", budget, ["--noise-family", "laplace"]) for budget in ("epsilon-delta", "mu", "none")]
+)
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+class TestRunMatchesOracle:
+    """`dpadapt run` against the old per-method dispatch in tests/cli_oracle.py."""
+
+    @pytest.mark.parametrize(
+        "method,budget,extra", _ORACLE_CASES,
+        ids=[f"{m}-{b}{'-laplace' if e else ''}" for m, b, e in _ORACLE_CASES],
+    )
+    def test_same_outputs(self, tmp_path, method, budget, extra):
+        data = _oracle_csv(tmp_path / "d.csv")
+        argv = ["--input", data, "--method", method, "--seed", "5", *_BUDGETS[budget], *extra]
+        old, new = tmp_path / "old", tmp_path / "new"
+        old_code = cli_oracle.main(argv + ["--out-prefix", str(old)])
+        assert main(["run", *argv, "--out-prefix", str(new)]) == old_code
+        if old_code != EXIT_OK:
+            return
+        assert (tmp_path / "new.rejections.csv").read_bytes() == (tmp_path / "old.rejections.csv").read_bytes()
+        old_report = json.loads((tmp_path / "old.report.json").read_text())
+        new_report = json.loads((tmp_path / "new.report.json").read_text())
+        new_leaves = dict(_leaves(new_report))
+        # The one allowed difference: a gaussian run given (epsilon, delta)
+        # now spends mu = ed_to_gdp(epsilon, delta) directly, so the engine's
+        # config no longer carries the pair; the resolved echo does.
+        pair_moved = method == "dp-adapt" and budget == "epsilon-delta" and not extra
+        for path, value in _leaves(old_report):
+            if pair_moved and path in (("config", "epsilon"), ("config", "delta")):
+                assert new_leaves[path] is None
+                assert new_report["resolved"][path[1]] == value
+            else:
+                assert new_leaves[path] == value, path
+
 
 class TestSimulateCommand:
     def strip_timing(self, text):
@@ -188,6 +287,19 @@ class TestSimulateCommand:
         assert manifest["seed"] == 5
         assert manifest["scenario"]["n"] == 500
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_echoes_resolved_budget(self, tmp_path):
+        out = str(tmp_path / "m")
+        assert main([
+            "simulate", "--scenario", "no-side-info", "--n", "400", "--t", "10",
+            "--trials", "1", "--seed", "5", "--methods", "dp-adapt,dp-bh", "--out-dir", out,
+        ]) == EXIT_OK
+        entries = json.loads((tmp_path / "m" / "manifest.json").read_text())["methods"]
+        assert [e["name"] for e in entries] == ["dp-adapt", "dp-bh"]
+        for entry in entries:
+            assert entry["mu"] == MethodConfig("dp-adapt").resolved_mu()
+            assert (entry["epsilon"], entry["delta"], entry["m"]) == (0.5, 1e-3, 20)
+            assert (entry["nu"], entry["eta"]) == (0.5 * 0.1 / 400, 1e-4)
 
     def test_seed_required(self):
         assert main(["simulate", "--trials", "2"]) == EXIT_USAGE

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -97,6 +99,11 @@ class TestEdToGdp:
         # brentq on the quadrature-based delta, a fully separate path
         oracle = brentq(lambda m: delta_quad(m, 0.5) - 0.001, 1e-4, 10.0, xtol=1e-14)
         assert ed_to_gdp(0.5, 0.001) == pytest.approx(oracle, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(epsilon=st.floats(0.01, 5.0), delta=st.floats(1e-10, 0.5))
+    def test_inverse_of_gdp_to_ed(self, epsilon, delta):
+        assert gdp_to_ed(ed_to_gdp(epsilon, delta), epsilon) == pytest.approx(delta, rel=1e-9)
 
     def test_no_solution_outside_bracket(self, monkeypatch):
         # with the full bracket every float delta in (0,1) is reachable, so

@@ -13,6 +13,7 @@ from dpadapt.simulate import (
     gen_no_side_info,
     grid_truth,
     method_rng,
+    run_arm,
     run_campaign,
     run_method,
 )
@@ -156,6 +157,21 @@ class TestCampaign:
         assert agg["bh"].trials_ok == 3
         assert len(res.failures) == 3
 
+    def test_explicit_m_above_n_fails_every_trial(self):
+        too_many = self.scenario.total_n + 1
+        methods = [MethodConfig(name="dp-adapt", m=too_many), MethodConfig(name="dp-bh", m=too_many)]
+        res = run_campaign(self.scenario, methods, trials=2, base_seed=7)
+        assert [a.n_failed for a in res.aggregates] == [2, 2]
+        assert all("exceeds" in f.error or "m must be" in f.error for f in res.failures)
+
+    def test_run_method_is_run_arm_without_report(self):
+        x, p, _ = gen_no_side_info(self.scenario, data_rng(3, 0))
+        for name in ("bh", "adapt"):
+            cfg = MethodConfig(name=name)
+            rejected, report = run_arm(cfg, x, p, method_rng(3, 0, 0))
+            assert np.array_equal(run_method(cfg, x, p, method_rng(3, 0, 0)), rejected)
+            assert (report is None) == (name == "bh")
+
     def test_methods_never_see_labels(self):
         import inspect
 
@@ -173,6 +189,17 @@ class TestMethodConfigDefaults:
         cfg = MethodConfig(name="dp-adapt")
         assert cfg.resolved_m(10_000) == 500
         assert cfg.resolved_m(100) == 10
+
+    def test_explicit_m_is_not_clamped(self):
+        assert MethodConfig(name="dp-adapt", m=50).resolved_m(20) == 50
+
+    def test_resolved_fills_derived_values(self):
+        cfg = MethodConfig(name="dp-bh", alpha=0.2, delta_g=3e-4)
+        echo = cfg.resolved(100)
+        assert (echo["mu"], echo["m"], echo["nu"], echo["eta"]) == (
+            cfg.resolved_mu(), 10, cfg.resolved_nu(100), 3e-4
+        )
+        assert (echo["name"], echo["epsilon"], echo["delta"]) == ("dp-bh", 0.5, 1e-3)
 
     def test_nu_eta_defaults(self):
         cfg = MethodConfig(name="dp-bh", alpha=0.2, delta_g=3e-4)

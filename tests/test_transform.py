@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpadapt.privacy import NoiseSpec
 from dpadapt.transform import (
@@ -41,6 +43,26 @@ class TestKernelIdentities:
         top = min(kernel.support_bound, 6.0)
         xs = np.linspace(-top * 0.99, top * 0.99, 301)
         assert np.max(np.abs(kernel.G_inv(kernel.G(xs)) - xs)) <= 1e-8
+
+
+kernel_specs = st.one_of(
+    st.just("gaussian"),
+    st.floats(0.05, 8.0).map(lambda bound: f"truncnorm:{bound!r}"),
+)
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=kernel_specs, x=st.floats(-40.0, 40.0))
+    def test_cdf_reflection(self, spec, x):
+        kernel = kernel_by_name(spec)
+        assert kernel.G(-x) == pytest.approx(1.0 - kernel.G(x), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=kernel_specs, p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_quantile_roundtrip(self, spec, p):
+        kernel = kernel_by_name(spec)
+        assert kernel.G(kernel.quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
 class TestKernelByName:

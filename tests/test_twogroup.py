@@ -263,6 +263,6 @@ class TestFeatureMap:
         assert np.allclose(d[:, 1:].std(axis=0), 1.0, atol=1e-12)
 
     def test_default_fit_start_values(self):
-        fit = default_fit(None, n_rows=5)
+        fit = default_fit(None)
         assert fit.pi_weights[0] == pytest.approx(math.log(0.1 / 0.9))
         assert fit.f1_weights[0] == pytest.approx(math.log(0.5))
