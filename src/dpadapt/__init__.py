@@ -11,13 +11,13 @@ from .engine import (
     MaskedTable,
     RejectionReport,
     StallError,
-    ThresholdState,
     ThresholdUpdater,
     fdr_hat,
     run_adapt_nonprivate,
     run_dp_adapt,
 )
 from .privacy import (
+    BudgetAuditError,
     CalibrationRegimeWarning,
     NoiseSpec,
     NoSolutionError,
@@ -27,8 +27,9 @@ from .privacy import (
     compose,
     ed_to_gdp,
     gdp_to_ed,
+    peel_noise,
 )
-from .selection import BudgetAuditError, SelectionResult, mirror_peel, report_noisy_min, validate_inputs
+from .selection import SelectionResult, mirror_peel, report_noisy_min, validate_inputs
 from .simulate import (
     MethodConfig,
     Scenario,
@@ -75,7 +76,6 @@ __all__ = [
     "SelectionResult",
     "Sensitivity",
     "StallError",
-    "ThresholdState",
     "ThresholdUpdater",
     "TransformKernel",
     "TrialReport",
@@ -99,6 +99,7 @@ __all__ = [
     "noisy_pvalue",
     "null_probability",
     "observed_loglik",
+    "peel_noise",
     "removal_order",
     "report_noisy_min",
     "run_adapt_nonprivate",

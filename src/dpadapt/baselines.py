@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, PrivacyBudget
+from .privacy import NoiseSpec, PrivacyBudget, peel_noise
 from .selection import peel, validate_inputs
 from .transform import TransformKernel
 
@@ -25,7 +25,8 @@ class BHConfig:
 
     nu truncates p-values away from zero before the log transform; eta is the
     multiplicative sensitivity of the p-values; m is the number of peeling
-    invocations. The Laplace scale is eta * sqrt(10 m log(1/delta)) / epsilon.
+    invocations. dp_bh draws Laplace noise from privacy.peel_noise at
+    sensitivity eta, scale eta * sqrt(10 m log(1/delta)) / epsilon.
     """
 
     nu: float
@@ -49,10 +50,6 @@ class BHConfig:
         if not self.m >= 1:
             raise ValueError(f"m must be at least 1, got {self.m!r}")
 
-    @property
-    def laplace_scale(self) -> float:
-        return self.eta * math.sqrt(10.0 * self.m * math.log(1.0 / self.delta)) / self.epsilon
-
 
 def bh(pvalues, alpha: float) -> np.ndarray:
     """Classic step-up procedure; boundary comparisons are non-strict.
@@ -74,22 +71,26 @@ def bh(pvalues, alpha: float) -> np.ndarray:
 def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bool = False) -> np.ndarray:
     """Private peeled BH on log-truncated p-values.
 
-    Rejections never leave the peeled set. With zero_noise the Laplace scale
-    and with it the threshold correction vanish, and the procedure reduces to
-    step-up BH restricted to the m smallest p-values.
+    Rejections never leave the peeled set. The Laplace calibration warns
+    (CalibrationRegimeWarning) outside its certified regime epsilon <= 0.5,
+    delta <= 0.1, m >= 10. With zero_noise the Laplace scale and with it the
+    threshold correction vanish, and the procedure reduces to step-up BH
+    restricted to the m smallest p-values.
     """
     p, _ = validate_inputs(pvalues)
     n = p.size
     if config.m > n:
         raise ValueError(f"m={config.m} exceeds the number of hypotheses {n}")
-    lam = 0.0 if zero_noise else config.laplace_scale
+    noise = peel_noise(
+        "laplace", config.eta, config.m,
+        epsilon=config.epsilon, delta=config.delta, zero_noise=zero_noise,
+    )
     f = np.log(np.maximum(config.nu, p))
 
-    noise = NoiseSpec("laplace", lam)
     sel_idx = peel(f, noise, config.m, rng)
     sel_val = f[sel_idx] + noise.draw(rng, size=config.m)
 
-    correction = lam * math.log(6.0 * config.m / config.alpha)
+    correction = noise.scale * math.log(6.0 * config.m / config.alpha)
     for j in range(config.m, 0, -1):
         if sel_val[j - 1] > math.log(config.alpha * j / n) - correction:
             continue
@@ -122,10 +123,10 @@ def dp_bonf(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     p, _ = validate_inputs(pvalues)
     n = p.size
-    sigma = 0.0 if zero_noise else delta_g * n / budget.mu
+    noise = NoiseSpec("gaussian", 0.0 if zero_noise else delta_g * n / budget.mu)
     q = kernel.quantile(p)
-    z = q + (rng.normal(0.0, sigma, size=n) if sigma > 0 else 0.0)
+    z = q + noise.draw(rng, size=n)
     # P(any of the n centered Gaussian noises below -guard) <= alpha/2.
-    guard = -sigma * normal_quantile(alpha / (2.0 * n)) if sigma > 0 else 0.0
+    guard = -noise.scale * normal_quantile(alpha / (2.0 * n))
     threshold = kernel.quantile(alpha / n) - guard
     return np.flatnonzero(z <= threshold)

@@ -9,9 +9,7 @@ be replayed exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io as _stdio
 import json
 import os
 import sys
@@ -24,9 +22,12 @@ from .engine import StallError
 # Unused here, but the benchmark's output capture replaces these two names on
 # this module, so they must stay bound.
 from .engine import run_adapt_nonprivate, run_dp_adapt  # noqa: F401
-from .io import IngestError, ingest_csv, write_rejections_csv, write_text_atomic, report_json
-from .privacy import calibrate_gaussian, calibrate_laplace, compose, ed_to_gdp, gdp_to_ed
-from .selection import BudgetAuditError
+from .io import (
+    IngestError, ingest_csv, report_json, write_csv_atomic, write_rejections_csv, write_text_atomic,
+)
+from .privacy import (
+    BudgetAuditError, calibrate_gaussian, calibrate_laplace, compose, ed_to_gdp, gdp_to_ed,
+)
 from .simulate import METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
 
 EXIT_OK = 0
@@ -246,35 +247,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _trials_csv(result) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "method", "trial", "fdp", "power", "n_reject", "wall_time_ms"])
-    label = result.scenario.kind
-    for r in result.trials:
-        writer.writerow(
-            [label, r.method, r.trial, "%.17g" % r.fdp, "%.17g" % r.power, r.n_reject,
-             "%.3f" % r.wall_time_ms]
-        )
-    return buf.getvalue()
-
-
-def _aggregate_csv(result) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["method", "trials_ok", "n_failed", "fdr", "fdr_se", "power", "power_se",
-         "mean_n_reject", "mean_wall_time_ms"]
-    )
-    for a in result.aggregates:
-        writer.writerow(
-            [a.method, a.trials_ok, a.n_failed, "%.17g" % a.fdr, "%.17g" % a.fdr_se,
-             "%.17g" % a.power, "%.17g" % a.power_se, "%.17g" % a.mean_n_reject,
-             "%.3f" % a.mean_wall_time_ms]
-        )
-    return buf.getvalue()
-
-
 def cmd_simulate(args) -> int:
     scenario = Scenario(
         kind=args.scenario.replace("-", "_"),
@@ -291,8 +263,26 @@ def cmd_simulate(args) -> int:
     methods = [_method_config(name, args) for name in names]
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_text_atomic(os.path.join(args.out_dir, "trials.csv"), _trials_csv(result))
-    write_text_atomic(os.path.join(args.out_dir, "aggregate.csv"), _aggregate_csv(result))
+    write_csv_atomic(
+        os.path.join(args.out_dir, "trials.csv"),
+        ["scenario", "method", "trial", "fdp", "power", "n_reject", "wall_time_ms"],
+        (
+            [result.scenario.kind, r.method, r.trial, "%.17g" % r.fdp, "%.17g" % r.power,
+             r.n_reject, "%.3f" % r.wall_time_ms]
+            for r in result.trials
+        ),
+    )
+    write_csv_atomic(
+        os.path.join(args.out_dir, "aggregate.csv"),
+        ["method", "trials_ok", "n_failed", "fdr", "fdr_se", "power", "power_se",
+         "mean_n_reject", "mean_wall_time_ms"],
+        (
+            [a.method, a.trials_ok, a.n_failed, "%.17g" % a.fdr, "%.17g" % a.fdr_se,
+             "%.17g" % a.power, "%.17g" % a.power_se, "%.17g" % a.mean_n_reject,
+             "%.3f" % a.mean_wall_time_ms]
+            for a in result.aggregates
+        ),
+    )
     manifest = {
         "scenario": vars(result.scenario) | {"total_n": result.scenario.total_n},
         "methods": [m.resolved(result.scenario.total_n) for m in result.methods],

@@ -50,16 +50,6 @@ class MaskedTable:
         return int(self.ids.size)
 
 
-@dataclass
-class ThresholdState:
-    """Per-hypothesis thresholds plus the counters derived from them."""
-
-    s: np.ndarray
-    t: int
-    a_t: int
-    r_t: int
-
-
 @dataclass(frozen=True)
 class RejectionReport:
     """Outcome of one adaptive run.
@@ -77,10 +67,6 @@ class RejectionReport:
     final_thresholds: tuple[float, ...]
     config: dict
     model: dict | None
-
-    def final_state(self) -> "ThresholdState":
-        t, a_t, r_t, _ = self.trajectory[-1]
-        return ThresholdState(s=np.array(self.final_thresholds), t=t, a_t=a_t, r_t=r_t)
 
 
 @runtime_checkable
@@ -218,8 +204,6 @@ def run_dp_adapt(
     perturbation for oracle tests and marks the run non-private.
     """
     p, xs = validate_inputs(pvalues, x)
-    if noise_family == "laplace" and not zero_noise and budget.epsilon is None:
-        raise ValueError("laplace mode requires a budget built from (epsilon, delta)")
     selection = mirror_peel(
         p,
         kernel,

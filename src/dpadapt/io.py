@@ -97,14 +97,20 @@ def _fmt(v: float) -> str:
 def emit_csv(dataset: Dataset, path) -> None:
     """Write the dataset in canonical form: ids sorted, %.17g floats."""
     order = sorted(range(dataset.n), key=lambda i: dataset.ids[i])
+    x = dataset.x if dataset.x is not None else np.empty((dataset.n, 0))
+    write_csv_atomic(
+        path,
+        ["id", "p", *dataset.covariate_names],
+        ([dataset.ids[i], _fmt(dataset.p[i]), *map(_fmt, x[i])] for i in order),
+    )
+
+
+def write_csv_atomic(path, header, rows) -> None:
+    """Write a header and rows as CSV with "\n" line ends, atomically."""
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "p", *dataset.covariate_names])
-    for i in order:
-        row = [dataset.ids[i], _fmt(dataset.p[i])]
-        if dataset.x is not None:
-            row.extend(_fmt(v) for v in dataset.x[i])
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
 
 
@@ -142,9 +148,8 @@ def report_json(report: RejectionReport, seed, extra: dict | None = None) -> str
 
 def write_rejections_csv(path, rows) -> None:
     """Rows of (id, noisy_p, threshold) for the rejected hypotheses."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "noisy_p", "threshold"])
-    for rid, noisy_p, threshold in rows:
-        writer.writerow([rid, _fmt(noisy_p), _fmt(threshold)])
-    write_text_atomic(path, buf.getvalue())
+    write_csv_atomic(
+        path,
+        ["id", "noisy_p", "threshold"],
+        ([rid, _fmt(noisy_p), _fmt(threshold)] for rid, noisy_p, threshold in rows),
+    )

@@ -42,6 +42,10 @@ class CalibrationRegimeWarning(UserWarning):
     """Laplace calibration used outside the certified (epsilon, delta, m) regime."""
 
 
+class BudgetAuditError(RuntimeError):
+    """Per-round privacy budgets do not compose to the declared total."""
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """GDP budget, optionally carrying the (epsilon, delta) pair it came from.
@@ -199,3 +203,42 @@ def calibrate_laplace(delta_g: float, m: int, epsilon: float, delta: float) -> N
         )
     scale = delta_g * math.sqrt(10.0 * m * math.log(1.0 / delta)) / epsilon
     return NoiseSpec("laplace", scale)
+
+
+def peel_noise(
+    family: str,
+    sensitivity: float,
+    m: int,
+    *,
+    mu: float | None = None,
+    epsilon: float | None = None,
+    delta: float | None = None,
+    zero_noise: bool = False,
+) -> NoiseSpec:
+    """Per-round noise for m peeling rounds of the given sensitivity.
+
+    The only map from a budget to peel noise. Gaussian noise splits mu
+    evenly across the rounds, calibrating each at mu/sqrt(m) and checking
+    that the rounds compose back to mu (BudgetAuditError otherwise); laplace
+    noise is calibrate_laplace(sensitivity, m, epsilon, delta), which warns
+    outside its certified regime. zero_noise gives the family's zero-scale
+    spec and needs no budget.
+    """
+    if family not in ("gaussian", "laplace"):
+        raise ValueError(f"unknown noise family {family!r}")
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    if zero_noise:
+        return NoiseSpec(family, 0.0)
+    if family == "laplace":
+        if epsilon is None or delta is None:
+            raise ValueError("laplace peeling requires epsilon and delta")
+        return calibrate_laplace(sensitivity, m, epsilon, delta)
+    if mu is None:
+        raise ValueError("gaussian peeling requires mu")
+    per_round = mu / math.sqrt(m)
+    noise = calibrate_gaussian(sensitivity, per_round)
+    total = compose([per_round] * m).mu
+    if not abs(total - mu) <= 1e-12 * max(1.0, mu):
+        raise BudgetAuditError(f"{m} rounds at mu={per_round!r} compose to {total!r}, not {mu!r}")
+    return noise

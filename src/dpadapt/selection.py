@@ -8,7 +8,8 @@ winner's released value is a freshly noised copy of the ORIGINAL p-value,
 never of the folded one.
 
 Every peel in the package (these two and the private BH in baselines) runs
-through `peel`, one exact but lazy noisy-argmin loop.
+through `peel`, one exact but lazy noisy-argmin loop, with its per-round noise
+from `privacy.peel_noise`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, calibrate_gaussian, calibrate_laplace, compose
+# BudgetAuditError is raised by peel_noise; it stays importable from here.
+from .privacy import BudgetAuditError, NoiseSpec, peel_noise  # noqa: F401
 from .transform import TransformKernel, clamp_unit
-
-
-class BudgetAuditError(RuntimeError):
-    """Per-round privacy budgets do not compose to the declared total."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def report_noisy_min(
     index (relevant only in zero-noise test mode).
     """
     p, _ = validate_inputs(pvalues)
-    noise = NoiseSpec("gaussian", 0.0) if zero_noise else calibrate_gaussian(delta_g, mu)
+    noise = peel_noise("gaussian", delta_g, 1, mu=mu, zero_noise=zero_noise)
     q = kernel.quantile(p)
     # G is monotone, so the argmin of G(q + Z) is the argmin of q + Z.
     winner = int(peel(q, noise, 1, rng)[0])
@@ -183,12 +181,13 @@ def mirror_peel(
 ) -> SelectionResult:
     """Select m hypotheses by repeated noisy argmin over folded p-values.
 
-    Gaussian mode splits the total budget evenly across rounds (mu/sqrt(m)
-    each, recombining to mu); laplace mode uses the scale from
-    calibrate_laplace, whose sqrt(m) factor plays the same role. Each round
-    takes the noisy argmin over the remaining pool and removes the winner;
-    each winner's released value G(G_inv(p_winner) + Z) is computed from the
-    original p-value with fresh noise at the same scale.
+    The per-round noise is privacy.peel_noise(noise_family, delta_g, m, ...):
+    gaussian mode splits mu evenly across rounds (mu/sqrt(m) each,
+    recombining to mu); laplace mode uses calibrate_laplace, whose sqrt(m)
+    factor plays the same role. Each round takes the noisy argmin over the
+    remaining pool and removes the winner; each winner's released value
+    G(G_inv(p_winner) + Z) is computed from the original p-value with fresh
+    noise at the same scale.
 
     The rounds run through `peel`, which samples them exactly but lazily:
     only the folded scores near the running minimum get explicit noise, and
@@ -203,37 +202,18 @@ def mirror_peel(
     n = p.size
     if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
         raise ValueError(f"m must be an integer in [1, n={n}], got {m!r}")
-    if noise_family == "gaussian":
-        if not zero_noise:
-            if mu is None:
-                raise ValueError("gaussian peeling requires mu")
-            per_round = mu / math.sqrt(m)
-            noise = calibrate_gaussian(delta_g, per_round)
-            # Budget audit: the per-round budgets must recombine to the total.
-            total = compose([per_round] * int(m)).mu
-            if not abs(total - mu) <= 1e-12 * max(1.0, mu):
-                raise BudgetAuditError(
-                    f"{m} rounds at mu={per_round!r} compose to {total!r}, not {mu!r}"
-                )
-        else:
-            noise = NoiseSpec("gaussian", 0.0)
-    elif noise_family == "laplace":
-        if not zero_noise:
-            if epsilon is None or delta is None:
-                raise ValueError("laplace peeling requires epsilon and delta")
-            noise = calibrate_laplace(delta_g, int(m), epsilon, delta)
-        else:
-            noise = NoiseSpec("laplace", 0.0)
-    else:
-        raise ValueError(f"unknown noise family {noise_family!r}")
+    m = int(m)
+    noise = peel_noise(
+        noise_family, delta_g, m, mu=mu, epsilon=epsilon, delta=delta, zero_noise=zero_noise
+    )
 
     folded = np.minimum(p, 1.0 - p)
     q_folded = kernel.quantile(folded)
     q_orig = kernel.quantile(p)
 
-    winners = peel(q_folded, noise, int(m), rng)
-    fresh = noise.draw(rng, size=int(m))
+    winners = peel(q_folded, noise, m, rng)
+    fresh = noise.draw(rng, size=m)
     pairs = tuple(
         (int(i), float(clamp_unit(kernel.G(q_orig[i] + z)))) for i, z in zip(winners, fresh)
     )
-    return SelectionResult(pairs=pairs, m=int(m), private=not zero_noise)
+    return SelectionResult(pairs=pairs, m=m, private=not zero_noise)

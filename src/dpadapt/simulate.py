@@ -75,10 +75,9 @@ class MethodConfig:
     """Per-arm configuration; None fields resolve to scenario-derived defaults.
 
     These are the only method defaults in the package: `dpadapt run` and
-    `dpadapt simulate` build their arms from this class. mu defaults to
-    4*epsilon/sqrt(10*log(1/delta)), the campaign convention that puts the
-    Gaussian-mode noise on the same footing as the Laplace-mode scale for the
-    private BH arm. m defaults to 5% of the hypotheses (at least 10), nu to
+    `dpadapt simulate` build their arms from this class. budget() is the one
+    budget rule: the GDP budget dp-adapt and dp-bonf spend, and the mu every
+    echo reports. m defaults to 5% of the hypotheses (at least 10), nu to
     0.5*alpha/n, and eta to delta_g. An explicit m is used as given, so one
     larger than n fails in the mechanisms that peel.
     """
@@ -97,16 +96,26 @@ class MethodConfig:
     nu: float | None = None
     kernel: str = "gaussian"
     noise_family: str = "gaussian"
-    zero_noise: bool = False
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
 
-    def resolved_mu(self) -> float:
+    def budget(self) -> PrivacyBudget:
+        """The budget this arm spends.
+
+        Laplace noise is calibrated from (epsilon, delta), so a laplace config
+        spends mu = ed_to_gdp(epsilon, delta), the exact duality. Otherwise it
+        is mu when given, else the campaign convention
+        4*epsilon/sqrt(10*log(1/delta)), which puts the Gaussian-mode noise on
+        the same footing as the Laplace-mode scale of the private BH arm.
+        """
+        if self.noise_family == "laplace":
+            return PrivacyBudget.from_epsilon_delta(self.epsilon, self.delta)
         if self.mu is not None:
-            return self.mu
-        return 4.0 * self.epsilon / math.sqrt(10.0 * math.log(1.0 / self.delta))
+            return PrivacyBudget.from_mu(self.mu)
+        mu = 4.0 * self.epsilon / math.sqrt(10.0 * math.log(1.0 / self.delta))
+        return PrivacyBudget.from_mu(mu)
 
     def resolved_m(self, n: int) -> int:
         if self.m is not None:
@@ -122,7 +131,7 @@ class MethodConfig:
     def resolved(self, n: int) -> dict:
         """Every field, with mu, m, nu and eta resolved for n hypotheses."""
         return asdict(self) | {
-            "mu": self.resolved_mu(),
+            "mu": self.budget().mu,
             "m": self.resolved_m(n),
             "nu": self.resolved_nu(n),
             "eta": self.resolved_eta(),
@@ -260,35 +269,27 @@ def run_arm(
             delta=cfg.delta,
             m=cfg.resolved_m(n),
         )
-        return dp_bh(p, config, rng, zero_noise=cfg.zero_noise), None
+        return dp_bh(p, config, rng), None
     if cfg.name == "dp-bonf":
-        budget = PrivacyBudget.from_mu(cfg.resolved_mu())
-        rejected = dp_bonf(
-            p, cfg.delta_g, kernel_by_name(cfg.kernel), budget, cfg.alpha, rng, zero_noise=cfg.zero_noise
-        )
-        return rejected, None
+        kernel = kernel_by_name(cfg.kernel)
+        return dp_bonf(p, cfg.delta_g, kernel, cfg.budget(), cfg.alpha, rng), None
     updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
     if cfg.name == "adapt":
         report = run_adapt_nonprivate(p, x, cfg.alpha, updater, rng, s0=cfg.s0)
         return np.asarray(report.rejected, dtype=int), report
     # dp-adapt
-    if cfg.noise_family == "laplace":
-        budget = PrivacyBudget.from_epsilon_delta(cfg.epsilon, cfg.delta)
-    else:
-        budget = PrivacyBudget.from_mu(cfg.resolved_mu())
     report = run_dp_adapt(
         p,
         x,
         kernel_by_name(cfg.kernel),
         cfg.delta_g,
-        budget,
+        cfg.budget(),
         cfg.resolved_m(n),
         cfg.alpha,
         updater,
         rng,
         s0=cfg.s0,
         noise_family=cfg.noise_family,
-        zero_noise=cfg.zero_noise,
     )
     return np.asarray(report.rejected, dtype=int), report
 

@@ -111,16 +111,13 @@ class TwoGroupFit:
     em_iters: int
     loglik_trace: tuple[float, ...]
 
-    def pi(self, design: np.ndarray) -> np.ndarray:
-        return expit(np.clip(design @ self.pi_weights, -ETA_CAP, ETA_CAP))
-
     def alt_shape(self, design: np.ndarray) -> np.ndarray:
         return np.clip(np.exp(design @ self.f1_weights), A_MIN, A_MAX)
 
 
-def default_fit(x, basis: FeatureMap | None = None) -> TwoGroupFit:
+def default_fit(x) -> TwoGroupFit:
     """Signal-agnostic start: pi ~ 0.1 and a ~ 0.5, flat in the covariates."""
-    basis = basis or FeatureMap.for_covariates(x)
+    basis = FeatureMap.for_covariates(x)
     w = np.zeros(basis.dim)
     w[0] = math.log(0.1 / 0.9)
     v = np.zeros(basis.dim)
@@ -322,27 +319,19 @@ class TwoGroupUpdater:
     is exactly the greedy most-likely-null removal with the scores held fixed
     between refits.
 
-    The fit window is the fit_count most extreme fold minima (default
-    max(200, 20% of the table), so small pre-selected tables are fitted
-    whole). Restricting the window keeps the working model trained where the
-    rejection decisions happen, and the matching fold-range null density in
-    em_fit stays calibrated there; scores are still computed for every
-    hypothesis. Satisfies the engine's ThresholdUpdater contract.
+    The fit window is the max(200, 20% of the table) most extreme fold
+    minima, so small pre-selected tables are fitted whole. Restricting the
+    window keeps the working model trained where the rejection decisions
+    happen, and the matching fold-range null density in em_fit stays
+    calibrated there; scores are still computed for every hypothesis.
+    Satisfies the engine's ThresholdUpdater contract.
     """
 
-    def __init__(
-        self,
-        em_iters: int = 5,
-        refit_every: int | None = None,
-        fit_count: int | None = None,
-        feature_map: FeatureMap | None = None,
-    ):
+    def __init__(self, em_iters: int = 5, refit_every: int | None = None):
         if em_iters < 1:
             raise ValueError("em_iters must be at least 1")
         self.em_iters = em_iters
         self.refit_every = refit_every
-        self.fit_count = fit_count
-        self._feature_map = feature_map
         self._fit: TwoGroupFit | None = None
 
     def propose(self, masked: MaskedTable, x, a_t: int, r_t: int) -> np.ndarray:
@@ -350,8 +339,7 @@ class TwoGroupUpdater:
         if not np.isnan(masked.revealed).any():
             raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, masked.size // 20)
-        n_fit = self.fit_count or max(200, round(0.2 * masked.size))
-        n_fit = min(n_fit, masked.size)
+        n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
         window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
         sub = MaskedTable(
             ids=masked.ids[window],
@@ -359,10 +347,7 @@ class TwoGroupUpdater:
             revealed=masked.revealed[window],
         )
         sub_x = None if x is None else np.asarray(x)[window]
-        init = self._fit
-        if init is None and self._feature_map is not None:
-            init = default_fit(sub_x, basis=self._feature_map)
-        self._fit = em_fit(sub, sub_x, init=init, k=self.em_iters)
+        self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters)
         return removal_order(masked, x, self._fit)[:cadence]
 
     def diagnostics(self) -> dict | None:

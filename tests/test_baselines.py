@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dpadapt.baselines import BHConfig, bh, dp_bh, dp_bonf
-from dpadapt.privacy import PrivacyBudget
+from dpadapt.privacy import CalibrationRegimeWarning, PrivacyBudget
 from dpadapt.transform import gaussian_kernel
 
 K = gaussian_kernel()
@@ -116,6 +118,18 @@ class TestDpBh:
     def test_m_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
             dp_bh(np.ones(5), config_for(5, m=10), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epsilon,m", [(2.0, 10), (0.5, 5)])
+    def test_warns_outside_certified_regime(self, epsilon, m):
+        p = np.random.default_rng(9).random(40)
+        with pytest.warns(CalibrationRegimeWarning):
+            dp_bh(p, config_for(40, m=m, epsilon=epsilon), np.random.default_rng(0))
+
+    def test_silent_at_defaults(self):
+        p = np.random.default_rng(9).random(40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dp_bh(p, config_for(40, m=10), np.random.default_rng(0))
 
     def test_benchmark_regime_fdr_controlled(self):
         # n=10000, t=50 signals at beta=4, m=500: empirical FDR stays below 0.1

@@ -357,10 +357,10 @@ class TestBookkeeping:
             final = np.asarray(rep.final_thresholds)
             expected = {int(i) for i, v, s in zip(rep.selected, vals, final) if v <= s}
             assert set(rep.rejected) == expected
-            state = rep.final_state()
-            assert state.t == rep.stop_t
-            assert state.r_t == int(np.sum(vals <= final))
-            assert state.a_t == int(np.sum(vals >= 1 - final))
+            t, a_t, r_t, _ = rep.trajectory[-1]
+            assert t == rep.stop_t
+            assert r_t == int(np.sum(vals <= final))
+            assert a_t == int(np.sum(vals >= 1 - final))
 
     def test_threshold_monotonicity_across_steps(self):
         g = np.random.default_rng(41)

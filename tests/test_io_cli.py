@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dpadapt import selection
+from dpadapt import privacy
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
 from dpadapt._normal import normal_cdf
@@ -148,7 +148,7 @@ class TestRunCommand:
                      "--seed", "1", "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
 
     def test_failed_budget_audit_is_internal_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(selection, "compose", lambda budgets: PrivacyBudget.from_mu(9.0))
+        monkeypatch.setattr(privacy, "compose", lambda budgets: PrivacyBudget.from_mu(9.0))
         data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(12)))
         code = main(["run", "--input", data, "--method", "dp-adapt", "--mu", "0.24",
                      "--m", "5", "--seed", "1", "--out-prefix", str(tmp_path / "x")])
@@ -297,7 +297,7 @@ class TestSimulateCommand:
         entries = json.loads((tmp_path / "m" / "manifest.json").read_text())["methods"]
         assert [e["name"] for e in entries] == ["dp-adapt", "dp-bh"]
         for entry in entries:
-            assert entry["mu"] == MethodConfig("dp-adapt").resolved_mu()
+            assert entry["mu"] == MethodConfig("dp-adapt").budget().mu
             assert (entry["epsilon"], entry["delta"], entry["m"]) == (0.5, 1e-3, 20)
             assert (entry["nu"], entry["eta"]) == (0.5 * 0.1 / 400, 1e-4)
 

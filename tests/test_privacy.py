@@ -17,6 +17,7 @@ from dpadapt.privacy import (
     compose,
     ed_to_gdp,
     gdp_to_ed,
+    peel_noise,
 )
 
 
@@ -174,6 +175,50 @@ class TestCalibration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             calibrate_laplace(1e-4, 500, 0.5, 0.001)
+
+
+class TestPeelNoise:
+    """Oracle for the one budget-to-peel-noise map, both families."""
+
+    GRID = [(s, m) for s in (1e-4, 3e-5, 0.7) for m in (10, 37, 500)]
+
+    @pytest.mark.parametrize("sensitivity,m", GRID)
+    @pytest.mark.parametrize("mu", [0.24, 1.0, 3.5])
+    def test_gaussian_closed_form(self, sensitivity, m, mu):
+        spec = peel_noise("gaussian", sensitivity, m, mu=mu)
+        assert spec == NoiseSpec("gaussian", math.sqrt(8.0) * sensitivity / (mu / math.sqrt(m)))
+
+    @pytest.mark.parametrize("sensitivity,m", GRID)
+    @pytest.mark.parametrize("epsilon,delta", [(0.5, 1e-3), (0.1, 1e-6), (0.25, 0.05)])
+    def test_laplace_closed_form(self, sensitivity, m, epsilon, delta):
+        spec = peel_noise("laplace", sensitivity, m, epsilon=epsilon, delta=delta)
+        scale = sensitivity * math.sqrt(10.0 * m * math.log(1.0 / delta)) / epsilon
+        assert spec == NoiseSpec("laplace", scale)
+
+    def test_single_round_spends_mu_whole(self):
+        assert peel_noise("gaussian", 1e-4, 1, mu=0.25) == calibrate_gaussian(1e-4, 0.25)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_zero_noise_needs_no_budget(self, family):
+        assert peel_noise(family, 1e-4, 10, zero_noise=True) == NoiseSpec(family, 0.0)
+
+    def test_laplace_regime_warning_passes_through(self):
+        with pytest.warns(CalibrationRegimeWarning):
+            peel_noise("laplace", 1e-4, 5, epsilon=0.5, delta=1e-3)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"family": "cauchy", "mu": 0.5},
+        {"family": "cauchy", "zero_noise": True},
+        {"family": "gaussian"},
+        {"family": "gaussian", "epsilon": 0.5, "delta": 1e-3},
+        {"family": "laplace", "mu": 0.5},
+        {"family": "laplace", "epsilon": 0.5},
+        {"family": "gaussian", "mu": 0.5, "m": 0},
+    ])
+    def test_bad_family_or_missing_budget_raises(self, kwargs):
+        kwargs = {"sensitivity": 1e-4, "m": 10} | kwargs
+        with pytest.raises(ValueError):
+            peel_noise(**kwargs)
 
 
 class TestBudgetAndNoiseTypes:

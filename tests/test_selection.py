@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from dpadapt import selection
+from dpadapt import privacy, selection
 from dpadapt.privacy import CalibrationRegimeWarning, NoiseSpec, PrivacyBudget, compose
 from dpadapt.selection import BudgetAuditError, SelectionResult, mirror_peel, peel, report_noisy_min
 from dpadapt.transform import gaussian_kernel
@@ -87,13 +87,13 @@ class TestMirrorPeel:
             mirror_peel([0.1, 0.2], K, 1e-4, 0.25, 0, rng())
 
     def test_round_budgets_recombine(self):
-        # mirror_peel audits this with an explicit BudgetAuditError; verified here through compose
+        # peel_noise audits this with an explicit BudgetAuditError; verified here through compose
         m, mu = 17, 0.73
         assert compose([mu / math.sqrt(m)] * m).mu == pytest.approx(mu, abs=1e-12)
 
     def test_budget_audit_is_an_explicit_error(self, monkeypatch):
         # survives python -O, unlike an assert
-        monkeypatch.setattr(selection, "compose", lambda budgets: PrivacyBudget.from_mu(0.5))
+        monkeypatch.setattr(privacy, "compose", lambda budgets: PrivacyBudget.from_mu(0.5))
         with pytest.raises(BudgetAuditError):
             mirror_peel([0.1, 0.5, 0.9], K, 1e-4, 0.3, 2, rng())
 

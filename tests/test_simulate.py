@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 from dpadapt._normal import normal_cdf
-from dpadapt.privacy import PrivacyBudget
+from dpadapt.privacy import PrivacyBudget, ed_to_gdp
 from dpadapt.simulate import (
     MethodConfig,
     Scenario,
@@ -183,7 +183,7 @@ class TestMethodConfigDefaults:
     def test_mu_default_matches_scale_rule(self):
         cfg = MethodConfig(name="dp-adapt")
         expected = 4 * 0.5 / np.sqrt(10 * np.log(1000.0))
-        assert cfg.resolved_mu() == pytest.approx(expected, rel=1e-12)
+        assert cfg.budget().mu == pytest.approx(expected, rel=1e-12)
 
     def test_m_default_is_five_percent(self):
         cfg = MethodConfig(name="dp-adapt")
@@ -197,7 +197,7 @@ class TestMethodConfigDefaults:
         cfg = MethodConfig(name="dp-bh", alpha=0.2, delta_g=3e-4)
         echo = cfg.resolved(100)
         assert (echo["mu"], echo["m"], echo["nu"], echo["eta"]) == (
-            cfg.resolved_mu(), 10, cfg.resolved_nu(100), 3e-4
+            cfg.budget().mu, 10, cfg.resolved_nu(100), 3e-4
         )
         assert (echo["name"], echo["epsilon"], echo["delta"]) == ("dp-bh", 0.5, 1e-3)
 
@@ -216,6 +216,14 @@ class TestMethodConfigDefaults:
         cfg = MethodConfig(name="dp-adapt", m=40, noise_family="laplace")
         rejected = run_method(cfg, x, p, method_rng(3, 0, 0))
         assert np.all(rejected < 400)
+
+    def test_laplace_echo_is_the_mu_spent(self):
+        # laplace noise spends the exact-duality mu, not the campaign convention
+        sc = Scenario(kind="no_side_info", n=400, t=10, beta=4.0)
+        x, p, _ = gen_no_side_info(sc, data_rng(3, 0))
+        cfg = MethodConfig(name="dp-adapt", noise_family="laplace", m=20)
+        _, report = run_arm(cfg, x, p, method_rng(3, 0, 0))
+        assert cfg.resolved(400)["mu"] == report.config["mu"] == ed_to_gdp(0.5, 1e-3)
 
 
 class TestDeskCampaignTargets:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dpadapt.engine import MaskedTable, run_adapt_nonprivate
 from dpadapt.twogroup import (
     A_MAX,
     A_MIN,
+    ETA_CAP,
     CandidatesExhausted,
     FeatureMap,
     TwoGroupFit,
@@ -127,7 +129,8 @@ class TestEmFit:
             tbl = table_with_threshold(p, float(rng.uniform(0.1, 0.45)))
             fit = em_fit(tbl, None, k=3)
             d = fit.basis.design(None, n_rows=60)
-            assert np.all((fit.pi(d) > 0) & (fit.pi(d) < 1))
+            pi = expit(np.clip(d @ fit.pi_weights, -ETA_CAP, ETA_CAP))
+            assert np.all((pi > 0) & (pi < 1))
             assert np.all((fit.alt_shape(d) >= A_MIN) & (fit.alt_shape(d) <= A_MAX))
 
     def test_requires_nonempty_and_iterations(self):
