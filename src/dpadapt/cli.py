@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except IngestError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (StallError, BudgetAuditError) as exc:
+    except (StallError, BudgetAuditError, np.linalg.LinAlgError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -164,7 +164,8 @@ def _ascend(objective, grad_hess, theta):
     """Newton ascent with halving line search; never decreases the objective.
 
     grad_hess returns (gradient, negative-definite Hessian). Singular solves
-    fall back to a 1e-6 ridge.
+    fall back to a 1e-6 ridge; when that is singular too, the ascent stops
+    and keeps theta.
     """
     f0 = objective(theta)
     for _ in range(_NEWTON_MAX_ITER):
@@ -174,7 +175,10 @@ def _ascend(objective, grad_hess, theta):
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
+            try:
+                step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
+            except np.linalg.LinAlgError:
+                break
         scale = 1.0
         improved = False
         for _ in range(30):

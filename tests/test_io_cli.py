@@ -1,17 +1,20 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dpadapt import privacy
+from dpadapt import cli, io, privacy
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
 from dpadapt._normal import normal_cdf
 from dpadapt.privacy import PrivacyBudget, ed_to_gdp, gdp_to_ed
 from dpadapt.simulate import METHOD_NAMES, MethodConfig
 
-from . import cli_oracle
+from . import cli_oracle, ingest_oracle
 
 
 def write(path, text):
@@ -78,6 +81,150 @@ class TestIngest:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _outcome(ingest, path):
+    try:
+        return ingest(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_ingest(path):
+    """ingest_csv gives the oracle's Dataset, or its exception type and message."""
+    got, want = _outcome(ingest_csv, path), _outcome(ingest_oracle.ingest_csv, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.ids == want.ids and all(type(rid) is str for rid in got.ids)
+    assert got.covariate_names == want.covariate_names
+    for a, b in ((got.p, want.p), (got.x, want.x)):
+        if b is None:
+            assert a is None
+            continue
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Fields that float() and loadtxt may read differently, or not at all.
+_ODD_FLOATS = [
+    "", " ", "abc", "nan", "-nan", "inf", "-inf", "infinity", "1e400", "-1e400", "1e-320",
+    "-0", "+0.5", ".5", "5.", "1.5", "-0.1", " 0.25 ", "\t0.5", "1_0", "0.2_5", "1__0",
+    "０.５", "٠.٢", "0x1p-2", "1d5", "0.5 0.5", "0.5#", "#0.5", "0.5\x00", "0.5\x1c",
+    "\x1f0.5", "\x0b0.5", "0.5\x0c", "\xa00.5", "0.5 ", " 0.5", "0.5\x85",
+]
+_ODD_IDS = [" h0", "h0 ", " h1 ", "h#1", "#", "", " ", "é", "a\x0bb", "a b", "a\x1cb", "h\x85"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly regular files with a few irregular rows, fields and line ends."""
+    width = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    header = ["id", "p"] + [f"x{i}" for i in range(1, width - 1)]
+    rows = [header] + [
+        [f"h{i}", repr(draw(st.floats(0.0, 1.0)))]
+        + [repr(draw(st.floats(allow_nan=False, allow_infinity=False))) for _ in range(width - 2)]
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n))
+        j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
+        kind = draw(st.sampled_from(["float", "id", "ragged", "blank", "quote", "header"]))
+        if kind == "float" and i and j:
+            rows[i][j] = draw(st.sampled_from(_ODD_FLOATS))
+        elif kind == "id" and i and rows[i]:
+            rows[i][0] = draw(st.sampled_from(_ODD_IDS))
+        elif kind == "ragged" and rows[i]:
+            if draw(st.booleans()):
+                rows[i].pop()
+            else:
+                rows[i].append("0.5")
+        elif kind == "blank":
+            rows.insert(i + 1, [])
+        elif kind == "quote" and rows[i]:
+            rows[i][j] = draw(st.sampled_from(['"{}"', '"{},5"', '{}"'])).format(rows[i][j])
+        elif kind == "header":
+            rows[0] = draw(st.sampled_from([[" id ", "p "], ["id", "q"], ["id"], ["\ufeffid", "p"]]))
+            rows[0] += header[2:]
+    ends = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    lines = [",".join(row) for row in rows]
+    text = ""
+    for k, line in enumerate(lines):
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends
+        text += line + (end if k < len(lines) - 1 or draw(st.booleans()) else "")
+    return text
+
+
+class TestIngestMatchesOracle:
+    """ingest_csv against the row loop it replaced, kept in tests/ingest_oracle.py."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_random_files(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_ingest(path)
+
+    @pytest.mark.parametrize("text", [
+        "id,p,x1\na,0.5,1\nb,0.25,-2\n",
+        "id,p,x1\r\na,0.5,1\r\nb,0.25,-2\r\n",
+        "id,p,x1\r\na,0.5,1\r\nb,0.25,-2",
+        " id , p \n a ,0.5\nb#,0.25\n",
+        "id,p,x1\na\x0bb,-0,1e-320\nc d, 0.5 ,\xa0-0\n",
+    ], ids=["lf", "crlf", "crlf-no-final-end", "padded-and-hash", "odd-whitespace"])
+    def test_regular_files_take_the_columnar_path(self, tmp_path, text):
+        assert io._ingest_columnar(text) is not None
+        assert_same_ingest(write(tmp_path / "d.csv", text))
+
+    @pytest.mark.parametrize("text", [
+        'id,p\n"a",0.5\n',
+        "id,p\ra,0.5\r",
+        "id,p\na,0.5\r",
+        "id,p\r\na,0.5\rb,0.25\r\n",
+        "id,p,x1\na,0.5,1\nb,0.25\n",
+        "id,p,x1\na,0.5,1\nb,0.25,1,2\n",
+        "id,p\na,0.5\n\nb,0.25\n",
+        "id,p\na,0.5\n\n",
+        "id,p\na,abc\n",
+        "id,p,x1\na,0.5,1_0\n",
+        "id,p\na,０.５\n",
+        "id,p\na,٠.٥\n",
+        "id,p\na,0.5\x1c\n",
+        "id,p\na,1.5\n",
+        "id,p\na,nan\n",
+        "id,p,x1\na,0.5,inf\n",
+        "id,p,x1\na,0.5,1e400\n",
+        "id,p\na,0.5\n a ,0.25\n",
+        "id,q\na,0.5\n",
+        "id,p\n",
+        "",
+    ], ids=[
+        "quote", "lone-cr", "lone-cr-at-end", "mixed-cr", "short-row", "long-row", "blank-row", "trailing-blank",
+        "loadtxt-error", "underscore", "fullwidth-digit", "arabic-digit", "x1c-whitespace",
+        "p-out-of-range", "p-nan", "x-inf", "x-overflow", "duplicate-after-strip",
+        "bad-header", "no-rows", "empty",
+    ])
+    def test_fallback_triggers(self, tmp_path, text):
+        assert io._ingest_columnar(text) is None
+        assert_same_ingest(write(tmp_path / "d.csv", text))
+
+    def test_line_over_field_limit_falls_back(self, tmp_path):
+        limit = csv.field_size_limit()
+        text = "id,p\n" + "a" * (limit // 2) + "," + " " * (limit // 2) + "0.5\n"
+        assert io._ingest_columnar(text) is None
+        path = write(tmp_path / "d.csv", text)
+        assert ingest_csv(path).p.tolist() == [0.5]
+        assert_same_ingest(path)
+
+    def test_fields_over_limit_and_undecodable_bytes(self, tmp_path):
+        f = write(tmp_path / "big.csv", "id,p\n" + "a" * (csv.field_size_limit() + 1) + ",0.5\n")
+        assert_same_ingest(f)
+        g = tmp_path / "bytes.csv"
+        g.write_bytes(b"id,p\na,0.5\nb\xff,0.2\n")
+        assert_same_ingest(g)
+
+
 class TestPrivacyCommand:
     def test_delta_from_mu_epsilon(self, capsys):
         assert main(["privacy", "--mu", "0.24", "--epsilon", "0.5"]) == EXIT_OK
@@ -120,6 +267,28 @@ class TestRunCommand:
     def test_duplicate_ids_is_data_error(self, tmp_path):
         f = write(tmp_path / "d.csv", "id,p\na,0.1\na,0.2\n")
         assert main(["run", "--input", str(f), "--method", "bh", "--out-prefix", str(tmp_path / "o")]) == EXIT_DATA
+
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"id,p\na,0.5\nb\xff,0.2\n")
+        assert main(["run", "--input", str(f), "--method", "bh", "--out-prefix", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"data error: cannot read {f}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        f = write(tmp_path / "d.csv", "id,p\n" + "a" * (csv.field_size_limit() + 1) + ",0.5\n")
+        assert main(["run", "--input", f, "--method", "bh", "--out-prefix", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"data error: cannot read {f}: field larger than field limit" in capsys.readouterr().err
+
+    def test_singular_solve_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run_arm", singular)
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(12)))
+        code = main(["run", "--input", data, "--method", "dp-adapt", "--mu", "0.24",
+                     "--m", "5", "--seed", "1", "--out-prefix", str(tmp_path / "x")])
+        assert code == EXIT_INTERNAL
+        assert "internal error: Singular matrix" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"), "--method", "bh",

@@ -85,6 +85,18 @@ class TestEmFit:
         fitted_a = float(np.clip(np.exp(v_new[0]), A_MIN, A_MAX))
         assert fitted_a == pytest.approx(closed_form, abs=1e-6)
 
+    def test_singular_ridged_solve_keeps_theta(self):
+        # the 1e-6 ridge vanishes next to 1e20, so both solves are singular
+        from dpadapt.twogroup import _ascend
+
+        theta = np.array([0.3, -0.2])
+        out = _ascend(
+            lambda th: -float(th @ th),
+            lambda th: (np.array([1.0, 1.0]), -np.full((2, 2), 1e20)),
+            theta,
+        )
+        assert np.array_equal(out, theta)
+
     def test_fold_point_continuity(self):
         # a masked pair sitting exactly at 1/2 must behave like a revealed 1/2
         p = np.array([0.5, 0.2, 0.7, 0.05, 0.9, 0.4])
