@@ -39,12 +39,10 @@ from .simulate import (
     run_campaign,
 )
 from .transform import (
-    Sensitivity,
     TransformKernel,
     gaussian_kernel,
     kernel_by_name,
     noisy_pvalue,
-    sensitivity_chi_squared,
     sensitivity_one_sided_mean,
     sensitivity_two_sided_mean,
     transform_with_shift,
@@ -74,7 +72,6 @@ __all__ = [
     "RejectionReport",
     "Scenario",
     "SelectionResult",
-    "Sensitivity",
     "StallError",
     "ThresholdUpdater",
     "TransformKernel",
@@ -105,7 +102,6 @@ __all__ = [
     "run_adapt_nonprivate",
     "run_campaign",
     "run_dp_adapt",
-    "sensitivity_chi_squared",
     "sensitivity_one_sided_mean",
     "sensitivity_two_sided_mean",
     "transform_with_shift",

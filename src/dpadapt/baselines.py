@@ -115,12 +115,15 @@ def dp_bonf(
     p-value gets Gaussian noise at scale delta_g * n / mu, and the alpha/n
     threshold is tightened by a simultaneous noise allowance at level alpha/2
     so noise alone cannot manufacture family-wise rejections. The allowance
-    scales with the noise, so the zero-noise mode is exactly plain Bonferroni.
+    scales with the noise, so the zero-noise mode is exactly plain Bonferroni;
+    it is the only noise-free mode, since delta_g must be positive.
     As expected from that construction, its power is near zero whenever the
     noise is non-trivial.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not delta_g > 0:
+        raise ValueError(f"delta_g must be positive, got {delta_g!r}")
     p, _ = validate_inputs(pvalues)
     n = p.size
     noise = NoiseSpec("gaussian", 0.0 if zero_noise else delta_g * n / budget.mu)

@@ -89,8 +89,8 @@ class PrivacyBudget:
 class NoiseSpec:
     """Noise family plus scale: standard deviation (gaussian) or lambda (laplace).
 
-    scale == 0 is the degenerate no-noise case; it only arises from zero
-    sensitivity or an explicit zero-noise test mode and carries no privacy.
+    scale == 0 is the degenerate no-noise case; it only arises from the
+    explicit zero-noise test mode and carries no privacy.
     """
 
     family: str
@@ -180,13 +180,13 @@ def calibrate_gaussian(delta_g: float, mu: float) -> NoiseSpec:
 def calibrate_laplace(delta_g: float, m: int, epsilon: float, delta: float) -> NoiseSpec:
     """Laplace scale delta_g * sqrt(10 * m * log(1/delta)) / epsilon.
 
-    delta_g == 0 is allowed and yields the degenerate zero-scale spec. The
-    certificate behind the formula holds for epsilon <= 0.5, delta <= 0.1 and
-    m >= 10; outside that regime a CalibrationRegimeWarning is emitted and
-    the scale is still returned.
+    delta_g must be positive, as in calibrate_gaussian. The certificate
+    behind the formula holds for epsilon <= 0.5, delta <= 0.1 and m >= 10;
+    outside that regime a CalibrationRegimeWarning is emitted and the scale
+    is still returned.
     """
-    if not (math.isfinite(delta_g) and delta_g >= 0):
-        raise ValueError(f"delta_g must be non-negative, got {delta_g!r}")
+    if not (math.isfinite(delta_g) and delta_g > 0):
+        raise ValueError(f"delta_g must be positive, got {delta_g!r}")
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if not (math.isfinite(epsilon) and epsilon > 0):

@@ -27,26 +27,18 @@ from .transform import TransformKernel, clamp_unit
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Ordered (index, released noisy p-value) pairs from a peeling run."""
+    """Selected indices in peeling order, with their released noisy p-values."""
 
-    pairs: tuple[tuple[int, float], ...]
+    indices: np.ndarray
+    values: np.ndarray
     m: int
     private: bool
 
     def __post_init__(self):
-        if len(self.pairs) != self.m:
-            raise ValueError("selection must contain exactly m pairs")
-        idx = [i for i, _ in self.pairs]
-        if len(set(idx)) != len(idx):
+        if len(self.indices) != self.m or len(self.values) != self.m:
+            raise ValueError("selection must contain exactly m indices and m values")
+        if np.unique(self.indices).size != self.m:
             raise ValueError("selection contains duplicate indices")
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.pairs], dtype=int)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.pairs], dtype=float)
 
 
 def validate_inputs(pvalues, x=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -212,8 +204,5 @@ def mirror_peel(
     q_orig = kernel.quantile(p)
 
     winners = peel(q_folded, noise, m, rng)
-    fresh = noise.draw(rng, size=m)
-    pairs = tuple(
-        (int(i), float(clamp_unit(kernel.G(q_orig[i] + z)))) for i, z in zip(winners, fresh)
-    )
-    return SelectionResult(pairs=pairs, m=m, private=not zero_noise)
+    released = clamp_unit(kernel.G(q_orig[winners] + noise.draw(rng, size=m)))
+    return SelectionResult(indices=winners, values=released, m=m, private=not zero_noise)

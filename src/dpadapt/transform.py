@@ -112,24 +112,13 @@ def noisy_pvalue(p, kernel: TransformKernel, noise: NoiseSpec, rng: np.random.Ge
     return transform_with_shift(p, kernel, z)
 
 
-@dataclass(frozen=True)
-class Sensitivity:
-    """Worst-case change of G_inv(p) across neighboring datasets."""
-
-    delta_g: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_g) and self.delta_g >= 0):
-            raise ValueError(f"delta_g must be finite and non-negative, got {self.delta_g!r}")
-
-
-def sensitivity_one_sided_mean(bound: float, n: int) -> Sensitivity:
+def sensitivity_one_sided_mean(bound: float, n: int) -> float:
     """One-sided mean test of bounded unit-variance samples: 2 * bound / sqrt(n)."""
     if not bound > 0:
         raise ValueError(f"bound must be positive, got {bound!r}")
     if not n >= 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
-    return Sensitivity(2.0 * bound / math.sqrt(n))
+    return 2.0 * bound / math.sqrt(n)
 
 
 def two_sided_ratio(t, kernel: TransformKernel):
@@ -174,7 +163,7 @@ def two_sided_bound_constant(kernel: TransformKernel, grid_step: float = 1e-3) -
     return max(refined, boundary)
 
 
-def sensitivity_two_sided_mean(bound: float, n: int, C: float) -> Sensitivity:
+def sensitivity_two_sided_mean(bound: float, n: int, C: float) -> float:
     """Two-sided mean test through a bounded-support kernel: 2 * bound * C / sqrt(n).
 
     C is the supremum computed by two_sided_bound_constant for the kernel in
@@ -186,23 +175,4 @@ def sensitivity_two_sided_mean(bound: float, n: int, C: float) -> Sensitivity:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if not C > 0:
         raise ValueError(f"C must be positive, got {C!r}")
-    return Sensitivity(2.0 * bound * C / math.sqrt(n))
-
-
-def sensitivity_chi_squared(
-    bound: float, n: int, C1: float, C2: float, delta_exp: float
-) -> Sensitivity:
-    """Quadratic-statistic test: C1 * b^2/n + C2/(1/2 - d) * (b^2/n)^(1/2 - d).
-
-    Formula evaluator only; C1 and C2 are existence constants with no closed
-    form, so defaults of 1.0 are illustrative rather than certified.
-    """
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, got {bound!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if not 0.0 < delta_exp < 0.5:
-        raise ValueError(f"delta_exp must lie in (0, 0.5), got {delta_exp!r}")
-    ratio = bound * bound / n
-    value = C1 * ratio + C2 / (0.5 - delta_exp) * ratio ** (0.5 - delta_exp)
-    return Sensitivity(value)
+    return 2.0 * bound * C / math.sqrt(n)

@@ -134,7 +134,7 @@ def _masked_arrays(masked: MaskedTable):
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
     rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
-    return mm, rev, is_rev
+    return mm, rev, is_rev, _null_span(mm)
 
 
 def _null_span(mm: np.ndarray) -> float:
@@ -150,28 +150,73 @@ def _null_span(mm: np.ndarray) -> float:
     return float(np.clip(mm.max(), 1e-6, 0.5))
 
 
-def _q_logistic(design, w, resp):
-    eta = np.clip(design @ w, -ETA_CAP, ETA_CAP)
-    return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
+def _posterior(design, w, v, mm, rev, is_rev, tau):
+    """Observed log-likelihood and the E-step it implies: (loglik, resp, logp).
 
-
-def _q_shape(design, v, resp, logp):
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
-    return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
-
-
-def _ascend(objective, grad_hess, theta):
-    """Newton ascent with halving line search; never decreases the objective.
-
-    grad_hess returns (gradient, negative-definite Hessian). Singular solves
-    fall back to a 1e-6 ridge; when that is singular too, the ascent stops
-    and keeps theta.
+    resp is P(non-null | data) and logp is E[log p] under the alternative.
     """
-    f0 = objective(theta)
+    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
+    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    f1_m = f1_density(mm, a)
+    f1_c = f1_density(1.0 - mm, a)
+    num_rev = pi * f1_density(rev, a)
+    lik_rev = num_rev + (1.0 - pi) / (2.0 * tau)
+    num_mask = pi * (f1_m + f1_c)
+    lik_mask = num_mask + (1.0 - pi) / tau
+    loglik = float(np.sum(np.where(is_rev, np.log(lik_rev), np.log(lik_mask))))
+    resp = np.where(is_rev, num_rev / lik_rev, num_mask / lik_mask)
+    mix = f1_m / (f1_m + f1_c)
+    logp = np.where(is_rev, np.log(rev), mix * np.log(mm) + (1.0 - mix) * np.log1p(-mm))
+    return loglik, resp, logp
+
+
+def _logistic_objective(resp):
+    """Expected complete log-likelihood of the pi model, as (value, slopes) in eta."""
+
+    def value(eta):
+        eta = np.clip(eta, -ETA_CAP, ETA_CAP)
+        return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
+
+    def slopes(eta):
+        pi = expit(np.clip(eta, -ETA_CAP, ETA_CAP))
+        return resp - pi, -(pi * (1.0 - pi))
+
+    return value, slopes
+
+
+def _shape_objective(resp, logp):
+    """Expected complete log-likelihood of the f1 model, as (value, slopes) in eta."""
+
+    def value(eta):
+        a = np.clip(np.exp(eta), A_MIN, A_MAX)
+        return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
+
+    def slopes(eta):
+        # Slopes of the unclamped objective; the line search evaluates the
+        # clamped one, so an active clamp only shortens the accepted step.
+        a = np.exp(np.clip(eta, -60.0, 60.0))
+        return resp * (1.0 + a * logp), resp * a * logp
+
+    return value, slopes
+
+
+def _ascend(design, theta, objective):
+    """Newton ascent on eta = design @ theta with halving line search.
+
+    objective is (value, slopes): value(eta) sums over rows and slopes(eta)
+    gives the per-row first and second eta-derivatives (d1, d2). Never
+    decreases the value. Singular solves fall back to a 1e-6 ridge; when
+    that is singular too, the ascent stops and keeps theta.
+    """
+    value, slopes = objective
+    eta = design @ theta
+    f0 = value(eta)
     for _ in range(_NEWTON_MAX_ITER):
-        grad, hess = grad_hess(theta)
+        d1, d2 = slopes(eta)
+        grad = design.T @ d1
         if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
             break
+        hess = (design.T * d2) @ design
         try:
             step = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -183,9 +228,10 @@ def _ascend(objective, grad_hess, theta):
         improved = False
         for _ in range(30):
             cand = theta + scale * step
-            fc = objective(cand)
+            eta_c = design @ cand
+            fc = value(eta_c)
             if fc >= f0:
-                theta, f0, improved = cand, fc, True
+                theta, eta, f0, improved = cand, eta_c, fc, True
                 break
             scale *= 0.5
         if not improved:
@@ -207,7 +253,8 @@ def em_fit(
     working density is uniform over the observed fold range (see
     _null_span), which reduces to the plain uniform null on full tables.
     Each M-step is a guarded Newton ascent, so the observed log-likelihood
-    never decreases across sweeps.
+    never decreases across sweeps. One _posterior pass per sweep gives both
+    the trace entry and the next E-step.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
@@ -217,71 +264,21 @@ def em_fit(
     basis = fit.basis
     design = basis.design(x, n_rows=masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
-    mm, rev, is_rev = _masked_arrays(masked)
-    tau = _null_span(mm)
-    log_m = np.log(mm)
-    log_c = np.log1p(-mm)
-    log_rev = np.log(rev)
-    trace = [_observed_loglik_arrays(design, w, v, mm, rev, is_rev)]
+    arrays = _masked_arrays(masked)
+    loglik, resp, logp = _posterior(design, w, v, *arrays)
+    trace = [loglik]
     for _ in range(k):
-        pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-        a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
-        f1_rev = f1_density(rev, a)
-        f1_m = f1_density(mm, a)
-        f1_c = f1_density(1.0 - mm, a)
-        num_rev = pi * f1_rev
-        resp_rev = num_rev / (num_rev + (1.0 - pi) / (2.0 * tau))
-        num_mask = pi * (f1_m + f1_c)
-        resp_mask = num_mask / (num_mask + (1.0 - pi) / tau)
-        resp = np.where(is_rev, resp_rev, resp_mask)
-        mix = f1_m / (f1_m + f1_c)
-        logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
-
-        w = _ascend(
-            lambda th: _q_logistic(design, th, resp),
-            lambda th: _logistic_grad_hess(design, th, resp),
-            w,
-        )
-        v = _ascend(
-            lambda th: _q_shape(design, th, resp, logp),
-            lambda th: _shape_grad_hess(design, th, resp, logp),
-            v,
-        )
-        trace.append(_observed_loglik_arrays(design, w, v, mm, rev, is_rev))
+        w = _ascend(design, w, _logistic_objective(resp))
+        v = _ascend(design, v, _shape_objective(resp, logp))
+        loglik, resp, logp = _posterior(design, w, v, *arrays)
+        trace.append(loglik)
     return TwoGroupFit(w, v, basis, k, tuple(trace))
-
-
-def _logistic_grad_hess(design, w, resp):
-    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-    grad = design.T @ (resp - pi)
-    wdiag = pi * (1.0 - pi)
-    hess = -(design.T * wdiag) @ design
-    return grad, hess
-
-
-def _shape_grad_hess(design, v, resp, logp):
-    # Derivatives of the unclamped objective; the line search evaluates the
-    # clamped one, so an active clamp only shortens the accepted step.
-    a = np.exp(np.clip(design @ v, -60.0, 60.0))
-    grad = design.T @ (resp * (1.0 + a * logp))
-    hess = (design.T * (resp * a * logp)) @ design
-    return grad, hess
-
-
-def _observed_loglik_arrays(design, w, v, mm, rev, is_rev):
-    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
-    tau = _null_span(mm)
-    lik_rev = pi * f1_density(rev, a) + (1.0 - pi) / (2.0 * tau)
-    lik_mask = pi * (f1_density(mm, a) + f1_density(1.0 - mm, a)) + (1.0 - pi) / tau
-    return float(np.sum(np.where(is_rev, np.log(lik_rev), np.log(lik_mask))))
 
 
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
     """Log-likelihood of the masked data under the fit; the EM ascent oracle."""
     design = fit.basis.design(x, n_rows=masked.size)
-    mm, rev, is_rev = _masked_arrays(masked)
-    return _observed_loglik_arrays(design, fit.pi_weights, fit.f1_weights, mm, rev, is_rev)
+    return _posterior(design, fit.pi_weights, fit.f1_weights, *_masked_arrays(masked))[0]
 
 
 def null_probability(x, p_prime, fit: TwoGroupFit):
@@ -334,6 +331,8 @@ class TwoGroupUpdater:
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
         if em_iters < 1:
             raise ValueError("em_iters must be at least 1")
+        if refit_every is not None and not (isinstance(refit_every, int) and refit_every >= 1):
+            raise ValueError(f"refit_every must be None or an integer >= 1, got {refit_every!r}")
         self.em_iters = em_iters
         self.refit_every = refit_every
         self._fit: TwoGroupFit | None = None

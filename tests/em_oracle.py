@@ -1,0 +1,174 @@
+"""Reference EM fit, kept as a test oracle for `twogroup.em_fit`.
+
+This is the EM as it stood before the model evaluation moved into one
+posterior pass and the Newton ascent into one routine on the linear
+predictor: the E-step and the observed log-likelihood each evaluate the
+mixture, and each M-step ascends through its own objective and
+gradient/Hessian helpers, every one recomputing `design @ theta`. `em_fit`
+must return bit-identical weights and log-likelihood traces.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import expit, log_expit
+
+from dpadapt.engine import MaskedTable
+from dpadapt.transform import P_FLOOR
+from dpadapt.twogroup import TwoGroupFit, default_fit, f1_density
+
+A_MIN = 0.05
+A_MAX = 1.0
+ETA_CAP = 8.0
+
+_NEWTON_MAX_ITER = 25
+_NEWTON_GRAD_TOL = 1e-8
+_NEWTON_RIDGE = 1e-6
+
+
+def _masked_arrays(masked: MaskedTable):
+    mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
+    rev = np.asarray(masked.revealed, dtype=float)
+    is_rev = ~np.isnan(rev)
+    rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
+    return mm, rev, is_rev
+
+
+def _null_span(mm: np.ndarray) -> float:
+    """Half-width of the fold range the table actually covers.
+
+    The null working density is uniform over the observed fold range: each
+    null value is taken to lie in [0, tau] or [1 - tau, 1] with tau the
+    largest fold minimum present, giving density 1/(2 tau). On a full
+    (unselected) table tau is 1/2 and this is exactly the uniform null; on a
+    table of pre-selected extremes it corrects for the selection, without
+    which the fit inevitably explains every extreme value as a signal.
+    """
+    return float(np.clip(mm.max(), 1e-6, 0.5))
+
+
+def _q_logistic(design, w, resp):
+    eta = np.clip(design @ w, -ETA_CAP, ETA_CAP)
+    return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
+
+
+def _q_shape(design, v, resp, logp):
+    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
+
+
+def _ascend(objective, grad_hess, theta):
+    """Newton ascent with halving line search; never decreases the objective.
+
+    grad_hess returns (gradient, negative-definite Hessian). Singular solves
+    fall back to a 1e-6 ridge; when that is singular too, the ascent stops
+    and keeps theta.
+    """
+    f0 = objective(theta)
+    for _ in range(_NEWTON_MAX_ITER):
+        grad, hess = grad_hess(theta)
+        if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
+            break
+        try:
+            step = np.linalg.solve(-hess, grad)
+        except np.linalg.LinAlgError:
+            try:
+                step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
+            except np.linalg.LinAlgError:
+                break
+        scale = 1.0
+        improved = False
+        for _ in range(30):
+            cand = theta + scale * step
+            fc = objective(cand)
+            if fc >= f0:
+                theta, f0, improved = cand, fc, True
+                break
+            scale *= 0.5
+        if not improved:
+            break
+    return theta
+
+
+def em_fit(
+    masked: MaskedTable,
+    x,
+    init: TwoGroupFit | None = None,
+    k: int = 5,
+) -> TwoGroupFit:
+    """Fit (pi, f1) by k EM sweeps over the masked table.
+
+    Hypotheses with a revealed value contribute ordinary responsibilities;
+    hypotheses seen only as {p, 1-p} contribute the two-candidate mixture
+    with the null density accounting for both fold elements. The null
+    working density is uniform over the observed fold range (see
+    _null_span), which reduces to the plain uniform null on full tables.
+    Each M-step is a guarded Newton ascent, so the observed log-likelihood
+    never decreases across sweeps.
+    """
+    if masked.size == 0:
+        raise ValueError("masked table must be non-empty")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
+    fit = init if init is not None else default_fit(x)
+    basis = fit.basis
+    design = basis.design(x, n_rows=masked.size)
+    w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
+    mm, rev, is_rev = _masked_arrays(masked)
+    tau = _null_span(mm)
+    log_m = np.log(mm)
+    log_c = np.log1p(-mm)
+    log_rev = np.log(rev)
+    trace = [_observed_loglik_arrays(design, w, v, mm, rev, is_rev)]
+    for _ in range(k):
+        pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
+        a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+        f1_rev = f1_density(rev, a)
+        f1_m = f1_density(mm, a)
+        f1_c = f1_density(1.0 - mm, a)
+        num_rev = pi * f1_rev
+        resp_rev = num_rev / (num_rev + (1.0 - pi) / (2.0 * tau))
+        num_mask = pi * (f1_m + f1_c)
+        resp_mask = num_mask / (num_mask + (1.0 - pi) / tau)
+        resp = np.where(is_rev, resp_rev, resp_mask)
+        mix = f1_m / (f1_m + f1_c)
+        logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
+
+        w = _ascend(
+            lambda th: _q_logistic(design, th, resp),
+            lambda th: _logistic_grad_hess(design, th, resp),
+            w,
+        )
+        v = _ascend(
+            lambda th: _q_shape(design, th, resp, logp),
+            lambda th: _shape_grad_hess(design, th, resp, logp),
+            v,
+        )
+        trace.append(_observed_loglik_arrays(design, w, v, mm, rev, is_rev))
+    return TwoGroupFit(w, v, basis, k, tuple(trace))
+
+
+def _logistic_grad_hess(design, w, resp):
+    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
+    grad = design.T @ (resp - pi)
+    wdiag = pi * (1.0 - pi)
+    hess = -(design.T * wdiag) @ design
+    return grad, hess
+
+
+def _shape_grad_hess(design, v, resp, logp):
+    # Derivatives of the unclamped objective; the line search evaluates the
+    # clamped one, so an active clamp only shortens the accepted step.
+    a = np.exp(np.clip(design @ v, -60.0, 60.0))
+    grad = design.T @ (resp * (1.0 + a * logp))
+    hess = (design.T * (resp * a * logp)) @ design
+    return grad, hess
+
+
+def _observed_loglik_arrays(design, w, v, mm, rev, is_rev):
+    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
+    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    tau = _null_span(mm)
+    lik_rev = pi * f1_density(rev, a) + (1.0 - pi) / (2.0 * tau)
+    lik_mask = pi * (f1_density(mm, a) + f1_density(1.0 - mm, a)) + (1.0 - pi) / tau
+    return float(np.sum(np.where(is_rev, np.log(lik_rev), np.log(lik_mask))))

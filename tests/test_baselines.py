@@ -176,6 +176,13 @@ class TestDpBonf:
         with pytest.raises(ValueError):
             dp_bonf([], 1e-4, K, PrivacyBudget.from_mu(0.24), 0.1, np.random.default_rng(0))
 
+    def test_nonpositive_sensitivity_rejected(self):
+        # delta_g = 0 used to run plain Bonferroni under a private label
+        p = np.array([1e-9, 0.2, 0.9])
+        for bad in (0.0, -1e-4, np.nan):
+            with pytest.raises(ValueError, match="delta_g must be positive"):
+                dp_bonf(p, bad, K, PrivacyBudget.from_mu(0.24), 0.1, np.random.default_rng(0))
+
     def test_benchmark_regime_power_near_zero(self):
         # strong signals, but the family-wise noise allowance forecloses detection
         from dpadapt._normal import normal_cdf

@@ -337,6 +337,29 @@ class TestRunCommand:
                      "--epsilon", "0.5", "--delta", "0.001",
                      "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["adapt", "dp-adapt"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_refit_every_is_usage_error(self, tmp_path, capsys, method, value):
+        # -1 used to end in exit 3 (the updater proposed no removal), and 0
+        # silently meant the default cadence
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        assert main(["run", "--input", data, "--method", method, "--mu", "0.5", "--m", "5",
+                     "--refit-every", value, "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
+        assert f"refit_every must be None or an integer >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,budget", [
+        ("dp-adapt", ["--noise-family", "laplace", "--epsilon", "0.5", "--delta", "0.001"]),
+        ("dp-adapt", ["--mu", "0.5"]),
+        ("dp-bonf", ["--mu", "0.5"]),
+    ], ids=["laplace-dp-adapt", "gaussian-dp-adapt", "dp-bonf"])
+    def test_zero_sensitivity_is_usage_error(self, tmp_path, capsys, method, budget):
+        # laplace dp-adapt used to add no noise yet report "private": true, and
+        # dp-bonf ran plain Bonferroni
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        assert main(["run", "--input", data, "--method", method, *budget, "--m", "5",
+                     "--delta-g", "0", "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE
+        assert "delta_g must be positive" in capsys.readouterr().err
+
     def test_report_echoes_resolved_config(self, tmp_path):
         data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
         prefix = str(tmp_path / "dpbh")

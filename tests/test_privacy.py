@@ -157,7 +157,12 @@ class TestCalibration:
         assert calibrate_laplace(1e-4, 500, 0.5, 0.001).scale == pytest.approx(expected, rel=1e-12)
 
     def test_laplace_zero_sensitivity_degenerates(self):
-        assert calibrate_laplace(0.0, 500, 0.5, 0.001).scale == 0.0
+        # zero sensitivity no longer degenerates to a noise-free spec: as in
+        # calibrate_gaussian it is refused, and zero_noise is the only
+        # noise-free mode
+        for bad in (0.0, -1e-4, math.nan):
+            with pytest.raises(ValueError, match="delta_g must be positive"):
+                calibrate_laplace(bad, 500, 0.5, 0.001)
 
     def test_laplace_linearity(self):
         one = calibrate_laplace(1e-4, 100, 0.5, 0.01).scale

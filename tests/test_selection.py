@@ -118,7 +118,7 @@ class TestMirrorPeel:
         p = np.array([0.9, 0.15, 0.8])
         sel = mirror_peel(p, instrumented, 1e-4, 0.25, 3, rng(), zero_noise=True)
         # with zero noise, each release argument is the quantile of the original p
-        args = np.array([float(a) for a in recorded])
+        args = np.concatenate([np.atleast_1d(a) for a in recorded])
         expected = np.sort(base.G_inv(p))
         assert np.allclose(np.sort(args), expected, atol=1e-10)
         assert np.allclose(np.sort(sel.values), np.sort(p), atol=1e-12)
@@ -152,7 +152,9 @@ class TestMirrorPeel:
         p = rng(9).random(80)
         a = mirror_peel(p, K, 1e-4, 0.3, 20, rng(10))
         b = mirror_peel(p, K, 1e-4, 0.3, 20, rng(10))
-        assert a == b
+        assert np.array_equal(a.indices, b.indices)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.m, a.private) == (b.m, b.private)
 
 
 def winner_sequences(peel_fn, scores, noise, m, runs, seed):
@@ -226,8 +228,10 @@ class TestPeel:
 class TestSelectionResult:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            SelectionResult(pairs=((0, 0.1), (0, 0.2)), m=2, private=True)
+            SelectionResult(indices=np.array([0, 0]), values=np.array([0.1, 0.2]), m=2, private=True)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SelectionResult(pairs=((0, 0.1),), m=2, private=True)
+            SelectionResult(indices=np.array([0]), values=np.array([0.1]), m=2, private=True)
+        with pytest.raises(ValueError):
+            SelectionResult(indices=np.array([0, 1]), values=np.array([0.1]), m=2, private=True)

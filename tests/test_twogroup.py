@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from dpadapt.engine import MaskedTable, run_adapt_nonprivate
@@ -19,6 +21,8 @@ from dpadapt.twogroup import (
     observed_loglik,
     removal_order,
 )
+
+from . import em_oracle
 
 
 def table_all_revealed(p):
@@ -72,28 +76,25 @@ class TestEmFit:
         # drive one EM sweep from an init whose E-step reproduces h_known:
         # fix pi and a so that pi*f1/(pi*f1 + (1-pi)/(2 tau)) = h_known exactly is
         # not possible for synthetic h; instead check the M-step output directly
-        from dpadapt.twogroup import _ascend, _q_shape, _shape_grad_hess
+        from dpadapt.twogroup import _ascend, _shape_objective
 
         design = np.ones((200, 1))
-        logp = np.log(p)
         v = np.array([math.log(0.5)])
-        v_new = _ascend(
-            lambda th: _q_shape(design, th, h_known, logp),
-            lambda th: _shape_grad_hess(design, th, h_known, logp),
-            v,
-        )
+        v_new = _ascend(design, v, _shape_objective(h_known, np.log(p)))
         fitted_a = float(np.clip(np.exp(v_new[0]), A_MIN, A_MAX))
         assert fitted_a == pytest.approx(closed_form, abs=1e-6)
 
     def test_singular_ridged_solve_keeps_theta(self):
-        # the 1e-6 ridge vanishes next to 1e20, so both solves are singular
+        # two equal columns of 1e10 give the Hessian -1e20 * ones((2, 2)); the
+        # 1e-6 ridge vanishes next to 1e20, so both solves are singular
         from dpadapt.twogroup import _ascend
 
+        design = np.full((1, 2), 1e10)
         theta = np.array([0.3, -0.2])
         out = _ascend(
-            lambda th: -float(th @ th),
-            lambda th: (np.array([1.0, 1.0]), -np.full((2, 2), 1e20)),
+            design,
             theta,
+            (lambda eta: -float(eta @ eta), lambda eta: (np.ones(1), -np.ones(1))),
         )
         assert np.array_equal(out, theta)
 
@@ -150,6 +151,45 @@ class TestEmFit:
             em_fit(MaskedTable(np.empty(0, int), np.empty(0), np.empty(0)), None, k=3)
         with pytest.raises(ValueError):
             em_fit(table_all_revealed([0.5]), None, k=0)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestEmFitMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        design=st.sampled_from(["intercept", "linear", "quadratic2d"]),
+        masked=st.booleans(),
+        chain=st.integers(1, 3),
+        k=st.integers(1, 6),
+    )
+    def test_bit_identical_to_oracle(self, seed, n, design, masked, chain, k):
+        # the fit must reproduce the oracle's weights and trace bit for bit, on
+        # fully revealed and partly masked tables, along a chain of refits
+        # warm-started from the previous fit while the thresholds shrink
+        rng = np.random.default_rng(seed)
+        x = {
+            "intercept": None,
+            "linear": rng.normal(size=n),
+            "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
+        }[design]
+        signal = rng.random(n) < (0.3 if x is None else expit(np.reshape(x, (n, -1))[:, 0] - 1.0))
+        p = np.where(signal, rng.beta(float(rng.uniform(0.05, 0.8)), 1.0, n), rng.random(n))
+        s = float(rng.uniform(0.2, 0.49))
+        fit = ref = None
+        for _ in range(chain):
+            tbl = table_with_threshold(p, s) if masked else table_all_revealed(p)
+            fit = em_fit(tbl, x, init=fit, k=k)
+            ref = em_oracle.em_fit(tbl, x, init=ref, k=k)
+            assert fit.basis.kind == design
+            assert same_bits(fit.pi_weights, ref.pi_weights)
+            assert same_bits(fit.f1_weights, ref.f1_weights)
+            assert same_bits(fit.loglik_trace, ref.loglik_trace)
+            s *= float(rng.uniform(0.3, 0.9))
 
 
 class TestNullProbability:
