@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, PrivacyBudget, peel_noise
-from .selection import peel, validate_inputs
+from .privacy import NoiseSpec, PrivacyBudget, check_sensitivity, peel_noise
+from .selection import check_rounds, peel, validate_inputs
 from .transform import TransformKernel
 
 
@@ -79,8 +79,7 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     """
     p, _ = validate_inputs(pvalues)
     n = p.size
-    if config.m > n:
-        raise ValueError(f"m={config.m} exceeds the number of hypotheses {n}")
+    check_rounds(config.m, n)
     noise = peel_noise(
         "laplace", config.eta, config.m,
         epsilon=config.epsilon, delta=config.delta, zero_noise=zero_noise,
@@ -122,8 +121,7 @@ def dp_bonf(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not delta_g > 0:
-        raise ValueError(f"delta_g must be positive, got {delta_g!r}")
+    check_sensitivity(delta_g)
     p, _ = validate_inputs(pvalues)
     n = p.size
     noise = NoiseSpec("gaussian", 0.0 if zero_noise else delta_g * n / budget.mu)

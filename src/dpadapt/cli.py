@@ -261,6 +261,9 @@ def cmd_simulate(args) -> int:
         scenario = full_scale(scenario)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [_method_config(name, args) for name in names]
+    for cfg in methods:
+        # a setting every trial would refuse is a usage error, as in `run`
+        cfg.check(scenario.total_n)
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv_atomic(

@@ -168,10 +168,19 @@ def ed_to_gdp(epsilon: float, delta: float) -> float:
     return mu
 
 
-def calibrate_gaussian(delta_g: float, mu: float) -> NoiseSpec:
-    """Gaussian noise scale sqrt(8) * delta_g / mu for a selection release."""
+def check_sensitivity(delta_g: float) -> None:
+    """Refuse a sensitivity that is not positive and finite.
+
+    Every private mechanism calls this, so zero_noise is the only noise-free
+    mode.
+    """
     if not (math.isfinite(delta_g) and delta_g > 0):
         raise ValueError(f"delta_g must be positive, got {delta_g!r}")
+
+
+def calibrate_gaussian(delta_g: float, mu: float) -> NoiseSpec:
+    """Gaussian noise scale sqrt(8) * delta_g / mu for a selection release."""
+    check_sensitivity(delta_g)
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive, got {mu!r}")
     return NoiseSpec("gaussian", math.sqrt(8.0) * delta_g / mu)
@@ -185,8 +194,7 @@ def calibrate_laplace(delta_g: float, m: int, epsilon: float, delta: float) -> N
     outside that regime a CalibrationRegimeWarning is emitted and the scale
     is still returned.
     """
-    if not (math.isfinite(delta_g) and delta_g > 0):
-        raise ValueError(f"delta_g must be positive, got {delta_g!r}")
+    check_sensitivity(delta_g)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if not (math.isfinite(epsilon) and epsilon > 0):

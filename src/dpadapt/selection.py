@@ -83,6 +83,13 @@ def _noise_ppf(noise: NoiseSpec, f):
     return noise.scale * np.where(upper, -log_tail, log_tail)
 
 
+def check_rounds(m, n: int) -> int:
+    """m as an int, if it is a number of peeling rounds n hypotheses allow."""
+    if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
+        raise ValueError(f"m must be an integer in [1, n={n}], got {m!r}")
+    return int(m)
+
+
 def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarray:
     """Indices won by m rounds of noisy argmin over scores, winners removed.
 
@@ -191,10 +198,7 @@ def mirror_peel(
     outputs, not the running time.
     """
     p, _ = validate_inputs(pvalues)
-    n = p.size
-    if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
-        raise ValueError(f"m must be an integer in [1, n={n}], got {m!r}")
-    m = int(m)
+    m = check_rounds(m, p.size)
     noise = peel_noise(
         noise_family, delta_g, m, mu=mu, epsilon=epsilon, delta=delta, zero_noise=zero_noise
     )

@@ -23,7 +23,8 @@ import numpy as np
 from ._normal import normal_cdf
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
 from .engine import RejectionReport, run_adapt_nonprivate, run_dp_adapt
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, check_sensitivity
+from .selection import check_rounds
 from .transform import kernel_by_name
 from .twogroup import TwoGroupUpdater
 
@@ -79,7 +80,8 @@ class MethodConfig:
     budget rule: the GDP budget dp-adapt and dp-bonf spend, and the mu every
     echo reports. m defaults to 5% of the hypotheses (at least 10), nu to
     0.5*alpha/n, and eta to delta_g. An explicit m is used as given, so one
-    larger than n fails in the mechanisms that peel.
+    larger than n fails in the mechanisms that peel; check() finds that, and
+    every other setting no data can rescue, before a run.
     """
 
     name: str
@@ -127,6 +129,31 @@ class MethodConfig:
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else self.delta_g
+
+    def bh_config(self, n: int) -> BHConfig:
+        """dp-bh's parameters for n hypotheses."""
+        return BHConfig(
+            nu=self.resolved_nu(n),
+            eta=self.resolved_eta(),
+            alpha=self.alpha,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            m=self.resolved_m(n),
+        )
+
+    def check(self, n: int) -> None:
+        """Raise the ValueError every run of this arm on n hypotheses raises.
+
+        Covers the budget, m against n, and a private arm's sensitivity, in
+        the order the run meets them, so the message is the run's.
+        """
+        if self.name == "dp-bh":
+            check_rounds(self.bh_config(n).m, n)
+        elif self.name in ("dp-adapt", "dp-bonf"):
+            self.budget()
+            if self.name == "dp-adapt":
+                check_rounds(self.resolved_m(n), n)
+            check_sensitivity(self.delta_g)
 
     def resolved(self, n: int) -> dict:
         """Every field, with mu, m, nu and eta resolved for n hypotheses."""
@@ -261,15 +288,7 @@ def run_arm(
     if cfg.name == "bh":
         return bh(p, cfg.alpha), None
     if cfg.name == "dp-bh":
-        config = BHConfig(
-            nu=cfg.resolved_nu(n),
-            eta=cfg.resolved_eta(),
-            alpha=cfg.alpha,
-            epsilon=cfg.epsilon,
-            delta=cfg.delta,
-            m=cfg.resolved_m(n),
-        )
-        return dp_bh(p, config, rng), None
+        return dp_bh(p, cfg.bh_config(n), rng), None
     if cfg.name == "dp-bonf":
         kernel = kernel_by_name(cfg.kernel)
         return dp_bonf(p, cfg.delta_g, kernel, cfg.budget(), cfg.alpha, rng), None

@@ -13,7 +13,7 @@ E[log p] statistic, even for hypotheses observed only as the unordered pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -35,7 +35,10 @@ PI_FLOOR = 1e-6
 
 _NEWTON_MAX_ITER = 25
 _NEWTON_GRAD_TOL = 1e-8
+_NEWTON_DECREMENT_TOL = 1e-12
 _NEWTON_RIDGE = 1e-6
+
+NEWTON_STOPS = ("gradient", "decrement", "max_iter", "line_search", "singular")
 
 
 class CandidatesExhausted(RuntimeError):
@@ -112,7 +115,23 @@ class TwoGroupFit:
     loglik_trace: tuple[float, ...]
 
     def alt_shape(self, design: np.ndarray) -> np.ndarray:
-        return np.clip(np.exp(design @ self.f1_weights), A_MIN, A_MAX)
+        return np.minimum(np.maximum(np.exp(design @ self.f1_weights), A_MIN), A_MAX)
+
+
+@dataclass
+class NewtonStats:
+    """Run totals of Newton ascents: their number, work, and why each stopped."""
+
+    ascents: int = 0
+    iterations: int = 0
+    evaluations: int = 0
+    stops: dict[str, int] = field(default_factory=lambda: dict.fromkeys(NEWTON_STOPS, 0))
+
+    def record(self, iterations: int, evaluations: int, stop: str) -> None:
+        self.ascents += 1
+        self.iterations += iterations
+        self.evaluations += evaluations
+        self.stops[stop] += 1
 
 
 def default_fit(x) -> TwoGroupFit:
@@ -155,8 +174,8 @@ def _posterior(design, w, v, mm, rev, is_rev, tau):
 
     resp is P(non-null | data) and logp is E[log p] under the alternative.
     """
-    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    pi = expit(np.minimum(np.maximum(design @ w, -ETA_CAP), ETA_CAP))
+    a = np.minimum(np.maximum(np.exp(design @ v), A_MIN), A_MAX)
     f1_m = f1_density(mm, a)
     f1_c = f1_density(1.0 - mm, a)
     num_rev = pi * f1_density(rev, a)
@@ -174,11 +193,11 @@ def _logistic_objective(resp):
     """Expected complete log-likelihood of the pi model, as (value, slopes) in eta."""
 
     def value(eta):
-        eta = np.clip(eta, -ETA_CAP, ETA_CAP)
+        eta = np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP)
         return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
 
     def slopes(eta):
-        pi = expit(np.clip(eta, -ETA_CAP, ETA_CAP))
+        pi = expit(np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP))
         return resp - pi, -(pi * (1.0 - pi))
 
     return value, slopes
@@ -188,33 +207,43 @@ def _shape_objective(resp, logp):
     """Expected complete log-likelihood of the f1 model, as (value, slopes) in eta."""
 
     def value(eta):
-        a = np.clip(np.exp(eta), A_MIN, A_MAX)
+        a = np.minimum(np.maximum(np.exp(eta), A_MIN), A_MAX)
         return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
 
     def slopes(eta):
         # Slopes of the unclamped objective; the line search evaluates the
         # clamped one, so an active clamp only shortens the accepted step.
-        a = np.exp(np.clip(eta, -60.0, 60.0))
+        a = np.exp(np.minimum(np.maximum(eta, -60.0), 60.0))
         return resp * (1.0 + a * logp), resp * a * logp
 
     return value, slopes
 
 
-def _ascend(design, theta, objective):
+def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     """Newton ascent on eta = design @ theta with halving line search.
 
     objective is (value, slopes): value(eta) sums over rows and slopes(eta)
     gives the per-row first and second eta-derivatives (d1, d2). Never
-    decreases the value. Singular solves fall back to a 1e-6 ridge; when
-    that is singular too, the ascent stops and keeps theta.
+    decreases the value. The ascent stops when the gradient vanishes, or
+    when 0.5 * grad @ step, the gain the quadratic model predicts for the
+    Newton step (half the squared Newton decrement), is at most
+    1e-12 * max(1, |value|): a smaller gain is below what the value
+    resolves, and the line search would only halve on rounding. A
+    non-positive gain stops it too, since the step is then no ascent
+    direction. Singular solves fall back to a 1e-6 ridge; when that is
+    singular too, the ascent stops and keeps theta. stats, when given,
+    records the iterations, the value evaluations and the stop reason.
     """
     value, slopes = objective
     eta = design @ theta
     f0 = value(eta)
-    for _ in range(_NEWTON_MAX_ITER):
+    evaluations = 1
+    stop = "max_iter"
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         d1, d2 = slopes(eta)
         grad = design.T @ d1
         if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
+            stop = "gradient"
             break
         hess = (design.T * d2) @ design
         try:
@@ -223,19 +252,27 @@ def _ascend(design, theta, objective):
             try:
                 step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
             except np.linalg.LinAlgError:
+                stop = "singular"
                 break
+        if 0.5 * (grad @ step) <= _NEWTON_DECREMENT_TOL * max(1.0, abs(f0)):
+            stop = "decrement"
+            break
         scale = 1.0
         improved = False
         for _ in range(30):
             cand = theta + scale * step
             eta_c = design @ cand
             fc = value(eta_c)
+            evaluations += 1
             if fc >= f0:
                 theta, eta, f0, improved = cand, eta_c, fc, True
                 break
             scale *= 0.5
         if not improved:
+            stop = "line_search"
             break
+    if stats is not None:
+        stats.record(iterations, evaluations, stop)
     return theta
 
 
@@ -244,6 +281,7 @@ def em_fit(
     x,
     init: TwoGroupFit | None = None,
     k: int = 5,
+    stats: NewtonStats | None = None,
 ) -> TwoGroupFit:
     """Fit (pi, f1) by k EM sweeps over the masked table.
 
@@ -254,7 +292,8 @@ def em_fit(
     _null_span), which reduces to the plain uniform null on full tables.
     Each M-step is a guarded Newton ascent, so the observed log-likelihood
     never decreases across sweeps. One _posterior pass per sweep gives both
-    the trace entry and the next E-step.
+    the trace entry and the next E-step. stats, when given, accumulates the
+    Newton ascents of every M-step.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
@@ -268,8 +307,8 @@ def em_fit(
     loglik, resp, logp = _posterior(design, w, v, *arrays)
     trace = [loglik]
     for _ in range(k):
-        w = _ascend(design, w, _logistic_objective(resp))
-        v = _ascend(design, v, _shape_objective(resp, logp))
+        w = _ascend(design, w, _logistic_objective(resp), stats)
+        v = _ascend(design, v, _shape_objective(resp, logp), stats)
         loglik, resp, logp = _posterior(design, w, v, *arrays)
         trace.append(loglik)
     return TwoGroupFit(w, v, basis, k, tuple(trace))
@@ -290,9 +329,9 @@ def null_probability(x, p_prime, fit: TwoGroupFit):
     """
     p_prime = np.asarray(p_prime, dtype=float)
     scalar = np.ndim(p_prime) == 0
-    pp = np.clip(np.atleast_1d(p_prime), P_FLOOR, 0.5)
+    pp = np.minimum(np.maximum(np.atleast_1d(p_prime), P_FLOOR), 0.5)
     design = fit.basis.design(x, n_rows=pp.size)
-    pi = np.clip(expit(design @ fit.pi_weights), PI_FLOOR, 1.0 - PI_FLOOR)
+    pi = np.minimum(np.maximum(expit(design @ fit.pi_weights), PI_FLOOR), 1.0 - PI_FLOOR)
     a = fit.alt_shape(design)
     f1 = f1_density(pp, a)
     out = (1.0 - pi) / (pi * f1 + (1.0 - pi))
@@ -325,7 +364,9 @@ class TwoGroupUpdater:
     window keeps the working model trained where the rejection decisions
     happen, and the matching fold-range null density in em_fit stays
     calibrated there; scores are still computed for every hypothesis.
-    Satisfies the engine's ThresholdUpdater contract.
+    diagnostics() reports the last fit and, under "newton", the NewtonStats
+    of every ascent this updater ran. Satisfies the engine's
+    ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
@@ -336,6 +377,7 @@ class TwoGroupUpdater:
         self.em_iters = em_iters
         self.refit_every = refit_every
         self._fit: TwoGroupFit | None = None
+        self._newton = NewtonStats()
 
     def propose(self, masked: MaskedTable, x, a_t: int, r_t: int) -> np.ndarray:
         del a_t, r_t
@@ -350,7 +392,7 @@ class TwoGroupUpdater:
             revealed=masked.revealed[window],
         )
         sub_x = None if x is None else np.asarray(x)[window]
-        self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters)
+        self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
         return removal_order(masked, x, self._fit)[:cadence]
 
     def diagnostics(self) -> dict | None:
@@ -362,4 +404,5 @@ class TwoGroupUpdater:
             "basis": self._fit.basis.kind,
             "em_iters": self._fit.em_iters,
             "loglik_trace": [float(v) for v in self._fit.loglik_trace],
+            "newton": asdict(self._newton),
         }

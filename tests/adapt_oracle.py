@@ -10,11 +10,13 @@ reports bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from dpadapt.engine import MaskedTable, RejectionReport, StallError, fdr_hat
 from dpadapt.transform import clamp_unit
-from dpadapt.twogroup import em_fit, null_probability
+from dpadapt.twogroup import NewtonStats, em_fit, null_probability
 
 
 def greedy_step(s, masked_min, scores):
@@ -39,6 +41,7 @@ class ReferenceGreedyUpdater:
         self._fit = None
         self._scores = None
         self._steps_since_fit = 0
+        self._newton = NewtonStats()
 
     def propose(self, masked, x, a_t, r_t, s):
         cadence = self.refit_every or max(1, masked.size // 20)
@@ -52,7 +55,7 @@ class ReferenceGreedyUpdater:
                 revealed=masked.revealed[window],
             )
             sub_x = None if x is None else np.asarray(x)[window]
-            self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters)
+            self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
             self._scores = null_probability(x, masked.masked_min, self._fit)
             self._steps_since_fit = 0
         s_new = greedy_step(np.asarray(s, dtype=float), masked.masked_min, self._scores)
@@ -68,6 +71,7 @@ class ReferenceGreedyUpdater:
             "basis": self._fit.basis.kind,
             "em_iters": self._fit.em_iters,
             "loglik_trace": [float(v) for v in self._fit.loglik_trace],
+            "newton": asdict(self._newton),
         }
 
 

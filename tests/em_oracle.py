@@ -6,6 +6,11 @@ predictor: the E-step and the observed log-likelihood each evaluate the
 mixture, and each M-step ascends through its own objective and
 gradient/Hessian helpers, every one recomputing `design @ theta`. `em_fit`
 must return bit-identical weights and log-likelihood traces.
+
+The Newton ascent stops on the Newton decrement as `twogroup._ascend` does.
+`decrement_stop=False` gives the earlier rule, which stops only on the
+gradient tolerance, the iteration cap, a failed line search or a singular
+solve.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ ETA_CAP = 8.0
 
 _NEWTON_MAX_ITER = 25
 _NEWTON_GRAD_TOL = 1e-8
+_NEWTON_DECREMENT_TOL = 1e-12
 _NEWTON_RIDGE = 1e-6
 
 
@@ -57,12 +63,13 @@ def _q_shape(design, v, resp, logp):
     return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
 
 
-def _ascend(objective, grad_hess, theta):
+def _ascend(objective, grad_hess, theta, decrement_stop=True):
     """Newton ascent with halving line search; never decreases the objective.
 
     grad_hess returns (gradient, negative-definite Hessian). Singular solves
     fall back to a 1e-6 ridge; when that is singular too, the ascent stops
-    and keeps theta.
+    and keeps theta. With decrement_stop it also stops once
+    0.5 * grad @ step <= 1e-12 * max(1, |objective|).
     """
     f0 = objective(theta)
     for _ in range(_NEWTON_MAX_ITER):
@@ -76,6 +83,8 @@ def _ascend(objective, grad_hess, theta):
                 step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
             except np.linalg.LinAlgError:
                 break
+        if decrement_stop and 0.5 * (grad @ step) <= _NEWTON_DECREMENT_TOL * max(1.0, abs(f0)):
+            break
         scale = 1.0
         improved = False
         for _ in range(30):
@@ -95,6 +104,7 @@ def em_fit(
     x,
     init: TwoGroupFit | None = None,
     k: int = 5,
+    decrement_stop: bool = True,
 ) -> TwoGroupFit:
     """Fit (pi, f1) by k EM sweeps over the masked table.
 
@@ -138,11 +148,13 @@ def em_fit(
             lambda th: _q_logistic(design, th, resp),
             lambda th: _logistic_grad_hess(design, th, resp),
             w,
+            decrement_stop,
         )
         v = _ascend(
             lambda th: _q_shape(design, th, resp, logp),
             lambda th: _shape_grad_hess(design, th, resp, logp),
             v,
+            decrement_stop,
         )
         trace.append(_observed_loglik_arrays(design, w, v, mm, rev, is_rev))
     return TwoGroupFit(w, v, basis, k, tuple(trace))

@@ -493,6 +493,30 @@ class TestSimulateCommand:
             assert (entry["epsilon"], entry["delta"], entry["m"]) == (0.5, 1e-3, 20)
             assert (entry["nu"], entry["eta"]) == (0.5 * 0.1 / 400, 1e-4)
 
+    @pytest.mark.parametrize("method, flags", [
+        ("dp-bonf", ["--delta-g", "0"]),
+        ("dp-adapt", ["--delta-g", "0"]),
+        ("dp-adapt", ["--m", "401"]),
+        ("dp-bh", ["--m", "401"]),
+    ])
+    def test_setting_every_trial_refuses_is_usage_error(self, tmp_path, capsys, method, flags):
+        # each arm is checked once before the first trial: exit 1 with the
+        # message `run` gives on 400 rows, and no artifacts (this used to exit
+        # 0 with every trial of the arm recorded as failed)
+        rows = "".join(f"g{i},{(i + 0.5) / 400!r}\n" for i in range(400))
+        data = write(tmp_path / "d.csv", "id,p\n" + rows)
+        budget = [] if method == "dp-bh" else ["--mu", "0.5"]
+        assert main(["run", "--input", data, "--method", method, *budget, *flags,
+                     "--out-prefix", str(tmp_path / "r")]) == EXIT_USAGE
+        run_err = capsys.readouterr().err
+        assert run_err.startswith("usage error: ")
+        out = tmp_path / "bad"
+        assert main(["simulate", "--n", "400", "--t", "10", "--methods", f"{method},bh",
+                     *budget, *flags, "--trials", "2", "--seed", "1",
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == run_err
+        assert not out.exists()
+
     def test_seed_required(self):
         assert main(["simulate", "--trials", "2"]) == EXIT_USAGE
 

@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from dpadapt import twogroup
 from dpadapt.engine import MaskedTable, run_adapt_nonprivate
+from dpadapt.simulate import (
+    MethodConfig, Scenario, data_rng, gen_grid, gen_no_side_info, method_rng, run_arm,
+)
 from dpadapt.twogroup import (
     A_MAX,
     A_MIN,
     ETA_CAP,
+    NEWTON_STOPS,
     CandidatesExhausted,
     FeatureMap,
+    NewtonStats,
     TwoGroupFit,
     TwoGroupUpdater,
     default_fit,
@@ -190,6 +196,97 @@ class TestEmFitMatchesOracle:
             assert same_bits(fit.f1_weights, ref.f1_weights)
             assert same_bits(fit.loglik_trace, ref.loglik_trace)
             s *= float(rng.uniform(0.3, 0.9))
+
+
+def fitted_objectives(design_kind, seed, n=2000):
+    """Design and the two M-step objectives at the E-step of a 3-sweep fit,
+    each paired with the weights it starts from."""
+    rng = np.random.default_rng(seed)
+    x = None if design_kind == "intercept" else rng.uniform(-3.0, 3.0, size=(n, 2))
+    prior = 0.2 if x is None else expit(x[:, 0] - 1.0)
+    p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
+    tbl = table_with_threshold(p, 0.3)
+    fit = em_fit(tbl, x, k=3)
+    design = fit.basis.design(x, n_rows=n)
+    _, resp, logp = twogroup._posterior(
+        design, fit.pi_weights, fit.f1_weights, *twogroup._masked_arrays(tbl)
+    )
+    return design, [
+        (twogroup._logistic_objective(resp), fit.pi_weights),
+        (twogroup._shape_objective(resp, logp), fit.f1_weights),
+    ]
+
+
+def oracle_gradient_rule_em_fit(masked, x, init=None, k=5, stats=None):
+    return em_oracle.em_fit(masked, x, init=init, k=k, decrement_stop=False)
+
+
+class TestNewtonStop:
+    @pytest.mark.parametrize("design_kind", ["intercept", "quadratic2d"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restart_at_optimum_stops_at_once(self, design_kind, seed):
+        # an ascent restarted from its own result must stop within one step;
+        # the gradient-only rule spent 31-37 evaluations on intercept seed 1
+        # and quadratic2d seed 0, halving on rounding
+        design, objectives = fitted_objectives(design_kind, seed)
+        for (value, slopes), theta in objectives:
+            theta = twogroup._ascend(design, theta, (value, slopes))
+            calls = []
+
+            def counted(eta):
+                calls.append(None)
+                return value(eta)
+
+            twogroup._ascend(design, theta, (counted, slopes))
+            assert len(calls) <= 2
+
+    def test_stats_record_each_ascent(self):
+        design, objectives = fitted_objectives("quadratic2d", 0)
+        stats = NewtonStats()
+        for objective, theta in objectives:
+            twogroup._ascend(design, twogroup._ascend(design, theta, objective), objective, stats)
+        assert stats.ascents == 2
+        assert stats.stops["decrement"] + stats.stops["gradient"] == 2
+        assert stats.evaluations >= stats.ascents and stats.iterations >= stats.ascents
+
+        singular = NewtonStats()
+        out = twogroup._ascend(
+            np.full((1, 2), 1e10),
+            np.array([0.3, -0.2]),
+            (lambda eta: -float(eta @ eta), lambda eta: (np.ones(1), -np.ones(1))),
+            singular,
+        )
+        assert np.array_equal(out, [0.3, -0.2])
+        assert singular.stops == dict.fromkeys(NEWTON_STOPS, 0) | {"singular": 1}
+        assert (singular.iterations, singular.evaluations) == (1, 1)
+
+    def test_refit_chain_records_no_line_search_stop(self):
+        # on a table without side information every ascent ends on the
+        # gradient or the decrement, never on a line search that cannot move
+        _, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(5, 0))
+        report = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
+        newton = report.model["newton"]
+        assert newton["ascents"] > 0 and newton["ascents"] % (2 * 5) == 0
+        assert sum(newton["stops"].values()) == newton["ascents"]
+        assert newton["stops"]["line_search"] == 0
+        assert newton["evaluations"] >= newton["ascents"]
+
+    @pytest.mark.parametrize("kind", ["no_side_info", "grid"])
+    @pytest.mark.parametrize("method", ["adapt", "dp-adapt"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rejections_match_gradient_only_rule(self, monkeypatch, kind, method, seed):
+        # the decrement stop must not move a single rejection against fits
+        # that ascend with the earlier gradient-only rule
+        if kind == "no_side_info":
+            x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(seed, 0))
+        else:
+            x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(seed, 0))
+        cfg = MethodConfig(name=method, mu=0.5)
+        new, new_report = run_arm(cfg, x, p, method_rng(seed, 0, 1))
+        monkeypatch.setattr(twogroup, "em_fit", oracle_gradient_rule_em_fit)
+        old, old_report = run_arm(cfg, x, p, method_rng(seed, 0, 1))
+        assert np.array_equal(new, old)
+        assert new_report.trajectory == old_report.trajectory
 
 
 class TestNullProbability:
