@@ -117,29 +117,31 @@ def _adapt_loop(
     # the views handed to updaters alias these arrays; freeze them
     ids.setflags(write=False)
     masked_min.setflags(write=False)
-    s = np.full(m, float(s0))
-    below = p <= s
-    above = p >= 1.0 - s
-    candidate = masked_min <= s
-    r_t = int(np.count_nonzero(below))
-    a_t = int(np.count_nonzero(above))
-    n_candidates = int(np.count_nonzero(candidate))
-    # per-row scalar reads in the loop are faster from Python lists
+    # per-row state lives in Python lists: scalar reads and writes are
+    # cheaper there, and only propose needs an array (of candidate)
     p_list, mm_list = p.tolist(), masked_min.tolist()
+    s0 = float(s0)
+    s = [s0] * m
+    below = (p <= s0).tolist()
+    above = (p >= 1.0 - s0).tolist()
+    candidate = (masked_min <= s0).tolist()
+    r_t = sum(below)
+    a_t = sum(above)
+    n_candidates = sum(candidate)
     pending: list[int] = []
     trajectory = []
     t = 0
     while True:
-        fh = fdr_hat(a_t, r_t)
+        fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
         trajectory.append((t, a_t, r_t, fh))
         if fh <= alpha:
-            rejected = ids[below]
+            rejected = ids[np.array(below, dtype=bool)].tolist()
             break
         if n_candidates == 0:
-            rejected = ids[:0]
+            rejected = []
             break
         if not pending:
-            revealed = np.where(candidate, np.nan, p)
+            revealed = np.where(np.array(candidate, dtype=bool), np.nan, p)
             revealed.setflags(write=False)
             table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
             batch = np.asarray(updater.propose(table, x, a_t, r_t))
@@ -161,8 +163,8 @@ def _adapt_loop(
         n_candidates -= 1
         now_below = p_list[i] <= s_i
         now_above = p_list[i] >= 1.0 - s_i
-        r_t += int(now_below) - int(below[i])
-        a_t += int(now_above) - int(above[i])
+        r_t += now_below - below[i]
+        a_t += now_above - above[i]
         below[i] = now_below
         above[i] = now_above
         t += 1
@@ -171,12 +173,12 @@ def _adapt_loop(
     if callable(diag):
         model = diag()
     return RejectionReport(
-        rejected=tuple(int(i) for i in rejected),
-        selected=tuple(int(i) for i in ids),
-        noisy_p=tuple(float(v) for v in p),
+        rejected=tuple(rejected),
+        selected=tuple(ids.tolist()),
+        noisy_p=tuple(p_list),
         trajectory=tuple(trajectory),
         stop_t=t,
-        final_thresholds=tuple(float(v) for v in s),
+        final_thresholds=tuple(s),
         config=config,
         model=model,
     )

@@ -191,10 +191,11 @@ def _posterior(design, w, v, mm, rev, is_rev, tau):
 
 def _logistic_objective(resp):
     """Expected complete log-likelihood of the pi model, as (value, slopes) in eta."""
+    nonresp = 1.0 - resp
 
     def value(eta):
         eta = np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP)
-        return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
+        return float((resp * log_expit(eta) + nonresp * log_expit(-eta)).sum())
 
     def slopes(eta):
         pi = expit(np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP))
@@ -208,7 +209,7 @@ def _shape_objective(resp, logp):
 
     def value(eta):
         a = np.minimum(np.maximum(np.exp(eta), A_MIN), A_MAX)
-        return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
+        return float((resp * (np.log(a) + (a - 1.0) * logp)).sum())
 
     def slopes(eta):
         # Slopes of the unclamped objective; the line search evaluates the
@@ -242,7 +243,7 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     for iterations in range(1, _NEWTON_MAX_ITER + 1):
         d1, d2 = slopes(eta)
         grad = design.T @ d1
-        if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
+        if math.sqrt(grad @ grad) <= _NEWTON_GRAD_TOL:
             stop = "gradient"
             break
         hess = (design.T * d2) @ design
@@ -276,6 +277,27 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     return theta
 
 
+def _intercept_mstep(resp, logp):
+    """Exact maximizers of both M-step objectives on an intercept-only design.
+
+    With one column both objectives collapse to two sums: the logistic one
+    is maximized at pi = mean(resp), and the shape one, R log a + (a - 1) S
+    with R = sum(resp) and S = sum(resp * logp) < 0, at a = -R / S. Both are
+    concave, so clipping to [-ETA_CAP, ETA_CAP] and [A_MIN, A_MAX] gives the
+    constrained maximizers. Returns the weights (w, v).
+    """
+    r_sum = float(resp.sum())
+    r_bar = r_sum / resp.size
+    if r_bar <= 0.0:
+        w0 = -ETA_CAP
+    elif r_bar >= 1.0:
+        w0 = ETA_CAP
+    else:
+        w0 = min(max(math.log(r_bar) - math.log1p(-r_bar), -ETA_CAP), ETA_CAP)
+    a = min(max(-r_sum / float((resp * logp).sum()), A_MIN), A_MAX)
+    return np.array([w0]), np.array([math.log(a)])
+
+
 def em_fit(
     masked: MaskedTable,
     x,
@@ -291,9 +313,11 @@ def em_fit(
     working density is uniform over the observed fold range (see
     _null_span), which reduces to the plain uniform null on full tables.
     Each M-step is a guarded Newton ascent, so the observed log-likelihood
-    never decreases across sweeps. One _posterior pass per sweep gives both
-    the trace entry and the next E-step. stats, when given, accumulates the
-    Newton ascents of every M-step.
+    never decreases across sweeps. On intercept-only designs (no covariates)
+    both M-steps have exact maximizers instead (_intercept_mstep), and no
+    Newton ascent runs. One _posterior pass per sweep gives both the trace
+    entry and the next E-step. stats, when given, accumulates the Newton
+    ascents of every M-step; intercept-only fits add none.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
@@ -306,9 +330,13 @@ def em_fit(
     arrays = _masked_arrays(masked)
     loglik, resp, logp = _posterior(design, w, v, *arrays)
     trace = [loglik]
+    closed_form = basis.kind == "intercept"
     for _ in range(k):
-        w = _ascend(design, w, _logistic_objective(resp), stats)
-        v = _ascend(design, v, _shape_objective(resp, logp), stats)
+        if closed_form:
+            w, v = _intercept_mstep(resp, logp)
+        else:
+            w = _ascend(design, w, _logistic_objective(resp), stats)
+            v = _ascend(design, v, _shape_objective(resp, logp), stats)
         loglik, resp, logp = _posterior(design, w, v, *arrays)
         trace.append(loglik)
     return TwoGroupFit(w, v, basis, k, tuple(trace))
@@ -365,7 +393,8 @@ class TwoGroupUpdater:
     happen, and the matching fold-range null density in em_fit stays
     calibrated there; scores are still computed for every hypothesis.
     diagnostics() reports the last fit and, under "newton", the NewtonStats
-    of every ascent this updater ran. Satisfies the engine's
+    of every ascent this updater ran; without covariates em_fit uses the
+    closed-form M-step, so those totals read 0. Satisfies the engine's
     ThresholdUpdater contract.
     """
 

@@ -176,7 +176,9 @@ class TestEmFitMatchesOracle:
     def test_bit_identical_to_oracle(self, seed, n, design, masked, chain, k):
         # the fit must reproduce the oracle's weights and trace bit for bit, on
         # fully revealed and partly masked tables, along a chain of refits
-        # warm-started from the previous fit while the thresholds shrink
+        # warm-started from the previous fit while the thresholds shrink;
+        # intercept-only fits take the closed-form M-step instead, checked
+        # against Newton by check_closed_form_sweeps
         rng = np.random.default_rng(seed)
         x = {
             "intercept": None,
@@ -189,13 +191,50 @@ class TestEmFitMatchesOracle:
         fit = ref = None
         for _ in range(chain):
             tbl = table_with_threshold(p, s) if masked else table_all_revealed(p)
-            fit = em_fit(tbl, x, init=fit, k=k)
-            ref = em_oracle.em_fit(tbl, x, init=ref, k=k)
+            init = fit
+            fit = em_fit(tbl, x, init=init, k=k)
             assert fit.basis.kind == design
-            assert same_bits(fit.pi_weights, ref.pi_weights)
-            assert same_bits(fit.f1_weights, ref.f1_weights)
-            assert same_bits(fit.loglik_trace, ref.loglik_trace)
+            if design == "intercept":
+                check_closed_form_sweeps(tbl, init, fit)
+            else:
+                ref = em_oracle.em_fit(tbl, x, init=ref, k=k)
+                assert same_bits(fit.pi_weights, ref.pi_weights)
+                assert same_bits(fit.f1_weights, ref.f1_weights)
+                assert same_bits(fit.loglik_trace, ref.loglik_trace)
             s *= float(rng.uniform(0.3, 0.9))
+
+
+def check_closed_form_sweeps(tbl, init, fit):
+    """Replay the intercept-only sweeps of fit from init: at every E-step the
+    closed-form M-step must score at least what a Newton ascent from the same
+    E-step reaches, up to the 1e-12 relative resolution the ascent itself
+    stops at, and at least what +-1e-4 perturbations of it score; the
+    log-likelihood trace must never decrease beyond the 1e-10 relative
+    rounding slack of the other ascent checks (a converged trace wobbles in
+    its last bits)."""
+    design = np.ones((tbl.size, 1))
+    arrays = twogroup._masked_arrays(tbl)
+    start = init if init is not None else default_fit(None)
+    w, v = start.pi_weights, start.f1_weights
+    _, resp, logp = twogroup._posterior(design, w, v, *arrays)
+    for _ in range(fit.em_iters):
+        w_new, v_new = twogroup._intercept_mstep(resp, logp)
+        for objective, theta, closed in (
+            (twogroup._logistic_objective(resp), w, w_new),
+            (twogroup._shape_objective(resp, logp), v, v_new),
+        ):
+            value = objective[0]
+            best = value(design @ closed)
+            newton = value(design @ twogroup._ascend(design, theta, objective))
+            assert best >= newton - 1e-12 * max(1.0, abs(newton))
+            for h in (1e-4, -1e-4):
+                assert best >= value(design @ (closed + h))
+        w, v = w_new, v_new
+        _, resp, logp = twogroup._posterior(design, w, v, *arrays)
+    assert same_bits(fit.pi_weights, w)
+    assert same_bits(fit.f1_weights, v)
+    trace = np.array(fit.loglik_trace)
+    assert np.all(np.diff(trace) >= -1e-10 * np.maximum(1.0, np.abs(trace[:-1]))), trace
 
 
 def fitted_objectives(design_kind, seed, n=2000):
@@ -261,32 +300,53 @@ class TestNewtonStop:
         assert (singular.iterations, singular.evaluations) == (1, 1)
 
     def test_refit_chain_records_no_line_search_stop(self):
-        # on a table without side information every ascent ends on the
-        # gradient or the decrement, never on a line search that cannot move
+        # without side information the M-steps are closed-form, so no ascent
+        # runs; with a 1-column covariate every ascent ends on the gradient
+        # or the decrement, never on a line search that cannot move
         _, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(5, 0))
         report = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
+        assert report.model["newton"]["ascents"] == 0
+        x = np.random.default_rng(5).normal(size=p.size)
+        report = run_adapt_nonprivate(p, x, 0.1, TwoGroupUpdater())
+        assert report.model["basis"] == "linear"
         newton = report.model["newton"]
         assert newton["ascents"] > 0 and newton["ascents"] % (2 * 5) == 0
         assert sum(newton["stops"].values()) == newton["ascents"]
         assert newton["stops"]["line_search"] == 0
         assert newton["evaluations"] >= newton["ascents"]
 
-    @pytest.mark.parametrize("kind", ["no_side_info", "grid"])
+    @pytest.mark.parametrize("kind", ["no_side_info", "null_only", "grid"])
     @pytest.mark.parametrize("method", ["adapt", "dp-adapt"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rejections_match_gradient_only_rule(self, monkeypatch, kind, method, seed):
-        # the decrement stop must not move a single rejection against fits
-        # that ascend with the earlier gradient-only rule
+        # neither the decrement stop nor the closed-form intercept M-step may
+        # move a single rejection against fits that ascend with the earlier
+        # gradient-only rule. On the null-only table, conservative Beta(2, 2)
+        # nulls drive adapt's fitted shape to the A_MAX clamp, the one case
+        # where the two M-steps could order removals differently
         if kind == "no_side_info":
             x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(seed, 0))
+        elif kind == "null_only":
+            scenario = Scenario(n=400, t=0, null_dist="beta22")
+            x, p, _ = gen_no_side_info(scenario, data_rng(seed, 0))
         else:
             x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(seed, 0))
         cfg = MethodConfig(name=method, mu=0.5)
+        shapes = []
+
+        def recording_em_fit(*args, **kwargs):
+            fit = em_fit(*args, **kwargs)
+            shapes.append(float(fit.alt_shape(np.ones((1, fit.basis.dim)))[0]))
+            return fit
+
+        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
         new, new_report = run_arm(cfg, x, p, method_rng(seed, 0, 1))
         monkeypatch.setattr(twogroup, "em_fit", oracle_gradient_rule_em_fit)
         old, old_report = run_arm(cfg, x, p, method_rng(seed, 0, 1))
         assert np.array_equal(new, old)
         assert new_report.trajectory == old_report.trajectory
+        if kind == "null_only" and method == "adapt":
+            assert A_MAX in shapes
 
 
 class TestNullProbability:
