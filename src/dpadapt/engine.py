@@ -4,10 +4,11 @@ The loop owns the information barrier: threshold updaters only ever see a
 MaskedTable, which exposes the fold minimum min(p, 1-p) for every hypothesis
 and the actual value only once it lies strictly between the thresholds
 (where it can no longer be rejected or serve as a control). Updaters propose
-ordered batches of hidden rows to remove; the loop applies one removal per
-step by dropping that row's threshold just below its fold minimum, keeping
-the candidate set and both counters up to date in O(1). Thresholds therefore
-only shrink, values revealed once stay revealed, and the analyst's
+ordered batches of hidden rows to remove. Each removal is one step: it drops
+that row's threshold just below its fold minimum. The loop applies each
+batch in one vectorized pass, with the counters of every step as cumulative
+sums, up to the first step that stops the run. Thresholds therefore only
+shrink, values revealed once stay revealed, and the analyst's
 knowledge grows monotonically while the estimate
 
     fdr_hat = (1 + A_t) / max(R_t, 1)
@@ -18,7 +19,6 @@ R_t small ones. The loop stops the first time fdr_hat <= alpha.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -76,9 +76,15 @@ class ThresholdUpdater(Protocol):
     propose receives only the masked view, public covariates and the
     counters. It returns an ordered batch of row indices to remove from the
     candidate set, each a still-hidden row (revealed is NaN) listed once. The
-    loop removes them one at a time, stopping early if fdr_hat reaches alpha,
-    and calls propose again once the batch is used up; a batch is valid only
-    until that next call.
+    loop removes them in order, one per step, stopping early if fdr_hat
+    reaches alpha, and calls propose again once the batch is used up; a batch
+    is valid only until that next call. An invalid row raises StallError only
+    if the loop reaches it before stopping.
+
+    Within one run, masked.ids and masked.masked_min are the same read-only
+    array objects at every call, and x is the same object too, so an updater
+    may cache what it derives from them, keyed on their identity; only
+    revealed and the counters change between calls.
     """
 
     def propose(
@@ -117,57 +123,62 @@ def _adapt_loop(
     # the views handed to updaters alias these arrays; freeze them
     ids.setflags(write=False)
     masked_min.setflags(write=False)
-    # per-row state lives in Python lists: scalar reads and writes are
-    # cheaper there, and only propose needs an array (of candidate)
-    p_list, mm_list = p.tolist(), masked_min.tolist()
-    s0 = float(s0)
-    s = [s0] * m
-    below = (p <= s0).tolist()
-    above = (p >= 1.0 - s0).tolist()
-    candidate = (masked_min <= s0).tolist()
-    r_t = sum(below)
-    a_t = sum(above)
-    n_candidates = sum(candidate)
-    pending: list[int] = []
-    trajectory = []
+    s = np.full(m, float(s0))
+    below = p <= s0
+    above = p >= 1.0 - s0
+    candidate = masked_min <= s0
+    r_t = int(below.sum())
+    a_t = int(above.sum())
+    n_candidates = int(candidate.sum())
+    fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
+    trajectory = [(0, a_t, r_t, fh)]
     t = 0
-    while True:
-        fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
-        trajectory.append((t, a_t, r_t, fh))
-        if fh <= alpha:
-            rejected = ids[np.array(below, dtype=bool)].tolist()
-            break
-        if n_candidates == 0:
-            rejected = []
-            break
-        if not pending:
-            revealed = np.where(np.array(candidate, dtype=bool), np.nan, p)
-            revealed.setflags(write=False)
-            table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
-            batch = np.asarray(updater.propose(table, x, a_t, r_t))
-            if batch.size == 0:
-                raise StallError("updater proposed no removal")
-            if batch.ndim != 1 or batch.dtype.kind not in "iu":
-                raise ValueError("updater must return a 1-d array of integer row indices")
-            pending = batch.tolist()[::-1]
-        i = pending.pop()
-        # a removed row is no longer a candidate, so this also rejects repeats
-        if not (0 <= i < m and candidate[i]):
-            raise StallError(f"updater proposed row {i}, which is not a candidate")
-        # Drop the threshold an ulp-scale step below the fold minimum, sized on
-        # the 1 - s scale too, so the row leaves both p <= s and p >= 1 - s.
-        mm = mm_list[i]
-        s_i = max(0.0, mm - 2.0 * math.ulp(1.0 - mm))
-        s[i] = s_i
-        candidate[i] = False
-        n_candidates -= 1
-        now_below = p_list[i] <= s_i
-        now_above = p_list[i] >= 1.0 - s_i
-        r_t += now_below - below[i]
-        a_t += now_above - above[i]
-        below[i] = now_below
-        above[i] = now_above
-        t += 1
+    while fh > alpha and n_candidates:
+        revealed = np.where(candidate, np.nan, p)
+        revealed.setflags(write=False)
+        table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
+        batch = np.asarray(updater.propose(table, x, a_t, r_t))
+        if batch.size == 0:
+            raise StallError("updater proposed no removal")
+        if batch.ndim != 1 or batch.dtype.kind not in "iu":
+            raise ValueError("updater must return a 1-d array of integer row indices")
+        # The valid prefix: rows in range, candidates at this call, each listed
+        # once. It ends where removing one row at a time would first meet a
+        # row that is not a candidate.
+        valid = np.zeros(batch.size, dtype=bool)
+        valid[np.unique(batch, return_index=True)[1]] = True
+        in_range = (batch >= 0) & (batch < m)
+        valid &= in_range & candidate[np.where(in_range, batch, 0)]
+        n = batch.size if valid.all() else int(np.argmin(valid))
+        rows = batch[:n]
+        # Drop each threshold an ulp-scale step below the fold minimum, sized
+        # on the 1 - s scale too, so the row leaves both p <= s and p >= 1 - s.
+        mm = masked_min[rows]
+        s_new = np.maximum(0.0, mm - 2.0 * np.spacing(1.0 - mm))
+        p_rows = p[rows]
+        now_below = p_rows <= s_new
+        now_above = p_rows >= 1.0 - s_new
+        r = r_t + np.cumsum(now_below.astype(np.intp) - below[rows])
+        a = a_t + np.cumsum(now_above.astype(np.intp) - above[rows])
+        fhs = (1.0 + a) / np.maximum(r, 1)
+        # Apply up to the first step reaching alpha. A prefix holding every
+        # candidate ends the run as well, so what follows it is never read.
+        reached = np.flatnonzero(fhs <= alpha)
+        if reached.size:
+            n = int(reached[0]) + 1
+        elif n < batch.size and n < n_candidates:
+            raise StallError(f"updater proposed row {batch[n]}, which is not a candidate")
+        rows = rows[:n]
+        s[rows] = s_new[:n]
+        candidate[rows] = False
+        below[rows] = now_below[:n]
+        above[rows] = now_above[:n]
+        n_candidates -= n
+        a_n, r_n, fh_n = a[:n].tolist(), r[:n].tolist(), fhs[:n].tolist()
+        trajectory.extend(zip(range(t + 1, t + n + 1), a_n, r_n, fh_n))
+        t += n
+        a_t, r_t, fh = a_n[-1], r_n[-1], fh_n[-1]
+    rejected = ids[below].tolist() if fh <= alpha else []
     model = None
     diag = getattr(updater, "diagnostics", None)
     if callable(diag):
@@ -175,10 +186,10 @@ def _adapt_loop(
     return RejectionReport(
         rejected=tuple(rejected),
         selected=tuple(ids.tolist()),
-        noisy_p=tuple(p_list),
+        noisy_p=tuple(p.tolist()),
         trajectory=tuple(trajectory),
         stop_t=t,
-        final_thresholds=tuple(s),
+        final_thresholds=tuple(s.tolist()),
         config=config,
         model=model,
     )

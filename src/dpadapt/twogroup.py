@@ -388,7 +388,9 @@ class TwoGroupUpdater:
     between refits.
 
     The fit window is the max(200, 20% of the table) most extreme fold
-    minima, so small pre-selected tables are fitted whole. Restricting the
+    minima, so small pre-selected tables are fitted whole. It is computed
+    once per table: the engine hands the same masked_min array to every call
+    of a run, and a new array (a new run) recomputes it. Restricting the
     window keeps the working model trained where the rejection decisions
     happen, and the matching fold-range null density in em_fit stays
     calibrated there; scores are still computed for every hypothesis.
@@ -407,20 +409,26 @@ class TwoGroupUpdater:
         self.refit_every = refit_every
         self._fit: TwoGroupFit | None = None
         self._newton = NewtonStats()
+        self._window: tuple | None = None
 
     def propose(self, masked: MaskedTable, x, a_t: int, r_t: int) -> np.ndarray:
         del a_t, r_t
         if not np.isnan(masked.revealed).any():
             raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, masked.size // 20)
-        n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
-        window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
+        # the window depends only on masked_min, which is fixed for a run
+        cached = self._window
+        if cached is None or cached[0] is not masked.masked_min or cached[1] is not x:
+            n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
+            window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
+            sub_x = None if x is None else np.asarray(x)[window]
+            cached = self._window = (masked.masked_min, x, window, sub_x)
+        _, _, window, sub_x = cached
         sub = MaskedTable(
             ids=masked.ids[window],
             masked_min=masked.masked_min[window],
             revealed=masked.revealed[window],
         )
-        sub_x = None if x is None else np.asarray(x)[window]
         self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
         return removal_order(masked, x, self._fit)[:cadence]
 

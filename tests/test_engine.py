@@ -49,14 +49,32 @@ class FixedBatch:
 
 
 class RandomUpdater:
-    """Random permutations of the hidden rows in random batch sizes."""
+    """Random permutations of the hidden rows in random batch sizes.
+
+    A batch holding every hidden row is followed by a repeat and an
+    out-of-range row: the candidates run out first, so the loop never
+    reads them.
+    """
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
     def propose(self, masked, x, a_t, r_t):
         hidden = self.rng.permutation(hidden_rows(masked))
-        return hidden[: int(self.rng.integers(1, hidden.size + 1))]
+        batch = hidden[: int(self.rng.integers(1, hidden.size + 1))]
+        if batch.size == hidden.size:
+            batch = np.append(batch, [batch[0], masked.size])
+        return batch
+
+
+class Scripted:
+    """Proposes the given batches in turn, valid or not."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+
+    def propose(self, masked, x, a_t, r_t):
+        return np.array(self.batches.pop(0))
 
 
 def removal_threshold(mm):
@@ -206,6 +224,33 @@ class TestLoopBehavior:
         assert rep.stop_t == 1
         assert rep.rejected == (0, 1, 2)
         assert rep.final_thresholds[:3] == (0.45, 0.45, 0.45)
+
+    # Rows 3 and 4 are the two large values. Removing row 3 leaves
+    # fdr_hat = 2/3 > alpha; removing row 4 next stops the run at 1/3.
+    # Row 2 is the only mid value; out-of-range rows are not rows at all.
+    VIOLATIONS = {
+        "out of range": ([[3], [4, 6]], [[3], [6, 4]], 6),
+        "negative": ([[3], [4, -1]], [[3], [-1, 4]], -1),
+        "never a candidate": ([[3], [4, 2]], [[3], [2, 4]], 2),
+        "already removed": ([[3], [4, 3]], [[3], [3, 4]], 3),
+        "repeated": ([[3, 4, 4]], [[3, 3, 4]], 3),
+    }
+    STOP_P = np.array([0.001, 0.002, 0.5, 0.96, 0.97, 0.003])
+
+    @pytest.mark.parametrize("kind", VIOLATIONS)
+    def test_invalid_row_after_the_stop_is_never_read(self, kind):
+        late, _, _ = self.VIOLATIONS[kind]
+        clean = run_adapt_nonprivate(self.STOP_P, None, 0.4, Scripted([3], [4]))
+        rep = run_adapt_nonprivate(self.STOP_P, None, 0.4, Scripted(*late))
+        assert [row[3] for row in rep.trajectory] == [1.0, 2 / 3, 1 / 3]
+        assert rep.rejected == (0, 1, 5)
+        assert rep == clean
+
+    @pytest.mark.parametrize("kind", VIOLATIONS)
+    def test_invalid_row_before_the_stop_stalls(self, kind):
+        _, early, row = self.VIOLATIONS[kind]
+        with pytest.raises(StallError, match=rf"^updater proposed row {row}, which is not a candidate$"):
+            run_adapt_nonprivate(self.STOP_P, None, 0.4, Scripted(*early))
 
     def test_non_finite_pvalues_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -397,6 +442,56 @@ def test_random_valid_updaters_keep_the_books(p, alpha, s0, seed):
     assert fhs[-1] <= alpha or exhausted
     expected = np.flatnonzero(vals <= final) if fhs[-1] <= alpha else []
     assert rep.rejected == tuple(int(i) for i in expected)
+
+
+def batched_vs_single_steps(p, alpha, s0, seed):
+    """Run RandomUpdater whole and one row per call; the reports must be
+    equal. Returns whether the last batch crossed the stopping step and
+    whether the candidates ran out before the end of the last batch."""
+    rec = RecordingUpdater(RandomUpdater(seed), per_step=False)
+    whole = run_adapt_nonprivate(p, None, alpha, rec, s0=s0)
+    steps = RecordingUpdater(RandomUpdater(seed), per_step=True, s0=s0)
+    single = run_adapt_nonprivate(p, None, alpha, steps, s0=s0)
+    assert len(steps.calls) == single.stop_t
+    assert whole == single
+    for row in whole.trajectory:
+        assert [type(v) for v in row] == [int, int, int, float]
+    assert all(type(v) is float for v in whole.final_thresholds)
+    if not rec.calls:
+        return False, False
+    last = rec.calls[-1]["batch"]
+    used = whole.stop_t - sum(call["batch"].size for call in rec.calls[:-1])
+    vals = np.asarray(whole.noisy_p)
+    hidden = np.minimum(vals, 1 - vals) <= np.asarray(whole.final_thresholds)
+    stopped = whole.trajectory[-1][3] <= alpha
+    crossed = stopped and bool(np.any(hidden[last[used:][last[used:] < vals.size]]))
+    exhausted = not hidden.any() and used < last.size
+    return crossed, exhausted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+    alpha=st.floats(0.01, 0.6),
+    s0=st.floats(0.05, 0.49),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_pass_equals_single_steps(p, alpha, s0, seed):
+    batched_vs_single_steps(p, alpha, s0, seed)
+
+
+def test_batched_pass_covers_crossing_and_exhausting_batches():
+    # the same comparison on fixed draws, counting the two batch shapes
+    # that end a run inside a batch
+    g = np.random.default_rng(8)
+    crossed = exhausted = 0
+    for seed in range(300):
+        n = int(g.integers(2, 40))
+        p = np.concatenate([g.random(n), g.uniform(0, 0.02, int(g.integers(0, 12)))])
+        c, e = batched_vs_single_steps(p, float(g.uniform(0.05, 0.5)), float(g.uniform(0.1, 0.49)), seed)
+        crossed += c
+        exhausted += e
+    assert crossed >= 25 and exhausted >= 25, (crossed, exhausted)
 
 
 def oracle_inputs(kind, seed):

@@ -450,6 +450,46 @@ class TestGreedyUpdate:
         oracle = sorted(eligible, key=lambda i: (-scores[i], i))[:60]
         assert order == [int(i) for i in oracle]
 
+    def test_fit_window_follows_the_table(self, monkeypatch):
+        # one updater on three tables in turn, two of them the same size: at
+        # every call the fitted rows are the current table's window
+        fitted = []
+        real_em_fit = twogroup.em_fit
+
+        def recording_em_fit(masked, x, **kwargs):
+            fitted.append((masked, x))
+            return real_em_fit(masked, x, **kwargs)
+
+        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
+        seen = []
+
+        class Spy(TwoGroupUpdater):
+            def propose(self, masked, x, a_t, r_t):
+                seen.append((masked, x))
+                return super().propose(masked, x, a_t, r_t)
+
+        updater = Spy()
+        rng = np.random.default_rng(4)
+        for n in (1200, 1200, 900):
+            p = np.concatenate([rng.beta(0.3, 1, n // 10), rng.random(n - n // 10)])
+            x = rng.normal(size=n)
+            start = len(seen)
+            run_adapt_nonprivate(p, x, 0.1, updater)
+            run = seen[start:]
+            assert len(run) > 1
+            # the engine hands the same frozen arrays to every call of a run
+            first = run[0][0]
+            assert all(m.masked_min is first.masked_min and m.ids is first.ids for m, _ in run)
+            assert not first.masked_min.flags.writeable
+        assert len(fitted) == len(seen)
+        for (masked, x), (sub, sub_x) in zip(seen, fitted, strict=True):
+            n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
+            window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
+            assert np.array_equal(sub.ids, masked.ids[window])
+            assert np.array_equal(sub.masked_min, masked.masked_min[window])
+            assert np.array_equal(sub.revealed, masked.revealed[window], equal_nan=True)
+            assert np.array_equal(sub_x, x[window])
+
 
 class TestFeatureMap:
     def test_intercept_only(self):
