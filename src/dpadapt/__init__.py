@@ -8,7 +8,6 @@ baselines, and a reproducible simulation harness.
 
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
 from .engine import (
-    MaskedTable,
     RejectionReport,
     StallError,
     ThresholdUpdater,
@@ -50,6 +49,7 @@ from .transform import (
     two_sided_bound_constant,
 )
 from .twogroup import (
+    MaskedTable,
     TwoGroupFit,
     TwoGroupUpdater,
     em_fit,

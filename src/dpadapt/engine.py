@@ -1,9 +1,9 @@
 """Adaptive FDR control loop over masked noisy p-values.
 
-The loop owns the information barrier: threshold updaters only ever see a
-MaskedTable, which exposes the fold minimum min(p, 1-p) for every hypothesis
-and the actual value only once it lies strictly between the thresholds
-(where it can no longer be rejected or serve as a control). Updaters propose
+The loop owns the information barrier: threshold updaters only ever see the
+fold minimum min(p, 1-p) of every hypothesis, handed over once per run, and
+the actual value only once it lies strictly between the thresholds (where it
+can no longer be rejected or serve as a control). Updaters propose
 ordered batches of hidden rows to remove. Each removal is one step: it drops
 that row's threshold just below its fold minimum. The loop applies each
 batch in one vectorized pass, with the counters of every step as cumulative
@@ -20,7 +20,7 @@ R_t small ones. The loop stops the first time fdr_hat <= alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -31,23 +31,6 @@ from .transform import TransformKernel, clamp_unit
 
 class StallError(RuntimeError):
     """Updater proposed a removal that does not shrink the candidate set."""
-
-
-@dataclass(frozen=True)
-class MaskedTable:
-    """Vectorized masked view handed to threshold updaters.
-
-    revealed is NaN wherever the value is still hidden; nothing in this
-    structure allows reconstructing which side of 1/2 a hidden value is on.
-    """
-
-    ids: np.ndarray
-    masked_min: np.ndarray
-    revealed: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.ids.size)
 
 
 @dataclass(frozen=True)
@@ -69,31 +52,26 @@ class RejectionReport:
     model: dict | None
 
 
-@runtime_checkable
 class ThresholdUpdater(Protocol):
     """Contract for threshold update rules.
 
-    propose receives only the masked view, public covariates and the
-    counters. It returns an ordered batch of row indices to remove from the
-    candidate set, each a still-hidden row (revealed is NaN) listed once. The
+    The loop calls start once per run, before its first stopping check, with
+    the fold minima of every row and the public covariates. Both are fixed
+    for the run, and masked_min is read-only. start resets whatever the
+    updater kept from an earlier run.
+
+    propose receives only the revealed values (NaN wherever a row is still
+    hidden) and the counters. It returns an ordered batch of row indices to
+    remove from the candidate set, each a still-hidden row listed once. The
     loop removes them in order, one per step, stopping early if fdr_hat
     reaches alpha, and calls propose again once the batch is used up; a batch
     is valid only until that next call. An invalid row raises StallError only
     if the loop reaches it before stopping.
-
-    Within one run, masked.ids and masked.masked_min are the same read-only
-    array objects at every call, and x is the same object too, so an updater
-    may cache what it derives from them, keyed on their identity; only
-    revealed and the counters change between calls.
     """
 
-    def propose(
-        self,
-        masked: MaskedTable,
-        x: np.ndarray | None,
-        a_t: int,
-        r_t: int,
-    ) -> np.ndarray: ...
+    def start(self, masked_min: np.ndarray, x: np.ndarray | None) -> None: ...
+
+    def propose(self, revealed: np.ndarray, a_t: int, r_t: int) -> np.ndarray: ...
 
 
 def fdr_hat(a_t: int, r_t: int) -> float:
@@ -120,9 +98,8 @@ def _adapt_loop(
     m = p.size
     ids = np.array(ids, dtype=int)
     masked_min = np.minimum(p, 1.0 - p)
-    # the views handed to updaters alias these arrays; freeze them
-    ids.setflags(write=False)
     masked_min.setflags(write=False)
+    updater.start(masked_min, x)
     s = np.full(m, float(s0))
     below = p <= s0
     above = p >= 1.0 - s0
@@ -136,8 +113,7 @@ def _adapt_loop(
     while fh > alpha and n_candidates:
         revealed = np.where(candidate, np.nan, p)
         revealed.setflags(write=False)
-        table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
-        batch = np.asarray(updater.propose(table, x, a_t, r_t))
+        batch = np.asarray(updater.propose(revealed, a_t, r_t))
         if batch.size == 0:
             raise StallError("updater proposed no removal")
         if batch.ndim != 1 or batch.dtype.kind not in "iu":
@@ -252,15 +228,10 @@ def run_adapt_nonprivate(
     x: np.ndarray | None,
     alpha: float,
     updater: ThresholdUpdater,
-    rng: np.random.Generator | None = None,
     *,
     s0: float = 0.45,
 ) -> RejectionReport:
-    """Same loop without selection or noise: all hypotheses, raw p-values.
-
-    rng is accepted for interface symmetry; the loop itself is deterministic.
-    """
-    del rng
+    """Same loop without selection or noise: all hypotheses, raw p-values."""
     p, xs = validate_inputs(pvalues, x)
     ids = np.arange(p.size)
     config = {

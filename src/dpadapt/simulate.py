@@ -294,7 +294,7 @@ def run_arm(
         return dp_bonf(p, cfg.delta_g, kernel, cfg.budget(), cfg.alpha, rng), None
     updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
     if cfg.name == "adapt":
-        report = run_adapt_nonprivate(p, x, cfg.alpha, updater, rng, s0=cfg.s0)
+        report = run_adapt_nonprivate(p, x, cfg.alpha, updater, s0=cfg.s0)
         return np.asarray(report.rejected, dtype=int), report
     # dp-adapt
     report = run_dp_adapt(

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .engine import MaskedTable
 from .transform import P_FLOOR
 
 A_MIN = 0.05
@@ -43,6 +42,22 @@ NEWTON_STOPS = ("gradient", "decrement", "max_iter", "line_search", "singular")
 
 class CandidatesExhausted(RuntimeError):
     """No hypothesis remains in the rejection candidate region."""
+
+
+@dataclass(frozen=True)
+class MaskedTable:
+    """Masked view of a table: the fold minima and the revealed values.
+
+    revealed is NaN wherever the value is still hidden; nothing in this
+    structure allows reconstructing which side of 1/2 a hidden value is on.
+    """
+
+    masked_min: np.ndarray
+    revealed: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.masked_min.size)
 
 
 @dataclass(frozen=True)
@@ -388,16 +403,15 @@ class TwoGroupUpdater:
     between refits.
 
     The fit window is the max(200, 20% of the table) most extreme fold
-    minima, so small pre-selected tables are fitted whole. It is computed
-    once per table: the engine hands the same masked_min array to every call
-    of a run, and a new array (a new run) recomputes it. Restricting the
-    window keeps the working model trained where the rejection decisions
-    happen, and the matching fold-range null density in em_fit stays
-    calibrated there; scores are still computed for every hypothesis.
-    diagnostics() reports the last fit and, under "newton", the NewtonStats
-    of every ascent this updater ran; without covariates em_fit uses the
-    closed-form M-step, so those totals read 0. Satisfies the engine's
-    ThresholdUpdater contract.
+    minima, so small pre-selected tables are fitted whole. start computes it
+    once per run and drops the previous run's fit and Newton totals, so every
+    run starts from default_fit. Restricting the window keeps the working
+    model trained where the rejection decisions happen, and the matching
+    fold-range null density in em_fit stays calibrated there; scores are
+    still computed for every hypothesis. diagnostics() reports the run's last
+    fit and, under "newton", the NewtonStats of every ascent in the run;
+    without covariates em_fit uses the closed-form M-step, so those totals
+    read 0. Satisfies the engine's ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
@@ -408,29 +422,23 @@ class TwoGroupUpdater:
         self.em_iters = em_iters
         self.refit_every = refit_every
         self._fit: TwoGroupFit | None = None
-        self._newton = NewtonStats()
-        self._window: tuple | None = None
 
-    def propose(self, masked: MaskedTable, x, a_t: int, r_t: int) -> np.ndarray:
+    def start(self, masked_min: np.ndarray, x) -> None:
+        n_fit = min(max(200, round(0.2 * masked_min.size)), masked_min.size)
+        window = np.argsort(masked_min, kind="stable")[:n_fit]
+        self._masked_min, self._x, self._window = masked_min, x, window
+        self._window_x = None if x is None else np.asarray(x)[window]
+        self._fit = None
+        self._newton = NewtonStats()
+
+    def propose(self, revealed: np.ndarray, a_t: int, r_t: int) -> np.ndarray:
         del a_t, r_t
-        if not np.isnan(masked.revealed).any():
+        if not np.isnan(revealed).any():
             raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
-        cadence = self.refit_every or max(1, masked.size // 20)
-        # the window depends only on masked_min, which is fixed for a run
-        cached = self._window
-        if cached is None or cached[0] is not masked.masked_min or cached[1] is not x:
-            n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
-            window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
-            sub_x = None if x is None else np.asarray(x)[window]
-            cached = self._window = (masked.masked_min, x, window, sub_x)
-        _, _, window, sub_x = cached
-        sub = MaskedTable(
-            ids=masked.ids[window],
-            masked_min=masked.masked_min[window],
-            revealed=masked.revealed[window],
-        )
-        self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
-        return removal_order(masked, x, self._fit)[:cadence]
+        cadence = self.refit_every or max(1, revealed.size // 20)
+        sub = MaskedTable(self._masked_min[self._window], revealed[self._window])
+        self._fit = em_fit(sub, self._window_x, init=self._fit, k=self.em_iters, stats=self._newton)
+        return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit)[:cadence]
 
     def diagnostics(self) -> dict | None:
         if self._fit is None:

@@ -14,9 +14,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from dpadapt.engine import MaskedTable, RejectionReport, StallError, fdr_hat
+from dpadapt.engine import RejectionReport, StallError, fdr_hat
 from dpadapt.transform import clamp_unit
-from dpadapt.twogroup import NewtonStats, em_fit, null_probability
+from dpadapt.twogroup import MaskedTable, NewtonStats, em_fit, null_probability
 
 
 def greedy_step(s, masked_min, scores):
@@ -50,7 +50,6 @@ class ReferenceGreedyUpdater:
             n_fit = min(n_fit, masked.size)
             window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
             sub = MaskedTable(
-                ids=masked.ids[window],
                 masked_min=masked.masked_min[window],
                 revealed=masked.revealed[window],
             )
@@ -98,7 +97,7 @@ def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> Rejection
             rejected = ids[:0]
             break
         revealed = np.where(~candidates, p, np.nan)
-        table = MaskedTable(ids=ids, masked_min=masked_min, revealed=revealed)
+        table = MaskedTable(masked_min=masked_min, revealed=revealed)
         s_new = np.asarray(updater.propose(table, x, a_t, r_t, s.copy()), dtype=float)
         if np.any(s_new > s):
             raise AssertionError("reference updater raised a threshold")

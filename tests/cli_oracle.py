@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
         config_echo.update({"mu": budget.mu, "delta_g": args.delta_g})
     elif args.method == "adapt":
         updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)
-        report = run_adapt_nonprivate(dataset.p, dataset.x, args.alpha, updater, rng, s0=args.s0)
+        report = run_adapt_nonprivate(dataset.p, dataset.x, args.alpha, updater, s0=args.s0)
     else:  # dp-adapt
         budget = _budget_from_args(args)
         updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)

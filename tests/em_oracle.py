@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, log_expit
 
-from dpadapt.engine import MaskedTable
 from dpadapt.transform import P_FLOOR
-from dpadapt.twogroup import TwoGroupFit, default_fit, f1_density
+from dpadapt.twogroup import MaskedTable, TwoGroupFit, default_fit, f1_density
 
 A_MIN = 0.05
 A_MAX = 1.0

@@ -22,8 +22,15 @@ from .adapt_oracle import ReferenceGreedyUpdater, reference_adapt_loop
 K = gaussian_kernel()
 
 
-def hidden_rows(masked):
-    return np.flatnonzero(np.isnan(masked.revealed))
+def hidden_rows(revealed):
+    return np.flatnonzero(np.isnan(revealed))
+
+
+class Stub:
+    """Updater that keeps nothing from start."""
+
+    def start(self, masked_min, x):
+        pass
 
 
 class LargestMinUpdater:
@@ -32,23 +39,26 @@ class LargestMinUpdater:
     def __init__(self, batch=1):
         self.batch = batch
 
-    def propose(self, masked, x, a_t, r_t):
-        hidden = hidden_rows(masked)
-        order = hidden[np.argsort(-masked.masked_min[hidden], kind="stable")]
+    def start(self, masked_min, x):
+        self.masked_min = masked_min
+
+    def propose(self, revealed, a_t, r_t):
+        hidden = hidden_rows(revealed)
+        order = hidden[np.argsort(-self.masked_min[hidden], kind="stable")]
         return order[: self.batch]
 
 
-class FixedBatch:
+class FixedBatch(Stub):
     """Proposes the same rows at every call, valid or not."""
 
     def __init__(self, rows):
         self.rows = rows
 
-    def propose(self, masked, x, a_t, r_t):
+    def propose(self, revealed, a_t, r_t):
         return self.rows
 
 
-class RandomUpdater:
+class RandomUpdater(Stub):
     """Random permutations of the hidden rows in random batch sizes.
 
     A batch holding every hidden row is followed by a repeat and an
@@ -59,21 +69,21 @@ class RandomUpdater:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def propose(self, masked, x, a_t, r_t):
-        hidden = self.rng.permutation(hidden_rows(masked))
+    def propose(self, revealed, a_t, r_t):
+        hidden = self.rng.permutation(hidden_rows(revealed))
         batch = hidden[: int(self.rng.integers(1, hidden.size + 1))]
         if batch.size == hidden.size:
-            batch = np.append(batch, [batch[0], masked.size])
+            batch = np.append(batch, [batch[0], revealed.size])
         return batch
 
 
-class Scripted:
+class Scripted(Stub):
     """Proposes the given batches in turn, valid or not."""
 
     def __init__(self, *batches):
         self.batches = list(batches)
 
-    def propose(self, masked, x, a_t, r_t):
+    def propose(self, revealed, a_t, r_t):
         return np.array(self.batches.pop(0))
 
 
@@ -84,6 +94,8 @@ def removal_threshold(mm):
 class RecordingUpdater:
     """Records every view the loop hands over and every batch returned.
 
+    start is forwarded to the inner updater; each record carries the fold
+    minima of the run beside the revealed values and counters of its call.
     With per_step (the default) the inner updater's batches reach the loop
     one row at a time, so the loop calls propose at every step, as it did
     when updaters returned whole threshold vectors. Each record then also
@@ -96,27 +108,31 @@ class RecordingUpdater:
         self.per_step = per_step
         self.s0 = s0
         self.calls = []
+
+    def start(self, masked_min, x):
+        self.inner.start(masked_min, x)
+        self._masked_min = masked_min
         self._pending = []
         self._s = None
 
-    def propose(self, masked, x, a_t, r_t):
+    def propose(self, revealed, a_t, r_t):
         record = {
-            "masked_min": masked.masked_min.copy(),
-            "revealed": masked.revealed.copy(),
+            "masked_min": self._masked_min.copy(),
+            "revealed": revealed.copy(),
             "a_t": a_t,
             "r_t": r_t,
         }
         if self.per_step:
             if not self._pending:
-                self._pending = np.asarray(self.inner.propose(masked, x, a_t, r_t)).tolist()[::-1]
+                self._pending = np.asarray(self.inner.propose(revealed, a_t, r_t)).tolist()[::-1]
             i = self._pending.pop()
-            s = np.full(masked.size, self.s0) if self._s is None else self._s
+            s = np.full(revealed.size, self.s0) if self._s is None else self._s
             self._s = s.copy()
-            self._s[i] = removal_threshold(masked.masked_min[i])
+            self._s[i] = removal_threshold(self._masked_min[i])
             record.update(s=s, s_new=self._s.copy())
             batch = np.array([i])
         else:
-            batch = np.asarray(self.inner.propose(masked, x, a_t, r_t))
+            batch = np.asarray(self.inner.propose(revealed, a_t, r_t))
         record["batch"] = batch.copy()
         self.calls.append(record)
         return batch
@@ -213,11 +229,34 @@ class TestLoopBehavior:
         with pytest.raises(ValueError):
             run_adapt_nonprivate([0.01, 0.2, 0.93], None, 0.01, FixedBatch([0.0]))
 
+    def test_start_opens_each_run_once(self):
+        # start comes once per run, before the first stopping check, with the
+        # read-only fold minima and the covariates
+        class Counting(LargestMinUpdater):
+            def __init__(self):
+                super().__init__()
+                self.starts = []
+
+            def start(self, masked_min, x):
+                self.starts.append((masked_min, x))
+                super().start(masked_min, x)
+
+        updater = Counting()
+        rep = run_adapt_nonprivate(np.full(20, 0.01), np.arange(20.0), 0.1, updater)
+        assert rep.stop_t == 0 and len(updater.starts) == 1
+        assert np.array_equal(np.ravel(updater.starts[0][1]), np.arange(20.0))
+        p = np.random.default_rng(3).random(30)
+        rep = run_adapt_nonprivate(p, None, 0.1, updater)
+        assert rep.stop_t > 0 and len(updater.starts) == 2
+        masked_min, x = updater.starts[1]
+        assert x is None and not masked_min.flags.writeable
+        assert np.array_equal(masked_min, np.minimum(p, 1 - p))
+
     def test_removals_past_the_stop_are_not_applied(self):
         # one batch holding every row; the loop stops after the first removal
-        class Everything:
-            def propose(self, masked, x, a_t, r_t):
-                return hidden_rows(masked)[::-1]
+        class Everything(Stub):
+            def propose(self, revealed, a_t, r_t):
+                return hidden_rows(revealed)[::-1]
 
         p = np.array([0.001, 0.002, 0.003, 0.97])
         rep = run_adapt_nonprivate(p, None, 0.4, Everything())
@@ -554,7 +593,7 @@ class TestEmpiricalFdr:
             p = np.concatenate([1 - (1 - g.random(30)) ** 8, g.random(970)])
             labels = np.zeros(1000, bool)
             labels[:30] = True
-            rep = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(), g)
+            rep = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
             rej = np.asarray(rep.rejected, dtype=int)
             v = int(np.sum(~labels[rej])) if rej.size else 0
             fdps.append(v / max(rej.size, 1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from dpadapt import twogroup
-from dpadapt.engine import MaskedTable, run_adapt_nonprivate
+from dpadapt.engine import run_adapt_nonprivate
 from dpadapt.simulate import (
     MethodConfig, Scenario, data_rng, gen_grid, gen_no_side_info, method_rng, run_arm,
 )
@@ -18,6 +18,7 @@ from dpadapt.twogroup import (
     NEWTON_STOPS,
     CandidatesExhausted,
     FeatureMap,
+    MaskedTable,
     NewtonStats,
     TwoGroupFit,
     TwoGroupUpdater,
@@ -34,7 +35,6 @@ from . import em_oracle
 def table_all_revealed(p):
     p = np.asarray(p, dtype=float)
     return MaskedTable(
-        ids=np.arange(p.size),
         masked_min=np.minimum(p, 1 - p),
         revealed=p.copy(),
     )
@@ -43,7 +43,13 @@ def table_all_revealed(p):
 def table_with_threshold(p, s):
     p = np.asarray(p, dtype=float)
     revealed = np.where((p > s) & (p < 1 - s), p, np.nan)
-    return MaskedTable(np.arange(p.size), np.minimum(p, 1 - p), revealed)
+    return MaskedTable(np.minimum(p, 1 - p), revealed)
+
+
+def propose_once(updater, tbl, x):
+    """The first proposal of a run on the table's fold minima."""
+    updater.start(tbl.masked_min, x)
+    return updater.propose(tbl.revealed, 0, 0)
 
 
 def golden_section_max(f, lo, hi, iters=200):
@@ -109,10 +115,10 @@ class TestEmFit:
         p = np.array([0.5, 0.2, 0.7, 0.05, 0.9, 0.4])
         base = table_with_threshold(p, 0.3)
         masked_first = MaskedTable(
-            base.ids, base.masked_min, np.where(np.arange(p.size) == 0, np.nan, base.revealed)
+            base.masked_min, np.where(np.arange(p.size) == 0, np.nan, base.revealed)
         )
         revealed_first = MaskedTable(
-            base.ids, base.masked_min, np.where(np.arange(p.size) == 0, 0.5, base.revealed)
+            base.masked_min, np.where(np.arange(p.size) == 0, 0.5, base.revealed)
         )
         fit_a = em_fit(masked_first, None, k=3)
         fit_b = em_fit(revealed_first, None, k=3)
@@ -154,7 +160,7 @@ class TestEmFit:
 
     def test_requires_nonempty_and_iterations(self):
         with pytest.raises(ValueError):
-            em_fit(MaskedTable(np.empty(0, int), np.empty(0), np.empty(0)), None, k=3)
+            em_fit(MaskedTable(np.empty(0), np.empty(0)), None, k=3)
         with pytest.raises(ValueError):
             em_fit(table_all_revealed([0.5]), None, k=0)
 
@@ -413,7 +419,7 @@ class TestGreedyUpdate:
         tbl = table_with_threshold(p, 0.4)
         order = removal_order(tbl, None, self.fit)
         assert sorted(order.tolist()) == np.flatnonzero(np.isnan(tbl.revealed)).tolist()
-        batch = TwoGroupUpdater(refit_every=7).propose(tbl, None, 0, 0)
+        batch = propose_once(TwoGroupUpdater(refit_every=7), tbl, None)
         assert batch.size == 7 and np.unique(batch).size == 7
         assert np.all(np.isnan(tbl.revealed[batch]))
 
@@ -428,7 +434,7 @@ class TestGreedyUpdate:
         tbl = table_with_threshold(p, 0.3)
         assert removal_order(tbl, None, self.fit).size == 0
         with pytest.raises(CandidatesExhausted):
-            TwoGroupUpdater().propose(tbl, None, 0, 0)
+            propose_once(TwoGroupUpdater(), tbl, None)
 
     def test_removal_order_matches_full_recompute_oracle(self):
         # the updater's batch must replay an independent from-scratch
@@ -440,7 +446,7 @@ class TestGreedyUpdate:
         tbl = table_with_threshold(p, 0.45)
 
         updater = TwoGroupUpdater(refit_every=60)
-        order = updater.propose(tbl, x, 0, 0).tolist()
+        order = propose_once(updater, tbl, x).tolist()
         fit = updater._fit
         assert fit is not None and fit.em_iters == 5
 
@@ -451,8 +457,9 @@ class TestGreedyUpdate:
         assert order == [int(i) for i in oracle]
 
     def test_fit_window_follows_the_table(self, monkeypatch):
-        # one updater on three tables in turn, two of them the same size: at
-        # every call the fitted rows are the current table's window
+        # one updater over three runs, two of them the same size: every fit of
+        # a run is on that run's window of fold minima, revealed values and
+        # covariates
         fitted = []
         real_em_fit = twogroup.em_fit
 
@@ -461,34 +468,69 @@ class TestGreedyUpdate:
             return real_em_fit(masked, x, **kwargs)
 
         monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
-        seen = []
+        runs = []
 
         class Spy(TwoGroupUpdater):
-            def propose(self, masked, x, a_t, r_t):
-                seen.append((masked, x))
-                return super().propose(masked, x, a_t, r_t)
+            def start(self, masked_min, x):
+                runs.append((masked_min, x, []))
+                super().start(masked_min, x)
+
+            def propose(self, revealed, a_t, r_t):
+                runs[-1][2].append(revealed)
+                return super().propose(revealed, a_t, r_t)
 
         updater = Spy()
         rng = np.random.default_rng(4)
         for n in (1200, 1200, 900):
             p = np.concatenate([rng.beta(0.3, 1, n // 10), rng.random(n - n // 10)])
             x = rng.normal(size=n)
-            start = len(seen)
+            first_fit = len(fitted)
             run_adapt_nonprivate(p, x, 0.1, updater)
-            run = seen[start:]
-            assert len(run) > 1
-            # the engine hands the same frozen arrays to every call of a run
-            first = run[0][0]
-            assert all(m.masked_min is first.masked_min and m.ids is first.ids for m, _ in run)
-            assert not first.masked_min.flags.writeable
-        assert len(fitted) == len(seen)
-        for (masked, x), (sub, sub_x) in zip(seen, fitted, strict=True):
-            n_fit = min(max(200, round(0.2 * masked.size)), masked.size)
-            window = np.argsort(masked.masked_min, kind="stable")[:n_fit]
-            assert np.array_equal(sub.ids, masked.ids[window])
-            assert np.array_equal(sub.masked_min, masked.masked_min[window])
-            assert np.array_equal(sub.revealed, masked.revealed[window], equal_nan=True)
-            assert np.array_equal(sub_x, x[window])
+            masked_min, run_x, calls = runs[-1]
+            assert len(calls) > 1 and len(fitted) - first_fit == len(calls)
+            assert not masked_min.flags.writeable
+            assert np.array_equal(run_x, x)
+            n_fit = min(max(200, round(0.2 * n)), n)
+            window = np.argsort(masked_min, kind="stable")[:n_fit]
+            for revealed, (sub, sub_x) in zip(calls, fitted[first_fit:], strict=True):
+                assert np.array_equal(sub.masked_min, masked_min[window])
+                assert np.array_equal(sub.revealed, revealed[window], equal_nan=True)
+                assert np.array_equal(sub_x, x[window])
+        assert len(runs) == 3
+
+
+def covariate_table(seed, n=1000):
+    rng = np.random.default_rng(seed)
+    p = np.concatenate([rng.beta(0.3, 1, n // 10), rng.random(n - n // 10)])
+    return p, rng.normal(size=n)
+
+
+class TestUpdaterReuse:
+    """A run owes nothing to the runs an updater served before it."""
+
+    def test_second_covariate_run_equals_a_fresh_run(self):
+        updater = TwoGroupUpdater()
+        run_adapt_nonprivate(*covariate_table(61), 0.1, updater)
+        p, x = covariate_table(62)
+        again = run_adapt_nonprivate(p, x, 0.1, updater)
+        assert again.model is not None and again.model["newton"]["ascents"] > 0
+        assert again == run_adapt_nonprivate(p, x, 0.1, TwoGroupUpdater())
+
+    def test_run_without_covariates_after_one_with(self):
+        updater = TwoGroupUpdater()
+        run_adapt_nonprivate(*covariate_table(63), 0.1, updater)
+        p, _ = covariate_table(64)
+        again = run_adapt_nonprivate(p, None, 0.1, updater)
+        assert again.model["basis"] == "intercept"
+        assert again == run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
+
+    def test_run_stopping_at_zero_reports_no_model(self):
+        updater = TwoGroupUpdater()
+        assert run_adapt_nonprivate(*covariate_table(65), 0.1, updater).model is not None
+        p = np.full(20, 0.01)
+        again = run_adapt_nonprivate(p, None, 0.1, updater)
+        assert again.stop_t == 0 and again.model is None
+        assert again == run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater())
 
 
 class TestFeatureMap:
