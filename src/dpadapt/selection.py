@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcinv
 
-from ._normal import normal_quantile
+from ._normal import _SQRT2, normal_quantile
 # BudgetAuditError is raised by peel_noise; it stays importable from here.
 from .privacy import BudgetAuditError, NoiseSpec, peel_noise  # noqa: F401
 from .transform import TransformKernel, clamp_unit
@@ -83,6 +84,20 @@ def _noise_ppf(noise: NoiseSpec, f):
     return noise.scale * np.where(upper, -log_tail, log_tail)
 
 
+def _noise_ppf_scalar(noise: NoiseSpec, f: float) -> float:
+    """_noise_ppf at one probability, as a float, without the array wrappers.
+
+    It performs the same floating-point operations in the same order, so the
+    result has the same bits as float(_noise_ppf(noise, f)); np.log, not
+    math.log, keeps the Laplace logarithm identical.
+    """
+    if noise.family == "gaussian":
+        return noise.scale * float(-_SQRT2 * erfcinv(2.0 * f))
+    upper = f >= 0.5
+    log_tail = np.log(2.0 * (1.0 - f if upper else f))
+    return float(noise.scale * (-log_tail if upper else log_tail))
+
+
 def check_rounds(m, n: int) -> int:
     """m as an int, if it is a number of peeling rounds n hypotheses allow."""
     if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
@@ -104,6 +119,13 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     chosen tail score gets W and every other one a draw conditioned on
     exceeding W, by inverse CDF. Zero noise gives the stable sort prefix
     (ties to the lowest index), as the dense loop does.
+
+    A round is one block draw from noise.draw, one exponential and one
+    scalar inverse CDF (_noise_ppf_scalar); only a tail resolution adds k
+    uniforms, one integer and an array inverse CDF. The scalar path makes
+    the same draws in the same order as the array-valued loop it replaced
+    (tests/peel_oracle.py keeps it), so the random stream and the winners
+    are unchanged.
     """
     s = np.asarray(scores, dtype=float)
     order = np.argsort(s, kind="stable")
@@ -114,25 +136,26 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     width = _block_width(noise.family, n) * noise.scale
     alive = np.ones(n, dtype=bool)
     winners = np.empty(m, dtype=np.intp)
+    draw, exponential = noise.draw, rng.standard_exponential
     first = 0
     for j in range(m):
         while not alive[first]:
             first += 1
-        end = int(np.searchsorted(t, t[first] + width, side="right"))
-        block = first + np.flatnonzero(alive[first:end])
-        values = t[block] + noise.draw(rng, size=block.size)
-        best = int(np.argmin(values))
+        end = int(t.searchsorted(t[first] + width, side="right"))
+        block = alive[first:end].nonzero()[0] + first
+        values = t[block] + draw(rng, size=block.size)
+        best = int(values.argmin())
         winner = int(block[best])
         k = n - j - block.size
         if k > 0:
-            w_cdf = -math.expm1(-rng.standard_exponential() / k)
-            w = float(_noise_ppf(noise, w_cdf))
+            w_cdf = -math.expm1(-exponential() / k)
+            w = _noise_ppf_scalar(noise, w_cdf)
             if not values[best] < t[end] + w:
-                tail = end + np.flatnonzero(alive[end:])
+                tail = alive[end:].nonzero()[0] + end
                 z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))
                 z[rng.integers(k)] = w
                 tail_values = t[tail] + z
-                i = int(np.argmin(tail_values))
+                i = int(tail_values.argmin())
                 if tail_values[i] < values[best]:
                     winner = int(tail[i])
         alive[winner] = False

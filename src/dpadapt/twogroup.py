@@ -381,16 +381,26 @@ def null_probability(x, p_prime, fit: TwoGroupFit):
     return float(out[0]) if scalar else out
 
 
-def removal_order(masked: MaskedTable, x, fit: TwoGroupFit) -> np.ndarray:
+def removal_order(masked: MaskedTable, x, fit: TwoGroupFit, limit: int | None = None) -> np.ndarray:
     """Hidden rows ordered most-likely-null first, ties to the lowest index.
 
     Scores are null probabilities under the fit; they depend only on the fold
     minima and the fit, so the order is the sequence of greedy one-at-a-time
-    removals for as long as the fit is held fixed.
+    removals for as long as the fit is held fixed. With a limit, only the
+    first limit rows of that order are returned, found without sorting the
+    rest: the rows that score higher than the limit-th, then the
+    lowest-index rows that tie with it, ordered by (-score, index).
     """
     scores = null_probability(x, masked.masked_min, fit)
     hidden = np.flatnonzero(np.isnan(masked.revealed))
-    return hidden[np.argsort(-scores[hidden], kind="stable")]
+    keys = -scores[hidden]
+    if limit is not None and 0 < limit < hidden.size:
+        cut = np.partition(keys, limit - 1)[limit - 1]
+        above = np.flatnonzero(keys < cut)
+        tied = np.flatnonzero(keys == cut)[: limit - above.size]
+        chosen = np.concatenate([above, tied])
+        return hidden[chosen[np.lexsort((chosen, keys[chosen]))]]
+    return hidden[np.argsort(keys, kind="stable")][:limit]
 
 
 class TwoGroupUpdater:
@@ -438,7 +448,7 @@ class TwoGroupUpdater:
         cadence = self.refit_every or max(1, revealed.size // 20)
         sub = MaskedTable(self._masked_min[self._window], revealed[self._window])
         self._fit = em_fit(sub, self._window_x, init=self._fit, k=self.em_iters, stats=self._newton)
-        return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit)[:cadence]
+        return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit, cadence)
 
     def diagnostics(self) -> dict | None:
         if self._fit is None:

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from dpadapt import privacy, selection
+from dpadapt import baselines, privacy, selection
+from dpadapt.baselines import BHConfig, dp_bh
 from dpadapt.privacy import CalibrationRegimeWarning, NoiseSpec, PrivacyBudget, compose
 from dpadapt.selection import BudgetAuditError, SelectionResult, mirror_peel, peel, report_noisy_min
 from dpadapt.transform import gaussian_kernel
 
-from .peel_oracle import dense_peel
+from .peel_oracle import dense_peel, lazy_peel_reference
 
 K = gaussian_kernel()
 
@@ -223,6 +224,104 @@ class TestPeel:
         scores = np.array([0.3, -1.0, 0.3, 2.0, -1.0])
         won = peel(scores, NoiseSpec("gaussian", 0.0), 4, rng())
         assert won.tolist() == [1, 4, 0, 2]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestPeelStream:
+    """peel against the frozen lazy loop: same draws, same order, same winners."""
+
+    @staticmethod
+    def score_sets(g):
+        yield g.normal(size=300)
+        yield np.log(np.maximum(1e-4, g.beta(0.3, 1.0, size=300)))
+        yield np.round(g.normal(size=300), 1)  # heavy ties
+        yield np.full(40, 2.5)
+
+    @pytest.mark.parametrize("width", [None, 0.5])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_winners_match_reference(self, family, width, monkeypatch):
+        arrays = []
+        if width is not None:
+            ppf = selection._noise_ppf
+
+            def counting_ppf(noise, f):
+                arrays.append(np.ndim(f) > 0)
+                return ppf(noise, f)
+
+            monkeypatch.setattr(selection, "_block_width", lambda family, n: width)
+            monkeypatch.setattr(selection, "_noise_ppf", counting_ppf)
+        g = rng(2024)
+        for case, scores in enumerate(self.score_sets(g)):
+            for scale in (1e-4, 0.1, 2.0):
+                noise = NoiseSpec(family, scale)
+                # m == n runs a last round with no tail (k = 0)
+                for m in (1, 25, scores.size):
+                    seed = 1000 * case + m
+                    fast, slow = rng(seed), rng(seed)
+                    won = peel(scores, noise, m, fast)
+                    assert np.array_equal(won, lazy_peel_reference(scores, noise, m, slow))
+                    assert fast.bit_generator.state == slow.bit_generator.state
+        if width is not None:
+            assert sum(arrays) > 100
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_infinite_scores_match_reference(self, family):
+        # -inf scores win first, in index order, whatever the noise
+        scores = rng(5).normal(size=200)
+        scores[[3, 50, 51, 199]] = -np.inf
+        noise = NoiseSpec(family, 0.3)
+        for m in (2, 4, 30, 200):
+            won = peel(scores, noise, m, rng(m))
+            assert np.array_equal(won, lazy_peel_reference(scores, noise, m, rng(m)))
+            assert won[:4].tolist() == [3, 50, 51, 199][:m]
+
+    def test_mirror_peel_and_dp_bh_bytes_match_reference(self, monkeypatch):
+        # p = 0 and p = 1 are clamped by the kernel and tie at the smallest fold
+        g = rng(77)
+        p = np.concatenate([g.beta(0.05, 1.0, 300), g.random(2700)])
+        p[[10, 20]] = [0.0, 1.0]
+        cfg = BHConfig(nu=1e-5, eta=1e-4, alpha=0.1, epsilon=0.5, delta=1e-3, m=400)
+
+        def outputs():
+            sel = mirror_peel(p, K, 1e-4, 0.5, 200, rng(78))
+            return sel.indices.tobytes(), sel.values.tobytes(), dp_bh(p, cfg, rng(79)).tobytes()
+
+        fast = outputs()
+        monkeypatch.setattr(selection, "peel", lazy_peel_reference)
+        monkeypatch.setattr(baselines, "peel", lazy_peel_reference)
+        assert outputs() == fast
+        assert 0 < len(fast[2]) < 8 * cfg.m
+
+
+class TestNoisePpfScalar:
+    EDGES = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324, 1.0 - 2.0**-53]
+
+    @staticmethod
+    def check(family, scale, f):
+        noise = NoiseSpec(family, scale)
+        got = selection._noise_ppf_scalar(noise, f)
+        assert type(got) is float
+        assert same_bits(got, float(selection._noise_ppf(noise, np.asarray(f))))
+
+    @pytest.mark.parametrize("f", EDGES)
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_edges(self, family, f):
+        self.check(family, 0.7, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "laplace"]),
+        scale=st.sampled_from([1e-4, 0.37, 1.0, 2.0]),
+        f=st.one_of(
+            st.sampled_from(EDGES),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+    )
+    def test_matches_array_inverse_bit_for_bit(self, family, scale, f):
+        self.check(family, scale, f)
 
 
 class TestSelectionResult:

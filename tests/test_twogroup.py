@@ -456,6 +456,37 @@ class TestGreedyUpdate:
         oracle = sorted(eligible, key=lambda i: (-scores[i], i))[:60]
         assert order == [int(i) for i in oracle]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(st.sampled_from([1e-3, 0.05, 0.2, 0.3, 0.45, 0.5]), min_size=1, max_size=60),
+        hide=st.lists(st.booleans(), min_size=60, max_size=60),
+        limit=st.integers(1, 70),
+        covariates=st.booleans(),
+    )
+    def test_removal_prefix_matches_stable_full_sort(self, levels, hide, limit, covariates):
+        # few distinct fold minima give heavily tied scores, also at the cut;
+        # limit ranges from 1 past the number of hidden rows
+        masked_min = np.array(levels)
+        revealed = np.where(np.array(hide[: masked_min.size]), np.nan, masked_min)
+        tbl = MaskedTable(masked_min, revealed)
+        fit = self.fit
+        x = None
+        if covariates:
+            x = np.round(np.linspace(-1.0, 1.0, masked_min.size), 1) ** 2
+            fit = TwoGroupFit(
+                pi_weights=np.array([-0.8, 0.5]),
+                f1_weights=np.array([math.log(0.5), 0.2]),
+                basis=FeatureMap.for_covariates(x),
+                em_iters=0,
+                loglik_trace=(),
+            )
+        scores = null_probability(x, masked_min, fit)
+        hidden = np.flatnonzero(np.isnan(revealed))
+        stable = hidden[np.argsort(-scores[hidden], kind="stable")]
+        prefix = removal_order(tbl, x, fit, limit)
+        assert prefix.tolist() == stable[:limit].tolist()
+        assert removal_order(tbl, x, fit).tolist() == stable.tolist()
+
     def test_fit_window_follows_the_table(self, monkeypatch):
         # one updater over three runs, two of them the same size: every fit of
         # a run is on that run's window of fold minima, revealed values and
