@@ -8,7 +8,7 @@ baselines, and a reproducible simulation harness.
 
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
 from .engine import (
-    RejectionReport,
+    RunResult,
     StallError,
     ThresholdUpdater,
     fdr_hat,
@@ -69,7 +69,7 @@ __all__ = [
     "NoSolutionError",
     "NoiseSpec",
     "PrivacyBudget",
-    "RejectionReport",
+    "RunResult",
     "Scenario",
     "SelectionResult",
     "StallError",

@@ -211,39 +211,21 @@ def cmd_run(args) -> int:
     cfg = _method_config(args.method, args)
     dataset = ingest_csv(args.input)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    rejected, report = run_arm(cfg, dataset.x, dataset.p, rng)
+    result = run_arm(cfg, dataset.x, dataset.p, rng)
 
     source = os.fspath(args.input)
-    resolved = cfg.resolved(dataset.n)
-    rejected_ids = [dataset.ids[i] for i in rejected]
-    if report is not None:
-        selected_pos = {sel: k for k, sel in enumerate(report.selected)}
-        rows = [
-            (
-                dataset.ids[i],
-                report.noisy_p[selected_pos[i]],
-                report.final_thresholds[selected_pos[i]],
-            )
-            for i in report.rejected
-        ]
-        json_text = report_json(report, args.seed, extra={
-            "input": source, "rejected_ids": rejected_ids, "resolved": resolved,
-        })
-    else:
-        rows = [(dataset.ids[i], float(dataset.p[i]), float("nan")) for i in rejected]
-        payload = {
-            "rejected": [int(i) for i in rejected],
-            "rejected_ids": rejected_ids,
-            "n_rejected": int(len(rejected)),
-            "config": {"input": source, "method": cfg.name, "seed": args.seed,
-                       "n": dataset.n} | resolved,
-            "resolved": resolved,
-            "seed": args.seed,
-        }
-        json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    write_text_atomic(f"{args.out_prefix}.report.json", json_text)
+    rejected_ids = [dataset.ids[i] for i in result.rejected]
+    write_text_atomic(f"{args.out_prefix}.report.json", report_json(result, args.seed, extra={
+        "input": source,
+        "rejected_ids": rejected_ids,
+        "resolved": cfg.resolved(dataset.n),
+        # with the input and seed, the config echo alone replays the run
+        "config": result.config | {"input": source, "seed": args.seed},
+    }))
+    keep = np.isin(result.selected, result.rejected)  # rejected keeps selection order
+    rows = zip(rejected_ids, result.noisy_p[keep], result.final_thresholds[keep])
     write_rejections_csv(f"{args.out_prefix}.rejections.csv", rows)
-    print(f"{len(rows)} rejections -> {args.out_prefix}.report.json, {args.out_prefix}.rejections.csv")
+    print(f"{len(rejected_ids)} rejections -> {args.out_prefix}.report.json, {args.out_prefix}.rejections.csv")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ R_t small ones. The loop stops the first time fdr_hat <= alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -33,23 +33,32 @@ class StallError(RuntimeError):
     """Updater proposed a removal that does not shrink the candidate set."""
 
 
-@dataclass(frozen=True)
-class RejectionReport:
-    """Outcome of one adaptive run.
+@dataclass(frozen=True, eq=False)
+class RunResult:
+    """Outcome of one run of any method, as `dpadapt run` reports it.
 
-    selected/noisy_p give the privatized values in selection order; rejected
-    is the subset with noisy_p <= final threshold. trajectory rows are
-    (t, A_t, R_t, fdr_hat) for every step including the stopping one.
+    selected, noisy_p and final_thresholds give each row's (privatized)
+    value and last threshold in selection order; rejected is the subset with
+    noisy_p <= final threshold, in that order. trajectory rows are (t, A_t,
+    R_t, fdr_hat) for every step including the stopping one. A baseline
+    takes no steps: its rows are the rejected ones with raw p-values and NaN
+    thresholds, and the defaults hold. The arrays are read-only; compare
+    results field by field, not with ==.
     """
 
     rejected: tuple[int, ...]
-    selected: tuple[int, ...]
-    noisy_p: tuple[float, ...]
-    trajectory: tuple[tuple[int, int, int, float], ...]
-    stop_t: int
-    final_thresholds: tuple[float, ...]
+    private: bool
     config: dict
-    model: dict | None
+    selected: np.ndarray
+    noisy_p: np.ndarray
+    final_thresholds: np.ndarray
+    model: dict | None = None
+    stop_t: int = 0
+    trajectory: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+
+    def __post_init__(self):
+        for rows in (self.selected, self.noisy_p, self.final_thresholds, self.trajectory):
+            rows.setflags(write=False)
 
 
 class ThresholdUpdater(Protocol):
@@ -89,7 +98,7 @@ def _adapt_loop(
     s0: float,
     updater: ThresholdUpdater,
     config: dict,
-) -> RejectionReport:
+) -> RunResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not 0.0 < s0 < 0.5:
@@ -108,7 +117,7 @@ def _adapt_loop(
     a_t = int(above.sum())
     n_candidates = int(candidate.sum())
     fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
-    trajectory = [(0, a_t, r_t, fh)]
+    steps = [np.array([[0, a_t, r_t, fh]], dtype=float)]
     t = 0
     while fh > alpha and n_candidates:
         revealed = np.where(candidate, np.nan, p)
@@ -150,24 +159,20 @@ def _adapt_loop(
         below[rows] = now_below[:n]
         above[rows] = now_above[:n]
         n_candidates -= n
-        a_n, r_n, fh_n = a[:n].tolist(), r[:n].tolist(), fhs[:n].tolist()
-        trajectory.extend(zip(range(t + 1, t + n + 1), a_n, r_n, fh_n))
+        steps.append(np.column_stack((np.arange(t + 1, t + n + 1), a[:n], r[:n], fhs[:n])))
         t += n
-        a_t, r_t, fh = a_n[-1], r_n[-1], fh_n[-1]
-    rejected = ids[below].tolist() if fh <= alpha else []
-    model = None
+        a_t, r_t, fh = int(a[n - 1]), int(r[n - 1]), float(fhs[n - 1])
     diag = getattr(updater, "diagnostics", None)
-    if callable(diag):
-        model = diag()
-    return RejectionReport(
-        rejected=tuple(rejected),
-        selected=tuple(ids.tolist()),
-        noisy_p=tuple(p.tolist()),
-        trajectory=tuple(trajectory),
-        stop_t=t,
-        final_thresholds=tuple(s.tolist()),
+    return RunResult(
+        rejected=tuple(ids[below].tolist()) if fh <= alpha else (),
+        private=config["private"],
         config=config,
-        model=model,
+        selected=ids,
+        noisy_p=p,
+        final_thresholds=s,
+        model=diag() if callable(diag) else None,
+        stop_t=t,
+        trajectory=np.concatenate(steps),
     )
 
 
@@ -185,7 +190,7 @@ def run_dp_adapt(
     s0: float = 0.45,
     noise_family: str = "gaussian",
     zero_noise: bool = False,
-) -> RejectionReport:
+) -> RunResult:
     """Privately pre-select m hypotheses, then run the adaptive loop on them.
 
     noise_family "gaussian" draws on the budget's mu; "laplace" requires the
@@ -230,7 +235,7 @@ def run_adapt_nonprivate(
     updater: ThresholdUpdater,
     *,
     s0: float = 0.45,
-) -> RejectionReport:
+) -> RunResult:
     """Same loop without selection or noise: all hypotheses, raw p-values."""
     p, xs = validate_inputs(pvalues, x)
     ids = np.arange(p.size)

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .engine import RejectionReport
+from .engine import RunResult
 
 
 class IngestError(ValueError):
@@ -200,18 +200,20 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def report_json(report: RejectionReport, seed, extra: dict | None = None) -> str:
-    """Serialize the run outcome: rejected ids, trajectory, seed, config echo."""
+def report_json(result: RunResult, seed, extra: dict | None = None) -> str:
+    """Serialize a run's outcome with the same keys for every method; extra adds or replaces keys."""
     payload = {
-        "rejected": list(report.rejected),
-        "n_rejected": len(report.rejected),
+        "rejected": list(result.rejected),
+        "n_rejected": len(result.rejected),
+        "private": result.private,
         "trajectory": [
-            {"t": t, "a": a, "r": r, "fdr_hat": f} for (t, a, r, f) in report.trajectory
+            {"t": int(t), "a": int(a), "r": int(r), "fdr_hat": f}
+            for t, a, r, f in result.trajectory.tolist()
         ],
-        "stop_t": report.stop_t,
+        "stop_t": result.stop_t,
         "seed": seed,
-        "config": report.config,
-        "model": report.model,
+        "config": result.config,
+        "model": result.model,
     }
     if extra:
         payload.update(extra)

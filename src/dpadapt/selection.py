@@ -21,8 +21,7 @@ import numpy as np
 from scipy.special import erfcinv
 
 from ._normal import _SQRT2, normal_quantile
-# BudgetAuditError is raised by peel_noise; it stays importable from here.
-from .privacy import BudgetAuditError, NoiseSpec, peel_noise  # noqa: F401
+from .privacy import NoiseSpec, peel_noise
 from .transform import TransformKernel, clamp_unit
 
 

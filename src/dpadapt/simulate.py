@@ -22,7 +22,7 @@ import numpy as np
 
 from ._normal import normal_cdf
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
-from .engine import RejectionReport, run_adapt_nonprivate, run_dp_adapt
+from .engine import RunResult, run_adapt_nonprivate, run_dp_adapt
 from .privacy import PrivacyBudget, check_sensitivity
 from .selection import check_rounds
 from .transform import kernel_by_name
@@ -276,28 +276,40 @@ def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
     return fdp, power
 
 
-def run_arm(
-    cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, RejectionReport | None]:
+def _fixed_rejections(name: str, p: np.ndarray, rejected: np.ndarray, params: dict) -> RunResult:
+    """A baseline's RunResult: the rejected rows and their raw p-values, no steps."""
+    rows = np.asarray(rejected, dtype=int)
+    return RunResult(
+        rejected=tuple(rows.tolist()),
+        private=name != "bh",
+        config={"method": name, "n": int(p.size)} | params,
+        selected=rows,
+        noisy_p=p[rows],
+        final_thresholds=np.full(rows.size, np.nan),
+    )
+
+
+def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> RunResult:
     """Execute one arm on (x, p): the only map from a method name to a procedure.
 
-    Returns the rejected indices and, for adapt and dp-adapt, the run's
-    report (None for bh, dp-bh and dp-bonf).
+    The RunResult's config echoes the parameters the procedure used.
     """
     n = p.size
     if cfg.name == "bh":
-        return bh(p, cfg.alpha), None
+        return _fixed_rejections("bh", p, bh(p, cfg.alpha), {"alpha": cfg.alpha})
     if cfg.name == "dp-bh":
-        return dp_bh(p, cfg.bh_config(n), rng), None
+        bh_cfg = cfg.bh_config(n)
+        return _fixed_rejections("dp-bh", p, dp_bh(p, bh_cfg, rng), asdict(bh_cfg))
     if cfg.name == "dp-bonf":
-        kernel = kernel_by_name(cfg.kernel)
-        return dp_bonf(p, cfg.delta_g, kernel, cfg.budget(), cfg.alpha, rng), None
+        budget = cfg.budget()
+        rejected = dp_bonf(p, cfg.delta_g, kernel_by_name(cfg.kernel), budget, cfg.alpha, rng)
+        params = {"alpha": cfg.alpha, "delta_g": cfg.delta_g, "mu": budget.mu, "kernel": cfg.kernel}
+        return _fixed_rejections("dp-bonf", p, rejected, params)
     updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
     if cfg.name == "adapt":
-        report = run_adapt_nonprivate(p, x, cfg.alpha, updater, s0=cfg.s0)
-        return np.asarray(report.rejected, dtype=int), report
+        return run_adapt_nonprivate(p, x, cfg.alpha, updater, s0=cfg.s0)
     # dp-adapt
-    report = run_dp_adapt(
+    return run_dp_adapt(
         p,
         x,
         kernel_by_name(cfg.kernel),
@@ -310,12 +322,11 @@ def run_arm(
         s0=cfg.s0,
         noise_family=cfg.noise_family,
     )
-    return np.asarray(report.rejected, dtype=int), report
 
 
 def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Execute one arm on (x, p); returns rejected indices."""
-    return run_arm(cfg, x, p, rng)[0]
+    """Execute one arm on (x, p); returns the rejected rows of its RunResult as an array."""
+    return np.asarray(run_arm(cfg, x, p, rng).rejected, dtype=int)
 
 
 def data_rng(base_seed: int, trial: int) -> np.random.Generator:

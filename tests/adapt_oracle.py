@@ -5,16 +5,16 @@ threshold vector each step (one greedy removal from cached scores, refitting
 every refit_every steps), and the loop recomputes every count from scratch
 and checks the proposal against the current thresholds. It is slow (O(m) per
 step) but simple; the incremental loop in dpadapt.engine must reproduce its
-reports bit for bit.
+results bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from dpadapt.engine import RejectionReport, StallError, fdr_hat
+from dpadapt.engine import RunResult, StallError, fdr_hat
 from dpadapt.transform import clamp_unit
 from dpadapt.twogroup import MaskedTable, NewtonStats, em_fit, null_probability
 
@@ -74,7 +74,7 @@ class ReferenceGreedyUpdater:
         }
 
 
-def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> RejectionReport:
+def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> RunResult:
     """Whole-vector loop with the same signature as engine._adapt_loop."""
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
@@ -105,13 +105,25 @@ def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> Rejection
             raise StallError("updater did not shrink the candidate set")
         s = np.maximum(s_new, 0.0)
         t += 1
-    return RejectionReport(
+    return RunResult(
         rejected=tuple(int(i) for i in rejected),
-        selected=tuple(int(i) for i in ids),
-        noisy_p=tuple(float(v) for v in p),
-        trajectory=tuple(trajectory),
-        stop_t=t,
-        final_thresholds=tuple(float(v) for v in s),
+        private=config["private"],
         config=config,
+        selected=ids,
+        noisy_p=p,
+        final_thresholds=s,
         model=updater.diagnostics(),
+        stop_t=t,
+        trajectory=np.array(trajectory, dtype=float),
     )
+
+
+def assert_same_result(a: RunResult, b: RunResult) -> None:
+    """Every field of a equals b's; arrays in shape, dtype and every value."""
+    for field in fields(RunResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, field.name
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y, field.name

@@ -17,7 +17,7 @@ from dpadapt.simulate import Scenario, data_rng, gen_grid, gen_no_side_info, met
 from dpadapt.transform import gaussian_kernel
 from dpadapt.twogroup import TwoGroupUpdater
 
-from .adapt_oracle import ReferenceGreedyUpdater, reference_adapt_loop
+from .adapt_oracle import ReferenceGreedyUpdater, assert_same_result, reference_adapt_loop
 
 K = gaussian_kernel()
 
@@ -193,15 +193,15 @@ class TestLoopBehavior:
             p, None, K, 1e-4, PrivacyBudget.from_mu(0.24), 20, 0.1,
             LargestMinUpdater(), np.random.default_rng(0), zero_noise=True,
         )
-        assert rep.stop_t == 0
+        assert rep.stop_t == 0 and not rep.private
         assert set(rep.rejected) == set(range(20))
-        assert rep.trajectory[0] == (0, 0, 20, pytest.approx(0.05))
+        assert rep.trajectory.tolist() == [[0, 0, 20, pytest.approx(0.05)]]
 
     def test_all_mid_values_empty_rejection(self):
         p = np.linspace(0.46, 0.54, 11)
         rep = run_adapt_nonprivate(p, None, 0.1, LargestMinUpdater())
         assert rep.rejected == ()
-        assert rep.trajectory[-1][1:3] == (0, 0)
+        assert rep.trajectory[-1][1:3].tolist() == [0, 0]
 
     def test_nonprivate_shares_loop_semantics(self):
         # same trivial cases through the noise-free all-hypotheses path
@@ -262,7 +262,7 @@ class TestLoopBehavior:
         rep = run_adapt_nonprivate(p, None, 0.4, Everything())
         assert rep.stop_t == 1
         assert rep.rejected == (0, 1, 2)
-        assert rep.final_thresholds[:3] == (0.45, 0.45, 0.45)
+        assert rep.final_thresholds[:3].tolist() == [0.45, 0.45, 0.45]
 
     # Rows 3 and 4 are the two large values. Removing row 3 leaves
     # fdr_hat = 2/3 > alpha; removing row 4 next stops the run at 1/3.
@@ -283,7 +283,7 @@ class TestLoopBehavior:
         rep = run_adapt_nonprivate(self.STOP_P, None, 0.4, Scripted(*late))
         assert [row[3] for row in rep.trajectory] == [1.0, 2 / 3, 1 / 3]
         assert rep.rejected == (0, 1, 5)
-        assert rep == clean
+        assert_same_result(rep, clean)
 
     @pytest.mark.parametrize("kind", VIOLATIONS)
     def test_invalid_row_before_the_stop_stalls(self, kind):
@@ -363,8 +363,8 @@ class TestInformationBarrier:
                 assert ca.keys() == cb.keys()
                 for key in ca:
                     assert np.array_equal(ca[key], cb[key], equal_nan=True), key
-            assert rep_a.trajectory == rep_b.trajectory
-            assert rep_a.final_thresholds == rep_b.final_thresholds
+            assert np.array_equal(rep_a.trajectory, rep_b.trajectory)
+            assert np.array_equal(rep_a.final_thresholds, rep_b.final_thresholds)
             # the flip is real: exactly one of the pair is rejected in each run
             assert (i in rep_a.rejected) != (i in rep_b.rejected)
 
@@ -393,7 +393,7 @@ class TestInformationBarrier:
             hidden = mm <= s
             assert np.array_equal(np.isnan(call["revealed"]), hidden)
             assert np.array_equal(call["revealed"][~hidden], vals[~hidden])
-            assert (call["a_t"], call["r_t"]) == rep.trajectory[step][1:3]
+            assert [call["a_t"], call["r_t"]] == rep.trajectory[step][1:3].tolist()
             step += call["batch"].size
 
 
@@ -414,7 +414,7 @@ class TestBookkeeping:
             step = 0
             for call in rec.calls:
                 assert np.unique(call["batch"]).size == call["batch"].size
-                assert (call["a_t"], call["r_t"]) == rep.trajectory[step][1:3]
+                assert [call["a_t"], call["r_t"]] == rep.trajectory[step][1:3].tolist()
                 step += call["batch"].size
 
     def test_batches_equal_single_steps(self):
@@ -426,7 +426,7 @@ class TestBookkeeping:
             rec = RecordingUpdater(TwoGroupUpdater())
             single = run_adapt_nonprivate(p, None, 0.1, rec)
             assert len(rec.calls) == single.stop_t
-            assert whole == single
+            assert_same_result(whole, single)
 
     def test_rejection_set_matches_final_thresholds(self):
         g = np.random.default_rng(31)
@@ -492,10 +492,10 @@ def batched_vs_single_steps(p, alpha, s0, seed):
     steps = RecordingUpdater(RandomUpdater(seed), per_step=True, s0=s0)
     single = run_adapt_nonprivate(p, None, alpha, steps, s0=s0)
     assert len(steps.calls) == single.stop_t
-    assert whole == single
-    for row in whole.trajectory:
-        assert [type(v) for v in row] == [int, int, int, float]
-    assert all(type(v) is float for v in whole.final_thresholds)
+    assert_same_result(whole, single)
+    assert whole.trajectory.shape == (whole.stop_t + 1, 4)
+    assert np.array_equal(whole.trajectory[:, 0], np.arange(whole.stop_t + 1))
+    assert whole.final_thresholds.dtype == float and not whole.final_thresholds.flags.writeable
     if not rec.calls:
         return False, False
     last = rec.calls[-1]["batch"]
@@ -562,12 +562,7 @@ class TestOracle:
             mp.setattr(engine, "_adapt_loop", reference_adapt_loop)
             old = run_arm(method, x, p, seed, ReferenceGreedyUpdater())
         assert new.stop_t > 0
-        assert new.rejected == old.rejected
-        assert new.trajectory == old.trajectory
-        assert new.stop_t == old.stop_t
-        assert new.final_thresholds == old.final_thresholds
-        assert new.model == old.model
-        assert new == old
+        assert_same_result(new, old)
 
 
 class TestEmpiricalFdr:

@@ -378,6 +378,21 @@ class TestRunCommand:
         assert report["resolved"]["mu"] == report["config"]["mu"] == 0.3
         assert report["resolved"]["m"] == 4
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_one_report_schema_for_every_method(self, tmp_path, method):
+        data = _oracle_csv(tmp_path / "d.csv")
+        assert main(["run", "--input", data, "--method", method, "--mu", "0.5", "--m", "40",
+                     "--seed", "5", "--out-prefix", str(tmp_path / "r")]) == EXIT_OK
+        report = json.loads((tmp_path / "r.report.json").read_text())
+        assert set(report) == {
+            "config", "input", "model", "n_rejected", "private", "rejected", "rejected_ids",
+            "resolved", "seed", "stop_t", "trajectory",
+        }
+        assert report["private"] == (method in ("dp-adapt", "dp-bh", "dp-bonf"))
+        assert (report["config"]["input"], report["config"]["seed"]) == (data, 5)
+        if method not in ("adapt", "dp-adapt"):
+            assert (report["trajectory"], report["stop_t"], report["model"]) == ([], 0, None)
+
 
 def _oracle_csv(path):
     """400 rows with two covariates; the first 80 are strong signals."""

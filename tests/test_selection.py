@@ -11,8 +11,8 @@ from scipy.stats import chi2_contingency
 
 from dpadapt import baselines, privacy, selection
 from dpadapt.baselines import BHConfig, dp_bh
-from dpadapt.privacy import CalibrationRegimeWarning, NoiseSpec, PrivacyBudget, compose
-from dpadapt.selection import BudgetAuditError, SelectionResult, mirror_peel, peel, report_noisy_min
+from dpadapt.privacy import BudgetAuditError, CalibrationRegimeWarning, NoiseSpec, PrivacyBudget, compose
+from dpadapt.selection import SelectionResult, mirror_peel, peel, report_noisy_min
 from dpadapt.transform import gaussian_kernel
 
 from .peel_oracle import dense_peel, lazy_peel_reference

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 from dpadapt._normal import normal_cdf
+from dpadapt.engine import RunResult
 from dpadapt.privacy import PrivacyBudget, ed_to_gdp
 from dpadapt.simulate import (
     MethodConfig,
@@ -168,9 +169,10 @@ class TestCampaign:
         x, p, _ = gen_no_side_info(self.scenario, data_rng(3, 0))
         for name in ("bh", "adapt"):
             cfg = MethodConfig(name=name)
-            rejected, report = run_arm(cfg, x, p, method_rng(3, 0, 0))
-            assert np.array_equal(run_method(cfg, x, p, method_rng(3, 0, 0)), rejected)
-            assert (report is None) == (name == "bh")
+            result = run_arm(cfg, x, p, method_rng(3, 0, 0))
+            assert isinstance(result, RunResult) and isinstance(result.rejected, tuple)
+            assert np.array_equal(run_method(cfg, x, p, method_rng(3, 0, 0)), result.rejected)
+            assert (result.stop_t == 0) == (name == "bh")
 
     def test_methods_never_see_labels(self):
         import inspect
@@ -222,8 +224,8 @@ class TestMethodConfigDefaults:
         sc = Scenario(kind="no_side_info", n=400, t=10, beta=4.0)
         x, p, _ = gen_no_side_info(sc, data_rng(3, 0))
         cfg = MethodConfig(name="dp-adapt", noise_family="laplace", m=20)
-        _, report = run_arm(cfg, x, p, method_rng(3, 0, 0))
-        assert cfg.resolved(400)["mu"] == report.config["mu"] == ed_to_gdp(0.5, 1e-3)
+        result = run_arm(cfg, x, p, method_rng(3, 0, 0))
+        assert cfg.resolved(400)["mu"] == result.config["mu"] == ed_to_gdp(0.5, 1e-3)
 
 
 class TestDeskCampaignTargets:
