@@ -54,17 +54,19 @@ class BHConfig:
 def bh(pvalues, alpha: float) -> np.ndarray:
     """Classic step-up procedure; boundary comparisons are non-strict.
 
-    Returns the sorted indices of the rejected hypotheses.
+    Returns the sorted indices of the rejected hypotheses. The step-up scan
+    needs only the sorted p-values, not their order: every p-value at or
+    below the largest passing one is rejected, so ties need no breaking.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     p, _ = validate_inputs(pvalues)
     n = p.size
-    order = np.argsort(p, kind="stable")
-    passed = p[order] <= alpha * np.arange(1, n + 1) / n
+    t = np.sort(p)
+    passed = t <= alpha * np.arange(1, n + 1) / n
     if not passed.any():
         return np.empty(0, dtype=int)
-    cutoff = p[order][np.flatnonzero(passed).max()]
+    cutoff = t[np.flatnonzero(passed).max()]
     return np.flatnonzero(p <= cutoff)
 
 

@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -68,7 +68,7 @@ def _read_config_file(path) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
                 values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 

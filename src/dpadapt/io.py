@@ -15,7 +15,6 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +45,7 @@ def ingest_csv(path) -> Dataset:
     words the errors. Both give the same `Dataset`.
     """
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
@@ -85,16 +84,20 @@ def _ingest_columnar(text: str) -> Dataset | None:
         return None
     header = [h.strip() for h in lines[0].split(",")]
     rows = lines[1:]
+    # One comma count for the whole file is still a per-row check: a short
+    # row cannot balance a long one, since loadtxt raises on a non-blank row
+    # that lacks a used column and skips a blank one, which the row count
+    # below catches.
     if (
         header != _expected_header(len(header))
-        or set(map(str.count, rows, repeat(","))) != {len(header) - 1}
+        or text.count(",") != (len(header) - 1) * len(lines)
         or max(map(len, lines)) > csv.field_size_limit()
     ):
         return None
     try:
         values = np.loadtxt(
-            _stdio.StringIO(text), delimiter=",", usecols=range(1, len(header)),
-            skiprows=1, comments=None, quotechar=None, ndmin=2,
+            rows, delimiter=",", usecols=range(1, len(header)),
+            comments=None, quotechar=None, ndmin=2,
         )
     except ValueError:
         return None
@@ -191,7 +194,7 @@ def write_text_atomic(path, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

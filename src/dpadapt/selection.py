@@ -97,6 +97,28 @@ def _noise_ppf_scalar(noise: NoiseSpec, f: float) -> float:
     return float(noise.scale * (-log_tail if upper else log_tail))
 
 
+def stable_argsort(s: np.ndarray) -> np.ndarray:
+    """np.argsort(s, kind="stable") for a NaN-free 1-d float array, computed faster.
+
+    The default argsort orders the values; only runs of equal values (0.0
+    and -0.0 compare equal) can come out of index order. One integer sort
+    of run * n + index over the tied positions puts each run back in index
+    order, since the run numbers increase along the sorted values.
+    """
+    order = np.argsort(s)
+    t = s[order]
+    eq = t[1:] == t[:-1]
+    if eq.any():
+        n = order.size
+        tied = np.zeros(n, dtype=bool)
+        tied[1:] = eq
+        tied[:-1] |= eq
+        pos = tied.nonzero()[0]
+        run_start = np.concatenate(([True], ~eq))[pos]
+        order[pos] = np.sort(np.cumsum(run_start) * n + order[pos]) % n
+    return order
+
+
 def check_rounds(m, n: int) -> int:
     """m as an int, if it is a number of peeling rounds n hypotheses allow."""
     if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
@@ -109,7 +131,8 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
 
     The outputs have the distribution of the dense loop that adds fresh iid
     noise to every remaining score each round, but the work is lazy. The
-    scores are sorted once; each round draws noise only for the alive scores
+    scores are sorted once, by stable_argsort (the scores must be NaN-free;
+    every caller's are); each round draws noise only for the alive scores
     within _block_width noise scales of the smallest one, and bounds the k
     alive scores past that block by W, an exactly sampled minimum of k
     noises: S(W) = exp(-E/k) with E ~ Exp(1), since P(W > w) = S(w)^k. If
@@ -127,7 +150,7 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     are unchanged.
     """
     s = np.asarray(scores, dtype=float)
-    order = np.argsort(s, kind="stable")
+    order = stable_argsort(s)
     if noise.scale == 0.0:
         return order[:m]
     t = s[order]

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit
 
+from .selection import stable_argsort
 from .transform import P_FLOOR
 
 A_MIN = 0.05
@@ -400,7 +401,7 @@ def removal_order(masked: MaskedTable, x, fit: TwoGroupFit, limit: int | None = 
         tied = np.flatnonzero(keys == cut)[: limit - above.size]
         chosen = np.concatenate([above, tied])
         return hidden[chosen[np.lexsort((chosen, keys[chosen]))]]
-    return hidden[np.argsort(keys, kind="stable")][:limit]
+    return hidden[stable_argsort(keys)][:limit]
 
 
 class TwoGroupUpdater:
@@ -435,7 +436,7 @@ class TwoGroupUpdater:
 
     def start(self, masked_min: np.ndarray, x) -> None:
         n_fit = min(max(200, round(0.2 * masked_min.size)), masked_min.size)
-        window = np.argsort(masked_min, kind="stable")[:n_fit]
+        window = stable_argsort(masked_min)[:n_fit]
         self._masked_min, self._x, self._window = masked_min, x, window
         self._window_x = None if x is None else np.asarray(x)[window]
         self._fit = None

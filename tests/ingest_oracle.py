@@ -3,7 +3,8 @@
 This is the ingest that `dpadapt run` used before the columnar path: csv.reader
 over the file, one float() per field, the checks row by row. The only changes
 since then are that an undecodable file and a field over csv's size limit
-raise IngestError naming the path. `ingest_csv` must return an equal
+raise IngestError naming the path, and that the file is read as UTF-8 whatever
+the locale, as `ingest_csv` reads it. `ingest_csv` must return an equal
 `Dataset`, or raise the same exception with the same message, on every file.
 """
 
@@ -19,7 +20,7 @@ from dpadapt.io import Dataset, IngestError
 
 def ingest_csv(path) -> Dataset:
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc

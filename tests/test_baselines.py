@@ -49,6 +49,22 @@ class TestBH:
                 p[: n // 2] **= 4  # inject signal
             assert set(bh(p, 0.1).tolist()) == bh_bruteforce(p.tolist(), 0.1)
 
+    def test_matches_argsort_formulation_on_ties_and_signed_zeros(self):
+        def bh_argsort(p, alpha):
+            order = np.argsort(p, kind="stable")
+            passed = p[order] <= alpha * np.arange(1, p.size + 1) / p.size
+            if not passed.any():
+                return np.empty(0, dtype=int)
+            return np.flatnonzero(p <= p[order][np.flatnonzero(passed).max()])
+
+        rng = np.random.default_rng(2)
+        pool = np.array([0.0, -0.0, 1e-3, 0.004, 0.02, 0.02, 0.5, 1.0])
+        for _ in range(300):
+            p = rng.choice(pool, int(rng.integers(1, 60)))
+            for alpha in (0.01, 0.1):
+                got, want = bh(p, alpha), bh_argsort(p, alpha)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(1)
         p = rng.random(80)

@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dpadapt
 from dpadapt import cli, io, privacy
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
@@ -130,7 +133,7 @@ def csv_texts(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, n))
         j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
-        kind = draw(st.sampled_from(["float", "id", "ragged", "blank", "quote", "header"]))
+        kind = draw(st.sampled_from(["float", "id", "ragged", "balanced", "blank", "quote", "header"]))
         if kind == "float" and i and j:
             rows[i][j] = draw(st.sampled_from(_ODD_FLOATS))
         elif kind == "id" and i and rows[i]:
@@ -140,6 +143,13 @@ def csv_texts(draw):
                 rows[i].pop()
             else:
                 rows[i].append("0.5")
+        elif kind == "balanced" and n >= 2:
+            # one row loses commas and another gains as many, so the file's
+            # comma count still matches the header's
+            short, long = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            lost = max(len(rows[short]) - 1, 0)
+            rows[short] = draw(st.sampled_from([rows[short][:-1], [], [" "]]))
+            rows[long] += ["0.5"] * (lost - max(len(rows[short]) - 1, 0))
         elif kind == "blank":
             rows.insert(i + 1, [])
         elif kind == "quote" and rows[i]:
@@ -184,6 +194,9 @@ class TestIngestMatchesOracle:
         "id,p\r\na,0.5\rb,0.25\r\n",
         "id,p,x1\na,0.5,1\nb,0.25\n",
         "id,p,x1\na,0.5,1\nb,0.25,1,2\n",
+        "id,p,x1\na,0.5\nb,0.25,1,2\n",
+        "id,p\na,0.5\n\nb,0.25,1\n",
+        "id,p\na,0.5\n \nb,0.25,1\n",
         "id,p\na,0.5\n\nb,0.25\n",
         "id,p\na,0.5\n\n",
         "id,p\na,abc\n",
@@ -200,7 +213,8 @@ class TestIngestMatchesOracle:
         "id,p\n",
         "",
     ], ids=[
-        "quote", "lone-cr", "lone-cr-at-end", "mixed-cr", "short-row", "long-row", "blank-row", "trailing-blank",
+        "quote", "lone-cr", "lone-cr-at-end", "mixed-cr", "short-row", "long-row",
+        "short-and-long-rows", "blank-and-long-rows", "whitespace-and-long-rows", "blank-row", "trailing-blank",
         "loadtxt-error", "underscore", "fullwidth-digit", "arabic-digit", "x1c-whitespace",
         "p-out-of-range", "p-nan", "x-inf", "x-overflow", "duplicate-after-strip",
         "bad-header", "no-rows", "empty",
@@ -263,6 +277,33 @@ class TestRunCommand:
                      "--out-prefix", prefix]) == EXIT_OK
         report = json.loads((tmp_path / "bh.report.json").read_text())
         assert report["rejected_ids"] == ["g0"]
+
+    def test_reads_and_writes_utf8_whatever_the_locale(self, tmp_path):
+        # every open() in `dpadapt run` and emit_csv names its encoding, so an
+        # EncodingWarning, made an error here, cannot fire
+        data = tmp_path / "d.csv"
+        data.write_bytes("id,p\né0,0.001\nb,0.5\n".encode("utf-8"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# défaut\nalpha=0.2\n".encode("utf-8"))
+        script = (
+            "import sys\n"
+            "from dpadapt import cli, io\n"
+            "data, cfg, prefix, out = sys.argv[1:]\n"
+            "code = cli.main(['run', '--config', cfg, '--input', data, '--method', 'bh',"
+            " '--seed', '1', '--out-prefix', prefix])\n"
+            "io.emit_csv(io.ingest_csv(data), out)\n"
+            "sys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dpadapt.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script,
+             str(data), str(cfg), str(tmp_path / "o"), str(tmp_path / "e.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (tmp_path / "o.rejections.csv").read_bytes().splitlines()[1].startswith("é0,".encode("utf-8"))
+        assert (tmp_path / "e.csv").read_bytes() == "id,p\nb,0.5\né0,0.001\n".encode("utf-8")
 
     def test_duplicate_ids_is_data_error(self, tmp_path):
         f = write(tmp_path / "d.csv", "id,p\na,0.1\na,0.2\n")
@@ -548,3 +589,9 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "cfg-out" / "manifest.json").read_text())
         assert manifest["trials"] == 2
         assert manifest["scenario"]["n"] == 400
+
+    def test_undecodable_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"trials=2\nmethods=bh\xff\n")
+        assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out-dir", str(tmp_path / "o")]) == EXIT_USAGE
+        assert f"cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err

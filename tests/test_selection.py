@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
@@ -322,6 +322,41 @@ class TestNoisePpfScalar:
     )
     def test_matches_array_inverse_bit_for_bit(self, family, scale, f):
         self.check(family, scale, f)
+
+
+_TIED_FLOATS = [0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 5e-324]
+
+
+class TestStableArgsort:
+    """selection.stable_argsort against np.argsort(kind="stable")."""
+
+    @staticmethod
+    def check(s):
+        got, want = selection.stable_argsort(s), np.argsort(s, kind="stable")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.sampled_from(_TIED_FLOATS), st.floats(allow_nan=False)), max_size=200,
+    ))
+    @example(values=[])
+    @example(values=[-0.0])
+    @example(values=[0.0, -0.0, 0.0])
+    def test_matches_numpy_stable(self, values):
+        self.check(np.array(values, dtype=float))
+
+    @pytest.mark.parametrize("kind", ["distinct", "few-ties", "heavy-ties", "signed-zeros-and-infs"])
+    def test_100k(self, kind):
+        g = rng(11)
+        n = 100_489
+        s = {
+            "distinct": g.random(n),
+            "few-ties": np.log(np.maximum(1e-4, g.random(n))),
+            "heavy-ties": g.integers(0, 50, n) / 4.0,
+            "signed-zeros-and-infs": g.choice(_TIED_FLOATS, n),
+        }[kind]
+        self.check(s)
 
 
 class TestSelectionResult:
