@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, PrivacyBudget, check_sensitivity, peel_noise
+from .privacy import NoiseSpec, PrivacyBudget, check_count, check_level, check_positive, peel_noise
 from .selection import check_rounds, peel, validate_inputs
 from .transform import TransformKernel
 
@@ -37,18 +37,13 @@ class BHConfig:
     m: int
 
     def __post_init__(self):
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError(f"nu must lie in (0, 1), got {self.nu!r}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not self.m >= 1:
-            raise ValueError(f"m must be at least 1, got {self.m!r}")
+        # alpha first: nu defaults to a multiple of it
+        check_level("alpha", self.alpha)
+        check_level("nu", self.nu)
+        check_positive("eta", self.eta)
+        check_positive("epsilon", self.epsilon)
+        check_level("delta", self.delta)
+        check_count("m", self.m)
 
 
 def bh(pvalues, alpha: float) -> np.ndarray:
@@ -58,8 +53,7 @@ def bh(pvalues, alpha: float) -> np.ndarray:
     needs only the sorted p-values, not their order: every p-value at or
     below the largest passing one is rejected, so ties need no breaking.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_level("alpha", alpha)
     p, _ = validate_inputs(pvalues)
     n = p.size
     t = np.sort(p)
@@ -121,9 +115,8 @@ def dp_bonf(
     As expected from that construction, its power is near zero whenever the
     noise is non-trivial.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    check_sensitivity(delta_g)
+    check_positive("delta_g", delta_g)
+    check_level("alpha", alpha)
     p, _ = validate_inputs(pvalues)
     n = p.size
     noise = NoiseSpec("gaussian", 0.0 if zero_noise else delta_g * n / budget.mu)

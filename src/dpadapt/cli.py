@@ -133,14 +133,18 @@ def build_parser() -> _Parser:
 
 
 def _apply_config_file(parser, argv):
-    """Pre-scan for --config and install its values as parser defaults."""
+    """Install the --config file's values as parser defaults; refuse a key no subcommand defines."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config:
         values = _read_config_file(known.config)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            usable = {a.dest for a in action._actions}
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        dests = [{a.dest for a in action._actions} for action in subparsers]
+        unknown = sorted(set(values).difference(*dests))
+        if unknown:
+            raise UsageError(f"{known.config}: unknown key {', '.join(unknown)}")
+        for action, usable in zip(subparsers, dests):
             action.set_defaults(**{k: v for k, v in values.items() if k in usable})
 
 
@@ -246,6 +250,8 @@ def cmd_simulate(args) -> int:
     for cfg in methods:
         # a setting every trial would refuse is a usage error, as in `run`
         cfg.check(scenario.total_n)
+    # the echo reads every arm's budget, so it is resolved before anything is written
+    resolved = [cfg.resolved(scenario.total_n) for cfg in methods]
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv_atomic(
@@ -270,7 +276,7 @@ def cmd_simulate(args) -> int:
     )
     manifest = {
         "scenario": vars(result.scenario) | {"total_n": result.scenario.total_n},
-        "methods": [m.resolved(result.scenario.total_n) for m in result.methods],
+        "methods": resolved,
         "trials": args.trials,
         "seed": args.seed,
         "failures": [vars(f) for f in result.failures],

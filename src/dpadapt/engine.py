@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, check_level
 from .selection import mirror_peel, validate_inputs
 from .transform import TransformKernel, clamp_unit
 
@@ -99,10 +99,8 @@ def _adapt_loop(
     updater: ThresholdUpdater,
     config: dict,
 ) -> RunResult:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not 0.0 < s0 < 0.5:
-        raise ValueError(f"s0 must lie in (0, 0.5), got {s0!r}")
+    check_level("alpha", alpha)
+    check_level("s0", s0, 0.5)
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
     ids = np.array(ids, dtype=int)

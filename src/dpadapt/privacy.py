@@ -59,15 +59,12 @@ class PrivacyBudget:
     delta: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be positive and finite, got {self.mu!r}")
+        check_positive("mu", self.mu)
         if (self.epsilon is None) != (self.delta is None):
             raise ValueError("epsilon and delta must be supplied together")
         if self.epsilon is not None:
-            if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-            if not 0.0 < self.delta < 1.0:
-                raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+            check_positive("epsilon", self.epsilon)
+            check_level("delta", self.delta)
             implied = gdp_to_ed(self.mu, self.epsilon)
             if abs(implied - self.delta) > 1e-12:
                 raise ValueError(
@@ -115,8 +112,8 @@ def compose(budgets) -> PrivacyBudget:
     mus = [b.mu if isinstance(b, PrivacyBudget) else float(b) for b in budgets]
     if not mus:
         raise ValueError("compose requires at least one budget")
-    if any(not (math.isfinite(m) and m > 0) for m in mus):
-        raise ValueError("all composed budgets must have positive finite mu")
+    for mu in mus:
+        check_positive("mu", mu)
     return PrivacyBudget(mu=math.sqrt(math.fsum(m * m for m in mus)))
 
 
@@ -126,10 +123,8 @@ def gdp_to_ed(mu: float, epsilon: float) -> float:
     The exp(epsilon) * Phi(...) term is evaluated in log space so the product
     stays finite when the CDF underflows.
     """
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_positive("mu", mu)
+    check_positive("epsilon", epsilon)
     a = -epsilon / mu + mu / 2.0
     b = -epsilon / mu - mu / 2.0
     second = math.exp(epsilon + normal_logcdf(b)) if normal_logcdf(b) > -math.inf else 0.0
@@ -144,10 +139,8 @@ def ed_to_gdp(epsilon: float, delta: float) -> float:
     Raises NoSolutionError when delta is outside the range achievable in the
     bracket (including targets the conversion cannot represent in float64).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    check_positive("epsilon", epsilon)
+    check_level("delta", delta)
     lo, hi = _MU_LO, _MU_HI
     if not gdp_to_ed(lo, epsilon) <= delta <= gdp_to_ed(hi, epsilon):
         raise NoSolutionError(
@@ -168,21 +161,35 @@ def ed_to_gdp(epsilon: float, delta: float) -> float:
     return mu
 
 
-def check_sensitivity(delta_g: float) -> None:
-    """Refuse a sensitivity that is not positive and finite.
+def check_level(name: str, value: float, upper: float = 1.0) -> None:
+    """Refuse a value outside the open interval (0, upper)."""
+    if not 0.0 < value < upper:
+        raise ValueError(f"{name} must lie in (0, {upper:g}), got {value!r}")
 
-    Every private mechanism calls this, so zero_noise is the only noise-free
-    mode.
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not positive and finite.
+
+    Every private mechanism applies it to its sensitivity, so zero_noise is
+    the only noise-free mode.
     """
-    if not (math.isfinite(delta_g) and delta_g > 0):
-        raise ValueError(f"delta_g must be positive, got {delta_g!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_count(name: str, value, *, optional: bool = False) -> None:
+    """Refuse a value that is not an integer >= 1; optional also allows None."""
+    if optional and value is None:
+        return
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        rule = "None or an integer >= 1" if optional else "a positive integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def calibrate_gaussian(delta_g: float, mu: float) -> NoiseSpec:
     """Gaussian noise scale sqrt(8) * delta_g / mu for a selection release."""
-    check_sensitivity(delta_g)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be positive, got {mu!r}")
+    check_positive("delta_g", delta_g)
+    check_positive("mu", mu)
     return NoiseSpec("gaussian", math.sqrt(8.0) * delta_g / mu)
 
 
@@ -194,13 +201,10 @@ def calibrate_laplace(delta_g: float, m: int, epsilon: float, delta: float) -> N
     outside that regime a CalibrationRegimeWarning is emitted and the scale
     is still returned.
     """
-    check_sensitivity(delta_g)
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    check_positive("delta_g", delta_g)
+    check_count("m", m)
+    check_positive("epsilon", epsilon)
+    check_level("delta", delta)
     if epsilon > _LAPLACE_EPS_MAX or delta > _LAPLACE_DELTA_MAX or m < _LAPLACE_M_MIN:
         warnings.warn(
             "laplace calibration outside certified regime "
@@ -232,12 +236,10 @@ def peel_noise(
     outside its certified regime. zero_noise gives the family's zero-scale
     spec and needs no budget.
     """
-    if family not in ("gaussian", "laplace"):
-        raise ValueError(f"unknown noise family {family!r}")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    zero = NoiseSpec(family, 0.0)  # checks the family
+    check_count("m", m)
     if zero_noise:
-        return NoiseSpec(family, 0.0)
+        return zero
     if family == "laplace":
         if epsilon is None or delta is None:
             raise ValueError("laplace peeling requires epsilon and delta")

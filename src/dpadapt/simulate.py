@@ -17,13 +17,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from ._normal import normal_cdf
 from .baselines import BHConfig, bh, dp_bh, dp_bonf
 from .engine import RunResult, run_adapt_nonprivate, run_dp_adapt
-from .privacy import PrivacyBudget, check_sensitivity
+from .privacy import NoiseSpec, PrivacyBudget, check_count, check_level, check_positive
 from .selection import check_rounds
 from .transform import kernel_by_name
 from .twogroup import TwoGroupUpdater
@@ -78,10 +79,10 @@ class MethodConfig:
     These are the only method defaults in the package: `dpadapt run` and
     `dpadapt simulate` build their arms from this class. budget() is the one
     budget rule: the GDP budget dp-adapt and dp-bonf spend, and the mu every
-    echo reports. m defaults to 5% of the hypotheses (at least 10), nu to
-    0.5*alpha/n, and eta to delta_g. An explicit m is used as given, so one
-    larger than n fails in the mechanisms that peel; check() finds that, and
-    every other setting no data can rescue, before a run.
+    echo reports. m defaults to 5% of the hypotheses (at least 10; adapt
+    takes them all), nu to 0.5*alpha/n, and eta to delta_g. An explicit m is
+    used as given, so one larger than n fails in the mechanisms that peel;
+    check() finds that, and every other setting no data can rescue, before a run.
     """
 
     name: str
@@ -116,10 +117,14 @@ class MethodConfig:
             return PrivacyBudget.from_epsilon_delta(self.epsilon, self.delta)
         if self.mu is not None:
             return PrivacyBudget.from_mu(self.mu)
+        check_positive("epsilon", self.epsilon)
+        check_level("delta", self.delta)
         mu = 4.0 * self.epsilon / math.sqrt(10.0 * math.log(1.0 / self.delta))
         return PrivacyBudget.from_mu(mu)
 
     def resolved_m(self, n: int) -> int:
+        if self.name == "adapt":
+            return n
         if self.m is not None:
             return self.m
         return min(n, max(10, round(0.05 * n)))
@@ -142,18 +147,29 @@ class MethodConfig:
         )
 
     def check(self, n: int) -> None:
-        """Raise the ValueError every run of this arm on n hypotheses raises.
+        """Raise the ValueError that every run of this arm on n hypotheses raises.
 
-        Covers the budget, m against n, and a private arm's sensitivity, in
-        the order the run meets them, so the message is the run's.
+        Applies the parameter rules to exactly the fields the arm reads, and
+        builds what run_arm builds from them (the dp-bh config, the budget,
+        the kernel and the TwoGroupUpdater), in the order the run meets them,
+        so the message is the run's.
         """
         if self.name == "dp-bh":
             check_rounds(self.bh_config(n).m, n)
-        elif self.name in ("dp-adapt", "dp-bonf"):
+            return
+        adaptive = self.name in ("adapt", "dp-adapt")
+        if adaptive:
+            TwoGroupUpdater(em_iters=self.em_iters, refit_every=self.refit_every)
+        if self.name in ("dp-adapt", "dp-bonf"):
+            kernel_by_name(self.kernel)
             self.budget()
             if self.name == "dp-adapt":
                 check_rounds(self.resolved_m(n), n)
-            check_sensitivity(self.delta_g)
+                NoiseSpec(self.noise_family, 0.0)  # the peel's family rule
+            check_positive("delta_g", self.delta_g)
+        check_level("alpha", self.alpha)
+        if adaptive:
+            check_level("s0", self.s0, 0.5)
 
     def resolved(self, n: int) -> dict:
         """Every field, with mu, m, nu and eta resolved for n hypotheses."""
@@ -173,6 +189,7 @@ class TrialReport:
     power: float
     n_reject: int
     wall_time_ms: float
+    arm: int
 
 
 @dataclass(frozen=True)
@@ -180,6 +197,7 @@ class TrialFailure:
     method: str
     trial: int
     error: str
+    arm: int
 
 
 @dataclass(frozen=True)
@@ -301,8 +319,8 @@ def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> Ru
         bh_cfg = cfg.bh_config(n)
         return _fixed_rejections("dp-bh", p, dp_bh(p, bh_cfg, rng), asdict(bh_cfg))
     if cfg.name == "dp-bonf":
-        budget = cfg.budget()
-        rejected = dp_bonf(p, cfg.delta_g, kernel_by_name(cfg.kernel), budget, cfg.alpha, rng)
+        kernel, budget = kernel_by_name(cfg.kernel), cfg.budget()
+        rejected = dp_bonf(p, cfg.delta_g, kernel, budget, cfg.alpha, rng)
         params = {"alpha": cfg.alpha, "delta_g": cfg.delta_g, "mu": budget.mu, "kernel": cfg.kernel}
         return _fixed_rejections("dp-bonf", p, rejected, params)
     updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
@@ -349,19 +367,14 @@ def run_trial(scenario: Scenario, methods, base_seed: int, trial: int):
         try:
             rejected = run_method(cfg, x, p, rng)
         except Exception as exc:  # recorded, never silently dropped
-            failures.append(TrialFailure(cfg.name, trial, f"{type(exc).__name__}: {exc}"))
+            failures.append(TrialFailure(cfg.name, trial, f"{type(exc).__name__}: {exc}", mi))
             continue
         elapsed_ms = (time.perf_counter() - start) * 1e3
         fdp, power = fdp_and_power(rejected, labels)
         reports.append(
-            TrialReport(cfg.name, trial, fdp, power, int(np.size(rejected)), elapsed_ms)
+            TrialReport(cfg.name, trial, fdp, power, int(np.size(rejected)), elapsed_ms, mi)
         )
     return reports, failures
-
-
-def _trial_worker(args):
-    scenario, methods, base_seed, trial = args
-    return run_trial(scenario, methods, base_seed, trial)
 
 
 def run_campaign(
@@ -373,31 +386,28 @@ def run_campaign(
 ) -> CampaignResult:
     """Run all method arms over independent trials and aggregate.
 
-    Failed method/trial pairs are excluded from the aggregates but recorded
-    with a count. The result is identical for any worker count.
+    Records are keyed by arm position; a failed arm/trial pair is left out of
+    the aggregates but counted. The result is identical for any worker count.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    check_count("trials", trials)
     methods = tuple(methods)
-    jobs = [(scenario, methods, base_seed, i) for i in range(trials)]
-    results = []
+    jobs = (repeat(scenario), repeat(methods), repeat(base_seed), range(trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_worker, jobs))
+            results = list(pool.map(run_trial, *jobs))
     else:
-        results = [_trial_worker(j) for j in jobs]
+        results = list(map(run_trial, *jobs))
     all_reports: list[TrialReport] = []
     all_failures: list[TrialFailure] = []
     for reports, failures in results:
         all_reports.extend(reports)
         all_failures.extend(failures)
-    order = {cfg.name: i for i, cfg in enumerate(methods)}
-    all_reports.sort(key=lambda r: (order[r.method], r.trial))
-    all_failures.sort(key=lambda f: (order[f.method], f.trial))
+    all_reports.sort(key=lambda r: (r.arm, r.trial))
+    all_failures.sort(key=lambda f: (f.arm, f.trial))
     aggregates = []
-    for cfg in methods:
-        rows = [r for r in all_reports if r.method == cfg.name]
-        failed = sum(1 for f in all_failures if f.method == cfg.name)
+    for arm, cfg in enumerate(methods):
+        rows = [r for r in all_reports if r.arm == arm]
+        failed = sum(1 for f in all_failures if f.arm == arm)
         if rows:
             fdps = np.array([r.fdp for r in rows])
             powers = np.array([r.power for r in rows])
@@ -418,9 +428,7 @@ def run_campaign(
                 )
             )
         else:
-            aggregates.append(
-                AggregateRow(cfg.name, 0, failed, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan)
-            )
+            aggregates.append(AggregateRow(cfg.name, 0, failed, *[math.nan] * 6))
     return CampaignResult(
         scenario=scenario,
         methods=methods,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._normal import normal_cdf, normal_pdf, normal_quantile
-from .privacy import NoiseSpec
+from .privacy import NoiseSpec, check_count, check_positive
 
 # Quantile clamp: p is pulled into [P_FLOOR, 1 - P_FLOOR] before G_inv so the
 # endpoints stay finite, and transform outputs are kept inside the same band
@@ -61,8 +61,7 @@ def gaussian_kernel() -> TransformKernel:
 
 def truncated_normal_kernel(bound: float) -> TransformKernel:
     """Normal density truncated to [-bound, bound] and renormalized."""
-    if not (math.isfinite(bound) and bound > 0):
-        raise ValueError(f"bound must be positive and finite, got {bound!r}")
+    check_positive("bound", bound)
     lo = normal_cdf(-bound)
     mass = 1.0 - 2.0 * lo
 
@@ -114,10 +113,8 @@ def noisy_pvalue(p, kernel: TransformKernel, noise: NoiseSpec, rng: np.random.Ge
 
 def sensitivity_one_sided_mean(bound: float, n: int) -> float:
     """One-sided mean test of bounded unit-variance samples: 2 * bound / sqrt(n)."""
-    if not bound > 0:
-        raise ValueError(f"bound must be positive, got {bound!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    check_positive("bound", bound)
+    check_count("n", n)
     return 2.0 * bound / math.sqrt(n)
 
 
@@ -169,10 +166,7 @@ def sensitivity_two_sided_mean(bound: float, n: int, C: float) -> float:
     C is the supremum computed by two_sided_bound_constant for the kernel in
     use; callers supply it so the bound stays explicit in configuration.
     """
-    if not bound > 0:
-        raise ValueError(f"bound must be positive, got {bound!r}")
-    if not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C!r}")
+    check_positive("bound", bound)
+    check_count("n", n)
+    check_positive("C", C)
     return 2.0 * bound * C / math.sqrt(n)

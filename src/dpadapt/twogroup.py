@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit, log_expit
 
+from .privacy import check_count
 from .selection import stable_argsort
 from .transform import P_FLOOR
 
@@ -337,8 +338,7 @@ def em_fit(
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k!r}")
+    check_count("k", k)
     fit = init if init is not None else default_fit(x)
     basis = fit.basis
     design = basis.design(x, n_rows=masked.size)
@@ -426,10 +426,8 @@ class TwoGroupUpdater:
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
-        if em_iters < 1:
-            raise ValueError("em_iters must be at least 1")
-        if refit_every is not None and not (isinstance(refit_every, int) and refit_every >= 1):
-            raise ValueError(f"refit_every must be None or an integer >= 1, got {refit_every!r}")
+        check_count("em_iters", em_iters)
+        check_count("refit_every", refit_every, optional=True)
         self.em_iters = em_iters
         self.refit_every = refit_every
         self._fit: TwoGroupFit | None = None

@@ -14,7 +14,7 @@ from dpadapt import cli, io, privacy
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
 from dpadapt._normal import normal_cdf
-from dpadapt.privacy import PrivacyBudget, ed_to_gdp, gdp_to_ed
+from dpadapt.privacy import PrivacyBudget, calibrate_gaussian, calibrate_laplace, ed_to_gdp, gdp_to_ed
 from dpadapt.simulate import METHOD_NAMES, MethodConfig
 
 from . import cli_oracle, ingest_oracle
@@ -256,6 +256,14 @@ class TestPrivacyCommand:
     def test_nothing_to_compute_is_usage_error(self):
         assert main(["privacy"]) == EXIT_USAGE
 
+    def test_noise_scales(self, capsys):
+        assert main(["privacy", "--delta-g", "1e-4", "--mu", "0.24"]) == EXIT_OK
+        assert capsys.readouterr().out == f"gaussian_scale = {calibrate_gaussian(1e-4, 0.24).scale!r}\n"
+        assert main(["privacy", "--delta-g", "1e-4", "--m", "500", "--epsilon", "0.5",
+                     "--delta", "0.001"]) == EXIT_OK
+        scale = calibrate_laplace(1e-4, 500, 0.5, 0.001).scale
+        assert f"\nlaplace_scale = {scale!r}\n" in capsys.readouterr().out
+
 
 class TestRunCommand:
     def test_all_ones_zero_rejections(self, tmp_path, capsys):
@@ -419,6 +427,12 @@ class TestRunCommand:
         assert report["resolved"]["mu"] == report["config"]["mu"] == 0.3
         assert report["resolved"]["m"] == 4
 
+        # adapt runs on every row, and its echo says so
+        prefix = str(tmp_path / "adapt")
+        assert main(["run", "--input", data, "--method", "adapt", "--m", "4", "--out-prefix", prefix]) == EXIT_OK
+        report = json.loads((tmp_path / "adapt.report.json").read_text())
+        assert report["resolved"]["m"] == report["config"]["m"] == 9
+
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_one_report_schema_for_every_method(self, tmp_path, method):
         data = _oracle_csv(tmp_path / "d.csv")
@@ -554,6 +568,9 @@ class TestSimulateCommand:
         ("dp-adapt", ["--delta-g", "0"]),
         ("dp-adapt", ["--m", "401"]),
         ("dp-bh", ["--m", "401"]),
+        ("dp-adapt", ["--s0", "0.7"]),
+        ("adapt", ["--alpha", "0"]),
+        ("dp-bh", ["--epsilon", "inf"]),
     ])
     def test_setting_every_trial_refuses_is_usage_error(self, tmp_path, capsys, method, flags):
         # each arm is checked once before the first trial: exit 1 with the
@@ -576,6 +593,14 @@ class TestSimulateCommand:
     def test_seed_required(self):
         assert main(["simulate", "--trials", "2"]) == EXIT_USAGE
 
+    def test_full_scale(self, tmp_path):
+        out = tmp_path / "full"
+        assert main(["simulate", "--full-scale", "--methods", "bh", "--trials", "1", "--seed", "3",
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenario"]["total_n"] == 100_000
+        assert manifest["methods"][0]["m"] == 5000
+
     def test_unknown_method_is_usage_error(self, tmp_path):
         assert main([
             "simulate", "--seed", "1", "--trials", "1", "--methods", "nope",
@@ -589,6 +614,24 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "cfg-out" / "manifest.json").read_text())
         assert manifest["trials"] == 2
         assert manifest["scenario"]["n"] == 400
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # a misspelt key used to be ignored: the run went ahead at alpha 0.1
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        cfg = write(tmp_path / "run.cfg", "alhpa=0.5\nmethod=bh\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--input", data, "--out-prefix", str(out)]) == EXIT_USAGE
+        assert f"usage error: {cfg}: unknown key alhpa" in capsys.readouterr().err
+        assert not (tmp_path / "x.report.json").exists()
+
+    def test_config_key_of_the_other_subcommand_is_allowed(self, tmp_path):
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        cfg = write(tmp_path / "both.cfg", "alpha=0.2\nmethod=bh\ntrials=3\nmethods=bh\n")
+        assert main(["run", "--config", cfg, "--input", data, "--out-prefix", str(tmp_path / "r")]) == EXIT_OK
+        assert json.loads((tmp_path / "r.report.json").read_text())["config"]["alpha"] == 0.2
+        assert main(["simulate", "--config", cfg, "--n", "200", "--t", "5", "--seed", "1",
+                     "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["trials"] == 3
 
     def test_undecodable_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from dpadapt.baselines import BHConfig, bh, dp_bh, dp_bonf
+from dpadapt.engine import run_adapt_nonprivate, run_dp_adapt
 from dpadapt.privacy import (
     CalibrationRegimeWarning,
     NoiseSpec,
@@ -19,6 +21,15 @@ from dpadapt.privacy import (
     gdp_to_ed,
     peel_noise,
 )
+from dpadapt.selection import mirror_peel, report_noisy_min
+from dpadapt.simulate import MethodConfig, Scenario, run_campaign
+from dpadapt.transform import (
+    gaussian_kernel,
+    sensitivity_one_sided_mean,
+    sensitivity_two_sided_mean,
+    truncated_normal_kernel,
+)
+from dpadapt.twogroup import MaskedTable, TwoGroupUpdater, em_fit
 
 
 def phi_quad(x):
@@ -254,3 +265,139 @@ class TestBudgetAndNoiseTypes:
         rng = np.random.default_rng(0)
         assert spec.draw(rng) == 0.0
         assert np.all(spec.draw(rng, size=5) == 0.0)
+
+
+# Every public entry point that takes a level, a positive scale or a count,
+# with one call per parameter. Each bad value must raise a ValueError whose
+# message starts with the parameter's name.
+_BAD = {
+    "level": (0.0, -1.0, math.nan, math.inf, 1.0),
+    "positive": (0.0, -1.0, math.nan, math.inf),
+    "count": (0, -1, math.nan, math.inf, 2.5),
+}
+_P = np.linspace(0.01, 0.99, 40)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _bh_config(**kw):
+    return BHConfig(**({"nu": 1e-3, "eta": 1e-4, "alpha": 0.1, "epsilon": 0.5, "delta": 1e-3, "m": 10} | kw))
+
+
+def _mirror_peel(**kw):
+    kw = {"delta_g": 1e-4, "mu": 0.5, "m": 10} | kw
+    return mirror_peel(_P, gaussian_kernel(), kw.pop("delta_g"), kw.pop("mu"), kw.pop("m"), _rng(), **kw)
+
+
+def _dp_adapt(**kw):
+    kw = {"delta_g": 1e-4, "mu": 0.5, "m": 10, "alpha": 0.1} | kw
+    return run_dp_adapt(
+        _P, None, gaussian_kernel(), kw.pop("delta_g"), PrivacyBudget.from_mu(kw.pop("mu")),
+        kw.pop("m"), kw.pop("alpha"), TwoGroupUpdater(), _rng(), **kw,
+    )
+
+
+def _check(name, **kw):
+    MethodConfig(name, **kw).check(400)
+
+
+_ENTRY_POINTS = [
+    ("BHConfig", "alpha", "level", lambda v: _bh_config(alpha=v)),
+    ("BHConfig", "nu", "level", lambda v: _bh_config(nu=v)),
+    ("BHConfig", "eta", "positive", lambda v: _bh_config(eta=v)),
+    ("BHConfig", "epsilon", "positive", lambda v: _bh_config(epsilon=v)),
+    ("BHConfig", "delta", "level", lambda v: _bh_config(delta=v)),
+    ("BHConfig", "m", "count", lambda v: _bh_config(m=v)),
+    ("bh", "alpha", "level", lambda v: bh(_P, v)),
+    ("dp_bh", "eta", "positive", lambda v: dp_bh(_P, _bh_config(eta=v), _rng())),
+    ("dp_bonf", "alpha", "level",
+     lambda v: dp_bonf(_P, 1e-4, gaussian_kernel(), PrivacyBudget.from_mu(0.5), v, _rng())),
+    ("dp_bonf", "delta_g", "positive",
+     lambda v: dp_bonf(_P, v, gaussian_kernel(), PrivacyBudget.from_mu(0.5), 0.1, _rng())),
+    ("PrivacyBudget", "mu", "positive", lambda v: PrivacyBudget(mu=v)),
+    ("PrivacyBudget", "epsilon", "positive", lambda v: PrivacyBudget(mu=0.5, epsilon=v, delta=1e-3)),
+    ("PrivacyBudget", "delta", "level", lambda v: PrivacyBudget(mu=0.5, epsilon=0.5, delta=v)),
+    ("from_epsilon_delta", "epsilon", "positive", lambda v: PrivacyBudget.from_epsilon_delta(v, 1e-3)),
+    ("from_epsilon_delta", "delta", "level", lambda v: PrivacyBudget.from_epsilon_delta(0.5, v)),
+    ("compose", "mu", "positive", lambda v: compose([0.5, v])),
+    ("gdp_to_ed", "mu", "positive", lambda v: gdp_to_ed(v, 0.5)),
+    ("gdp_to_ed", "epsilon", "positive", lambda v: gdp_to_ed(0.5, v)),
+    ("ed_to_gdp", "epsilon", "positive", lambda v: ed_to_gdp(v, 1e-3)),
+    ("ed_to_gdp", "delta", "level", lambda v: ed_to_gdp(0.5, v)),
+    ("calibrate_gaussian", "delta_g", "positive", lambda v: calibrate_gaussian(v, 0.5)),
+    ("calibrate_gaussian", "mu", "positive", lambda v: calibrate_gaussian(1e-4, v)),
+    ("calibrate_laplace", "delta_g", "positive", lambda v: calibrate_laplace(v, 10, 0.5, 1e-3)),
+    ("calibrate_laplace", "m", "count", lambda v: calibrate_laplace(1e-4, v, 0.5, 1e-3)),
+    ("calibrate_laplace", "epsilon", "positive", lambda v: calibrate_laplace(1e-4, 10, v, 1e-3)),
+    ("calibrate_laplace", "delta", "level", lambda v: calibrate_laplace(1e-4, 10, 0.5, v)),
+    ("peel_noise", "m", "count", lambda v: peel_noise("gaussian", 1e-4, v, mu=0.5)),
+    ("peel_noise", "delta_g", "positive", lambda v: peel_noise("gaussian", v, 10, mu=0.5)),
+    ("peel_noise", "mu", "positive", lambda v: peel_noise("gaussian", 1e-4, 10, mu=v)),
+    ("mirror_peel", "m", "count", lambda v: _mirror_peel(m=v)),
+    ("mirror_peel", "delta_g", "positive", lambda v: _mirror_peel(delta_g=v)),
+    ("mirror_peel", "mu", "positive", lambda v: _mirror_peel(mu=v)),
+    ("mirror_peel", "epsilon", "positive",
+     lambda v: _mirror_peel(noise_family="laplace", epsilon=v, delta=1e-3)),
+    ("mirror_peel", "delta", "level", lambda v: _mirror_peel(noise_family="laplace", epsilon=0.5, delta=v)),
+    ("report_noisy_min", "delta_g", "positive",
+     lambda v: report_noisy_min(_P, gaussian_kernel(), v, 0.5, _rng())),
+    ("report_noisy_min", "mu", "positive", lambda v: report_noisy_min(_P, gaussian_kernel(), 1e-4, v, _rng())),
+    ("run_dp_adapt", "alpha", "level", lambda v: _dp_adapt(alpha=v)),
+    ("run_dp_adapt", "s0", "level", lambda v: _dp_adapt(s0=v)),
+    ("run_dp_adapt", "delta_g", "positive", lambda v: _dp_adapt(delta_g=v)),
+    ("run_dp_adapt", "m", "count", lambda v: _dp_adapt(m=v)),
+    ("run_adapt_nonprivate", "alpha", "level", lambda v: run_adapt_nonprivate(_P, None, v, TwoGroupUpdater())),
+    ("run_adapt_nonprivate", "s0", "level",
+     lambda v: run_adapt_nonprivate(_P, None, 0.1, TwoGroupUpdater(), s0=v)),
+    ("truncated_normal_kernel", "bound", "positive", lambda v: truncated_normal_kernel(v)),
+    ("sensitivity_one_sided_mean", "bound", "positive", lambda v: sensitivity_one_sided_mean(v, 100)),
+    ("sensitivity_one_sided_mean", "n", "count", lambda v: sensitivity_one_sided_mean(1.0, v)),
+    ("sensitivity_two_sided_mean", "bound", "positive", lambda v: sensitivity_two_sided_mean(v, 100, 1.5)),
+    ("sensitivity_two_sided_mean", "n", "count", lambda v: sensitivity_two_sided_mean(1.0, v, 1.5)),
+    ("sensitivity_two_sided_mean", "C", "positive", lambda v: sensitivity_two_sided_mean(1.0, 100, v)),
+    ("em_fit", "k", "count", lambda v: em_fit(MaskedTable(_P[:20] / 2, np.full(20, np.nan)), None, k=v)),
+    ("TwoGroupUpdater", "em_iters", "count", lambda v: TwoGroupUpdater(em_iters=v)),
+    ("TwoGroupUpdater", "refit_every", "count", lambda v: TwoGroupUpdater(refit_every=v)),
+    ("run_campaign", "trials", "count",
+     lambda v: run_campaign(Scenario(n=100, t=5), [MethodConfig("bh")], v, base_seed=0)),
+    ("check-bh", "alpha", "level", lambda v: _check("bh", alpha=v)),
+    *[("check-dp-bh", name, kind, lambda v, name=name: _check("dp-bh", **{name: v}))
+      for name, kind in [("alpha", "level"), ("nu", "level"), ("eta", "positive"),
+                         ("epsilon", "positive"), ("delta", "level"), ("m", "count")]],
+    *[("check-dp-bonf", name, kind, lambda v, name=name: _check("dp-bonf", **{name: v}))
+      for name, kind in [("alpha", "level"), ("delta_g", "positive"), ("mu", "positive"),
+                         ("epsilon", "positive"), ("delta", "level")]],
+    *[("check-adapt", name, kind, lambda v, name=name: _check("adapt", **{name: v}))
+      for name, kind in [("alpha", "level"), ("s0", "level"), ("em_iters", "count"),
+                         ("refit_every", "count")]],
+    *[("check-dp-adapt", name, kind, lambda v, name=name: _check("dp-adapt", **{name: v}))
+      for name, kind in [("alpha", "level"), ("s0", "level"), ("em_iters", "count"),
+                         ("refit_every", "count"), ("delta_g", "positive"), ("mu", "positive"),
+                         ("epsilon", "positive"), ("delta", "level"), ("m", "count")]],
+    *[("check-laplace-dp-adapt", name, kind,
+       lambda v, name=name: _check("dp-adapt", noise_family="laplace", **{name: v}))
+      for name, kind in [("epsilon", "positive"), ("delta", "level")]],
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, name, kind, call in _ENTRY_POINTS
+    for value in _BAD[kind]
+])
+def test_bad_parameter_is_refused_by_name(call, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", ["dp-adapt", "dp-bonf"])
+def test_check_refuses_an_unknown_kernel(name):
+    with pytest.raises(ValueError, match="unknown kernel 'nope'"):
+        MethodConfig(name, kernel="nope").check(400)
+
+
+def test_check_refuses_an_unknown_noise_family():
+    with pytest.raises(ValueError, match="unknown noise family 'nope'"):
+        MethodConfig("dp-adapt", noise_family="nope").check(400)

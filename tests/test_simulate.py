@@ -158,6 +158,22 @@ class TestCampaign:
         assert agg["bh"].trials_ok == 3
         assert len(res.failures) == 3
 
+    def test_arms_of_one_method_aggregate_apart(self):
+        # records are keyed by arm position: two dp-adapt arms used to pool
+        # into two identical aggregate rows of 2 * trials
+        methods = [MethodConfig("dp-adapt", m=60, mu=0.1), MethodConfig("dp-adapt", m=60, mu=5.0),
+                   MethodConfig("bh", delta_g=-1.0), MethodConfig("dp-bonf", delta_g=-1.0),
+                   MethodConfig("dp-bonf", mu=0.5)]
+        res = run_campaign(self.scenario, methods, trials=4, base_seed=11)
+        assert [a.trials_ok for a in res.aggregates] == [4, 4, 4, 0, 4]
+        assert [a.n_failed for a in res.aggregates] == [0, 0, 0, 4, 0]
+        assert res.aggregates[0] != res.aggregates[1]
+        assert [(r.arm, r.trial) for r in res.trials] == [(a, t) for a in (0, 1, 2, 4) for t in range(4)]
+        assert [(f.arm, f.method) for f in res.failures] == [(3, "dp-bonf")] * 4
+        # arm 0 draws from the same streams alone, so its rows are unchanged
+        alone = run_campaign(self.scenario, methods[:1], trials=4, base_seed=11)
+        assert self.stat_rows(alone) == self.stat_rows(res)[:4]
+
     def test_explicit_m_above_n_fails_every_trial(self):
         too_many = self.scenario.total_n + 1
         methods = [MethodConfig(name="dp-adapt", m=too_many), MethodConfig(name="dp-bh", m=too_many)]
@@ -191,6 +207,11 @@ class TestMethodConfigDefaults:
         cfg = MethodConfig(name="dp-adapt")
         assert cfg.resolved_m(10_000) == 500
         assert cfg.resolved_m(100) == 10
+
+    def test_adapt_runs_on_every_row(self):
+        # adapt reads no m; its echo used to report 5 % of n
+        for cfg in (MethodConfig("adapt"), MethodConfig("adapt", m=50)):
+            assert cfg.resolved_m(3000) == cfg.resolved(3000)["m"] == 3000
 
     def test_explicit_m_is_not_clamped(self):
         assert MethodConfig(name="dp-adapt", m=50).resolved_m(20) == 50
