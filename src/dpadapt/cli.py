@@ -15,7 +15,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .engine import StallError
@@ -205,6 +204,12 @@ def _resolve_run_budget(args) -> None:
         raise UsageError("a budget needs --mu, or both --epsilon and --delta")
 
 
+def _versions() -> dict:
+    """What produced an artifact. numpy does not promise the same Generator
+    streams across releases (NEP 19), so a seed alone cannot replay a run."""
+    return {"dpadapt": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
+
+
 def cmd_run(args) -> int:
     # Resolution order: explicit flag > preset > MethodConfig default.
     if args.preset:
@@ -225,6 +230,7 @@ def cmd_run(args) -> int:
         "resolved": cfg.resolved(dataset.n),
         # with the input and seed, the config echo alone replays the run
         "config": result.config | {"input": source, "seed": args.seed},
+        "versions": _versions(),
     }))
     keep = np.isin(result.selected, result.rejected)  # rejected keeps selection order
     rows = zip(rejected_ids, result.noisy_p[keep], result.final_thresholds[keep])
@@ -256,19 +262,19 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv_atomic(
         os.path.join(args.out_dir, "trials.csv"),
-        ["scenario", "method", "trial", "fdp", "power", "n_reject", "wall_time_ms"],
+        ["scenario", "arm", "method", "trial", "fdp", "power", "n_reject", "wall_time_ms"],
         (
-            [result.scenario.kind, r.method, r.trial, "%.17g" % r.fdp, "%.17g" % r.power,
+            [result.scenario.kind, r.arm, r.method, r.trial, "%.17g" % r.fdp, "%.17g" % r.power,
              r.n_reject, "%.3f" % r.wall_time_ms]
             for r in result.trials
         ),
     )
     write_csv_atomic(
         os.path.join(args.out_dir, "aggregate.csv"),
-        ["method", "trials_ok", "n_failed", "fdr", "fdr_se", "power", "power_se",
+        ["arm", "method", "trials_ok", "n_failed", "fdr", "fdr_se", "power", "power_se",
          "mean_n_reject", "mean_wall_time_ms"],
         (
-            [a.method, a.trials_ok, a.n_failed, "%.17g" % a.fdr, "%.17g" % a.fdr_se,
+            [a.arm, a.method, a.trials_ok, a.n_failed, "%.17g" % a.fdr, "%.17g" % a.fdr_se,
              "%.17g" % a.power, "%.17g" % a.power_se, "%.17g" % a.mean_n_reject,
              "%.3f" % a.mean_wall_time_ms]
             for a in result.aggregates
@@ -280,12 +286,7 @@ def cmd_simulate(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "failures": [vars(f) for f in result.failures],
-        "versions": {
-            "dpadapt": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": _versions(),
     }
     write_text_atomic(
         os.path.join(args.out_dir, "manifest.json"),

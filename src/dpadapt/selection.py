@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcinv
 
-from ._normal import _SQRT2, normal_quantile
+from ._normal import normal_quantile, normal_quantile_scalar
 from .privacy import NoiseSpec, peel_noise
 from .transform import TransformKernel, clamp_unit
 
@@ -91,7 +90,7 @@ def _noise_ppf_scalar(noise: NoiseSpec, f: float) -> float:
     math.log, keeps the Laplace logarithm identical.
     """
     if noise.family == "gaussian":
-        return noise.scale * float(-_SQRT2 * erfcinv(2.0 * f))
+        return noise.scale * normal_quantile_scalar(f)
     upper = f >= 0.5
     log_tail = np.log(2.0 * (1.0 - f if upper else f))
     return float(noise.scale * (-log_tail if upper else log_tail))

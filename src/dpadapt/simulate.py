@@ -211,6 +211,7 @@ class AggregateRow:
     power_se: float
     mean_n_reject: float
     mean_wall_time_ms: float
+    arm: int
 
 
 @dataclass(frozen=True)
@@ -295,14 +296,19 @@ def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
 
 
 def _fixed_rejections(name: str, p: np.ndarray, rejected: np.ndarray, params: dict) -> RunResult:
-    """A baseline's RunResult: the rejected rows and their raw p-values, no steps."""
+    """A baseline's RunResult: the rejected rows, no steps.
+
+    bh keeps the rows' raw p-values. The private baselines' budgets do not
+    cover raw p-values, so their noisy_p is NaN.
+    """
     rows = np.asarray(rejected, dtype=int)
+    private = name != "bh"
     return RunResult(
         rejected=tuple(rows.tolist()),
-        private=name != "bh",
+        private=private,
         config={"method": name, "n": int(p.size)} | params,
         selected=rows,
-        noisy_p=p[rows],
+        noisy_p=np.full(rows.size, np.nan) if private else p[rows],
         final_thresholds=np.full(rows.size, np.nan),
     )
 
@@ -425,10 +431,11 @@ def run_campaign(
                     power_se=power_se,
                     mean_n_reject=float(np.mean([r.n_reject for r in rows])),
                     mean_wall_time_ms=float(np.mean([r.wall_time_ms for r in rows])),
+                    arm=arm,
                 )
             )
         else:
-            aggregates.append(AggregateRow(cfg.name, 0, failed, *[math.nan] * 6))
+            aggregates.append(AggregateRow(cfg.name, 0, failed, *[math.nan] * 6, arm))
     return CampaignResult(
         scenario=scenario,
         methods=methods,

@@ -16,8 +16,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_expit
 
+from ._normal import expit, log_expit
 from .privacy import check_count
 from .selection import stable_argsort
 from .transform import P_FLOOR
@@ -208,11 +208,12 @@ def _posterior(design, w, v, mm, rev, is_rev, tau):
 
 def _logistic_objective(resp):
     """Expected complete log-likelihood of the pi model, as (value, slopes) in eta."""
-    nonresp = 1.0 - resp
 
     def value(eta):
+        # resp * log_expit(eta) + (1 - resp) * log_expit(-eta), with one
+        # log_expit call: log_expit(eta) = eta + log_expit(-eta)
         eta = np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP)
-        return float((resp * log_expit(eta) + nonresp * log_expit(-eta)).sum())
+        return float((resp * eta + log_expit(-eta)).sum())
 
     def slopes(eta):
         pi = expit(np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP))

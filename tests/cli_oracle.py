@@ -116,13 +116,13 @@ def cmd_run(args) -> int:
             m=m,
         )
         rejected = dp_bh(dataset.p, budget_cfg, rng)
-        noisy = dataset.p
+        noisy = np.full(n, np.nan)  # the budget does not cover raw p-values
         thresholds = np.full(n, np.nan)
         config_echo.update({"m": m, "nu": budget_cfg.nu, "eta": budget_cfg.eta})
     elif args.method == "dp-bonf":
         budget = _budget_from_args(args)
         rejected = dp_bonf(dataset.p, args.delta_g, kernel_by_name(args.kernel), budget, args.alpha, rng)
-        noisy = dataset.p
+        noisy = np.full(n, np.nan)
         thresholds = np.full(n, np.nan)
         config_echo.update({"mu": budget.mu, "delta_g": args.delta_g})
     elif args.method == "adapt":

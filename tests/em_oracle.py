@@ -7,6 +7,12 @@ mixture, and each M-step ascends through its own objective and
 gradient/Hessian helpers, every one recomputing `design @ theta`. `em_fit`
 must return bit-identical weights and log-likelihood traces.
 
+It uses the package's own `expit` and `log_expit`, and writes the
+logistic M-step value as sum(resp * eta + log_expit(-eta)), the form
+`twogroup` evaluates (algebraically resp * log_expit(eta) + (1 - resp) *
+log_expit(-eta)), so the byte equality tests the EM structure, not the
+rounding of the special functions.
+
 The Newton ascent stops on the Newton decrement as `twogroup._ascend` does.
 `decrement_stop=False` gives the earlier rule, which stops only on the
 gradient tolerance, the iteration cap, a failed line search or a singular
@@ -16,8 +22,8 @@ solve.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, log_expit
 
+from dpadapt._normal import expit, log_expit
 from dpadapt.transform import P_FLOOR
 from dpadapt.twogroup import MaskedTable, TwoGroupFit, default_fit, f1_density
 
@@ -54,7 +60,7 @@ def _null_span(mm: np.ndarray) -> float:
 
 def _q_logistic(design, w, resp):
     eta = np.clip(design @ w, -ETA_CAP, ETA_CAP)
-    return float(np.sum(resp * log_expit(eta) + (1.0 - resp) * log_expit(-eta)))
+    return float(np.sum(resp * eta + log_expit(-eta)))
 
 
 def _q_shape(design, v, resp, logp):

@@ -441,8 +441,9 @@ class TestRunCommand:
         report = json.loads((tmp_path / "r.report.json").read_text())
         assert set(report) == {
             "config", "input", "model", "n_rejected", "private", "rejected", "rejected_ids",
-            "resolved", "seed", "stop_t", "trajectory",
+            "resolved", "seed", "stop_t", "trajectory", "versions",
         }
+        assert set(report["versions"]) == {"dpadapt", "numpy", "python"}
         assert report["private"] == (method in ("dp-adapt", "dp-bh", "dp-bonf"))
         assert (report["config"]["input"], report["config"]["seed"]) == (data, 5)
         if method not in ("adapt", "dp-adapt"):
@@ -480,6 +481,40 @@ def _leaves(value, path=()):
             yield from _leaves(item, path + (key,))
     else:
         yield path, value
+
+
+def _floats(value):
+    """Every float in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
+
+
+class TestPrivateArtifacts:
+    """A private run releases no raw p-value: no float in its artifacts equals an input p-value."""
+
+    @pytest.mark.parametrize("method,flags", [
+        ("dp-adapt", ["--mu", "0.5"]),
+        ("dp-adapt", ["--noise-family", "laplace", "--epsilon", "0.5", "--delta", "1e-3"]),
+        ("dp-bh", []),
+        ("dp-bonf", ["--mu", "50", "--delta-g", "1e-6"]),
+    ], ids=["dp-adapt-gaussian", "dp-adapt-laplace", "dp-bh", "dp-bonf"])
+    def test_no_input_p_value_is_released(self, tmp_path, method, flags):
+        data = _oracle_csv(tmp_path / "d.csv")
+        inputs = set(ingest_csv(data).p.tolist())
+        prefix = tmp_path / "r"
+        assert main(["run", "--input", data, "--method", method, "--m", "40", "--seed", "1",
+                     *flags, "--out-prefix", str(prefix)]) == EXIT_OK
+        report = json.loads((tmp_path / "r.report.json").read_text())
+        with open(tmp_path / "r.rejections.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert report["private"] and rows  # something was released
+        released = list(_floats(report)) + [float(row[k]) for row in rows for k in ("noisy_p", "threshold")]
+        assert not inputs.intersection(released)
 
 
 class TestRunMatchesOracle:
@@ -548,7 +583,19 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["scenario"]["n"] == 500
-        assert "numpy" in manifest["versions"]
+        assert set(manifest["versions"]) == {"dpadapt", "numpy", "python"}
+        assert manifest["versions"]["dpadapt"] == dpadapt.__version__
+
+    def test_csv_rows_carry_the_arm(self, tmp_path):
+        # two arms of one method are told apart by their position in --methods
+        out = tmp_path / "arms"
+        assert main(["simulate", "--n", "400", "--t", "10", "--methods", "bh,dp-bh,bh",
+                     "--trials", "2", "--seed", "3", "--out-dir", str(out)]) == EXIT_OK
+        with open(out / "trials.csv", newline="") as fh:
+            trials = [(r["arm"], r["method"], r["trial"]) for r in csv.DictReader(fh)]
+        assert trials == [(str(a), m, str(t)) for a, m in enumerate(["bh", "dp-bh", "bh"]) for t in (0, 1)]
+        with open(out / "aggregate.csv", newline="") as fh:
+            assert [(r["arm"], r["method"]) for r in csv.DictReader(fh)] == [("0", "bh"), ("1", "dp-bh"), ("2", "bh")]
 
     def test_manifest_echoes_resolved_budget(self, tmp_path):
         out = str(tmp_path / "m")
