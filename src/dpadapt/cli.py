@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation. A flat key=value config file can seed any flag; explicit flags
-win. Every artifact embeds the resolved configuration and seed so runs can
-be replayed exactly.
+win. Every artifact echoes what each arm read, MethodConfig.resolved(n): a
+report's config (with the input and seed) and a manifest's methods entries.
+An arm echoes only the fields it reads, so a budget appears only where one
+was spent, and the echo alone replays the run.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .io import (
 from .privacy import (
     BudgetAuditError, calibrate_gaussian, calibrate_laplace, compose, ed_to_gdp, gdp_to_ed,
 )
-from .simulate import METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
+from .simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,9 +190,9 @@ def _resolve_run_budget(args) -> None:
     """Check the budget flags of `run` and turn an (epsilon, delta) pair into mu.
 
     `run` converts by the exact duality mu = ed_to_gdp(epsilon, delta), and
-    keeps the pair so the report echoes it. The GDP arms get no default
-    budget on the command line; dp-bh falls back to MethodConfig's
-    (epsilon, delta).
+    keeps the pair for dp-bh and laplace dp-adapt, which spend it. The arms
+    whose ARM_FIELDS row holds a budget get no default one on the command
+    line; dp-bh falls back to MethodConfig's (epsilon, delta).
     """
     has_mu = args.mu is not None
     has_ed = args.epsilon is not None or args.delta is not None
@@ -200,7 +202,7 @@ def _resolve_run_budget(args) -> None:
         raise UsageError("laplace noise is calibrated from --epsilon/--delta, not --mu")
     if args.epsilon is not None and args.delta is not None:
         args.mu = ed_to_gdp(args.epsilon, args.delta)
-    elif args.mu is None and args.method in ("dp-adapt", "dp-bonf"):
+    elif args.mu is None and "budget" in ARM_FIELDS[args.method]:
         raise UsageError("a budget needs --mu, or both --epsilon and --delta")
 
 
@@ -227,7 +229,6 @@ def cmd_run(args) -> int:
     write_text_atomic(f"{args.out_prefix}.report.json", report_json(result, args.seed, extra={
         "input": source,
         "rejected_ids": rejected_ids,
-        "resolved": cfg.resolved(dataset.n),
         # with the input and seed, the config echo alone replays the run
         "config": result.config | {"input": source, "seed": args.seed},
         "versions": _versions(),
@@ -253,11 +254,9 @@ def cmd_simulate(args) -> int:
         scenario = full_scale(scenario)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [_method_config(name, args) for name in names]
-    for cfg in methods:
-        # a setting every trial would refuse is a usage error, as in `run`
-        cfg.check(scenario.total_n)
-    # the echo reads every arm's budget, so it is resolved before anything is written
-    resolved = [cfg.resolved(scenario.total_n) for cfg in methods]
+    # resolving checks each arm before anything is written, so a setting
+    # every trial would refuse is a usage error, as in `run`
+    echoes = [{"name": cfg.name} | cfg.resolved(scenario.total_n) for cfg in methods]
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv_atomic(
@@ -282,7 +281,7 @@ def cmd_simulate(args) -> int:
     )
     manifest = {
         "scenario": vars(result.scenario) | {"total_n": result.scenario.total_n},
-        "methods": resolved,
+        "methods": echoes,
         "trials": args.trials,
         "seed": args.seed,
         "failures": [vars(f) for f in result.failures],

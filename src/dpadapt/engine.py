@@ -41,9 +41,10 @@ class RunResult:
     value and last threshold in selection order; rejected is the subset with
     noisy_p <= final threshold, in that order. trajectory rows are (t, A_t,
     R_t, fdr_hat) for every step including the stopping one. A baseline
-    takes no steps: its rows are the rejected ones with raw p-values and NaN
-    thresholds, and the defaults hold. The arrays are read-only; compare
-    results field by field, not with ==.
+    takes no steps: its rows are the rejected ones with NaN thresholds, its
+    noisy_p is bh's raw p-values and NaN for the private baselines (their
+    budgets do not cover raw p-values), and the defaults hold. The arrays are
+    read-only; compare results field by field, not with ==.
     """
 
     rejected: tuple[int, ...]

@@ -161,29 +161,30 @@ def ed_to_gdp(epsilon: float, delta: float) -> float:
     return mu
 
 
-def check_level(name: str, value: float, upper: float = 1.0) -> None:
-    """Refuse a value outside the open interval (0, upper)."""
+def check_level(name: str, value: float, upper: float = 1.0) -> float:
+    """value, if it lies in the open interval (0, upper); refused otherwise."""
     if not 0.0 < value < upper:
         raise ValueError(f"{name} must lie in (0, {upper:g}), got {value!r}")
+    return value
 
 
-def check_positive(name: str, value: float) -> None:
-    """Refuse a value that is not positive and finite.
+def check_positive(name: str, value: float) -> float:
+    """value, if it is positive and finite; refused otherwise.
 
     Every private mechanism applies it to its sensitivity, so zero_noise is
     the only noise-free mode.
     """
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
-def check_count(name: str, value, *, optional: bool = False) -> None:
-    """Refuse a value that is not an integer >= 1; optional also allows None."""
-    if optional and value is None:
-        return
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+def check_count(name: str, value, *, optional: bool = False):
+    """value, if it is an integer >= 1 (or None, when optional); refused otherwise."""
+    if not (optional and value is None or isinstance(value, (int, np.integer)) and value >= 1):
         rule = "None or an integer >= 1" if optional else "a positive integer"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 def calibrate_gaussian(delta_g: float, mu: float) -> NoiseSpec:

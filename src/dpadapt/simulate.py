@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -28,8 +28,6 @@ from .privacy import NoiseSpec, PrivacyBudget, check_count, check_level, check_p
 from .selection import check_rounds
 from .transform import kernel_by_name
 from .twogroup import TwoGroupUpdater
-
-METHOD_NAMES = ("dp-adapt", "adapt", "dp-bh", "dp-bonf", "bh")
 
 # Truth-region constants for the grid design. On the full 100x100 grid the
 # member counts are exactly 120 / 116 / 118 for patterns 1 / 2 / 3; coarser
@@ -59,8 +57,8 @@ class Scenario:
         if self.null_dist not in ("uniform", "beta22", "pow_cubic"):
             raise ValueError(f"unknown null distribution {self.null_dist!r}")
         if self.kind == "no_side_info":
-            if not 0 <= self.t <= self.n:
-                raise ValueError("need 0 <= t <= n")
+            if not 0 <= self.t <= self.n or self.n < 1:
+                raise ValueError("need n >= 1 and 0 <= t <= n")
         else:
             if self.pattern not in (1, 2, 3):
                 raise ValueError(f"pattern must be 1, 2, or 3, got {self.pattern!r}")
@@ -72,17 +70,50 @@ class Scenario:
         return self.n if self.kind == "no_side_info" else self.grid_side**2
 
 
+# The MethodConfig fields each arm reads, in the order its run meets them:
+# the only per-method field list. "budget" stands for the budget the arm
+# spends, echoed as its mu and the (epsilon, delta) pair it was built from
+# (None when it was built from mu). dp-bh spends a Laplace (epsilon, delta)
+# budget directly. An arm with a budget echoes an epsilon; it is private.
+ARM_FIELDS = {
+    "dp-adapt": ("em_iters", "refit_every", "kernel", "budget", "m", "noise_family", "delta_g", "alpha", "s0"),
+    "adapt": ("em_iters", "refit_every", "m", "alpha", "s0"),
+    "dp-bh": ("alpha", "nu", "eta", "epsilon", "delta", "m"),
+    "dp-bonf": ("kernel", "budget", "delta_g", "alpha"),
+    "bh": ("alpha",),
+}
+METHOD_NAMES = tuple(ARM_FIELDS)
+
+# How resolved(n) reads one field: the value the run uses, with defaults
+# filled for n hypotheses, passed through the rule the run applies to it.
+_RESOLVE = {
+    "alpha": lambda cfg, n: check_level("alpha", cfg.alpha),
+    "nu": lambda cfg, n: check_level("nu", cfg.resolved_nu(n)),
+    "eta": lambda cfg, n: check_positive("eta", cfg.resolved_eta()),
+    "epsilon": lambda cfg, n: check_positive("epsilon", cfg.epsilon),
+    "delta": lambda cfg, n: check_level("delta", cfg.delta),
+    "delta_g": lambda cfg, n: check_positive("delta_g", cfg.delta_g),
+    "m": lambda cfg, n: check_rounds(cfg.resolved_m(n), n),
+    "s0": lambda cfg, n: check_level("s0", cfg.s0, 0.5),
+    "em_iters": lambda cfg, n: check_count("em_iters", cfg.em_iters),
+    "refit_every": lambda cfg, n: check_count("refit_every", cfg.refit_every, optional=True),
+    # the spec itself, which replays exactly; a kernel's name rounds its bound
+    "kernel": lambda cfg, n: kernel_by_name(cfg.kernel) and cfg.kernel,
+    "noise_family": lambda cfg, n: NoiseSpec(cfg.noise_family, 0.0).family,
+}
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Per-arm configuration; None fields resolve to scenario-derived defaults.
 
     These are the only method defaults in the package: `dpadapt run` and
     `dpadapt simulate` build their arms from this class. budget() is the one
-    budget rule: the GDP budget dp-adapt and dp-bonf spend, and the mu every
-    echo reports. m defaults to 5% of the hypotheses (at least 10; adapt
-    takes them all), nu to 0.5*alpha/n, and eta to delta_g. An explicit m is
-    used as given, so one larger than n fails in the mechanisms that peel;
-    check() finds that, and every other setting no data can rescue, before a run.
+    budget rule, for the arms whose ARM_FIELDS row holds "budget". m defaults
+    to 5% of the hypotheses (at least 10; adapt takes them all), nu to
+    0.5*alpha/n, and eta to delta_g. An explicit m is used as given, so one
+    larger than n fails in the mechanisms that peel; resolved(n) refuses it,
+    and every other setting no data can rescue, before a run.
     """
 
     name: str
@@ -107,13 +138,14 @@ class MethodConfig:
     def budget(self) -> PrivacyBudget:
         """The budget this arm spends.
 
-        Laplace noise is calibrated from (epsilon, delta), so a laplace config
-        spends mu = ed_to_gdp(epsilon, delta), the exact duality. Otherwise it
-        is mu when given, else the campaign convention
-        4*epsilon/sqrt(10*log(1/delta)), which puts the Gaussian-mode noise on
-        the same footing as the Laplace-mode scale of the private BH arm.
+        Laplace peel noise is calibrated from (epsilon, delta), so an arm that
+        reads its noise_family and draws laplace noise spends mu =
+        ed_to_gdp(epsilon, delta), the exact duality. Otherwise it is mu when
+        given, else the campaign convention 4*epsilon/sqrt(10*log(1/delta)),
+        which puts the Gaussian-mode noise on the same footing as the
+        Laplace-mode scale of the private BH arm.
         """
-        if self.noise_family == "laplace":
+        if self.noise_family == "laplace" and "noise_family" in ARM_FIELDS[self.name]:
             return PrivacyBudget.from_epsilon_delta(self.epsilon, self.delta)
         if self.mu is not None:
             return PrivacyBudget.from_mu(self.mu)
@@ -135,50 +167,19 @@ class MethodConfig:
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else self.delta_g
 
-    def bh_config(self, n: int) -> BHConfig:
-        """dp-bh's parameters for n hypotheses."""
-        return BHConfig(
-            nu=self.resolved_nu(n),
-            eta=self.resolved_eta(),
-            alpha=self.alpha,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            m=self.resolved_m(n),
-        )
-
-    def check(self, n: int) -> None:
-        """Raise the ValueError that every run of this arm on n hypotheses raises.
-
-        Applies the parameter rules to exactly the fields the arm reads, and
-        builds what run_arm builds from them (the dp-bh config, the budget,
-        the kernel and the TwoGroupUpdater), in the order the run meets them,
-        so the message is the run's.
-        """
-        if self.name == "dp-bh":
-            check_rounds(self.bh_config(n).m, n)
-            return
-        adaptive = self.name in ("adapt", "dp-adapt")
-        if adaptive:
-            TwoGroupUpdater(em_iters=self.em_iters, refit_every=self.refit_every)
-        if self.name in ("dp-adapt", "dp-bonf"):
-            kernel_by_name(self.kernel)
-            self.budget()
-            if self.name == "dp-adapt":
-                check_rounds(self.resolved_m(n), n)
-                NoiseSpec(self.noise_family, 0.0)  # the peel's family rule
-            check_positive("delta_g", self.delta_g)
-        check_level("alpha", self.alpha)
-        if adaptive:
-            check_level("s0", self.s0, 0.5)
-
     def resolved(self, n: int) -> dict:
-        """Every field, with mu, m, nu and eta resolved for n hypotheses."""
-        return asdict(self) | {
-            "mu": self.budget().mu,
-            "m": self.resolved_m(n),
-            "nu": self.resolved_nu(n),
-            "eta": self.resolved_eta(),
-        }
+        """The fields this arm reads, resolved for n hypotheses: its run's echo.
+
+        Checks them in the order the run meets them, so it raises the
+        ValueError every run of this arm on n hypotheses raises.
+        """
+        echo = {}
+        for key in ARM_FIELDS[self.name]:
+            if key == "budget":
+                echo |= vars(self.budget())
+            else:
+                echo[key] = _RESOLVE[key](self, n)
+        return echo
 
 
 @dataclass(frozen=True)
@@ -295,18 +296,18 @@ def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
     return fdp, power
 
 
-def _fixed_rejections(name: str, p: np.ndarray, rejected: np.ndarray, params: dict) -> RunResult:
+def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, config: dict) -> RunResult:
     """A baseline's RunResult: the rejected rows, no steps.
 
     bh keeps the rows' raw p-values. The private baselines' budgets do not
     cover raw p-values, so their noisy_p is NaN.
     """
     rows = np.asarray(rejected, dtype=int)
-    private = name != "bh"
+    private = config["private"]
     return RunResult(
         rejected=tuple(rows.tolist()),
         private=private,
-        config={"method": name, "n": int(p.size)} | params,
+        config=config,
         selected=rows,
         noisy_p=np.full(rows.size, np.nan) if private else p[rows],
         final_thresholds=np.full(rows.size, np.nan),
@@ -316,36 +317,30 @@ def _fixed_rejections(name: str, p: np.ndarray, rejected: np.ndarray, params: di
 def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> RunResult:
     """Execute one arm on (x, p): the only map from a method name to a procedure.
 
-    The RunResult's config echoes the parameters the procedure used.
+    The procedure's arguments are the arm's resolved(n) echo, and the
+    RunResult's config is that echo under the method, n and private keys.
     """
-    n = p.size
+    n = int(p.size)
+    a = cfg.resolved(n)
+    config = {"method": cfg.name, "n": n, "private": "epsilon" in a} | a
     if cfg.name == "bh":
-        return _fixed_rejections("bh", p, bh(p, cfg.alpha), {"alpha": cfg.alpha})
+        return _fixed_rejections(p, bh(p, a["alpha"]), config)
     if cfg.name == "dp-bh":
-        bh_cfg = cfg.bh_config(n)
-        return _fixed_rejections("dp-bh", p, dp_bh(p, bh_cfg, rng), asdict(bh_cfg))
+        return _fixed_rejections(p, dp_bh(p, BHConfig(**a), rng), config)
     if cfg.name == "dp-bonf":
-        kernel, budget = kernel_by_name(cfg.kernel), cfg.budget()
-        rejected = dp_bonf(p, cfg.delta_g, kernel, budget, cfg.alpha, rng)
-        params = {"alpha": cfg.alpha, "delta_g": cfg.delta_g, "mu": budget.mu, "kernel": cfg.kernel}
-        return _fixed_rejections("dp-bonf", p, rejected, params)
-    updater = TwoGroupUpdater(em_iters=cfg.em_iters, refit_every=cfg.refit_every)
+        budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
+        rejected = dp_bonf(p, a["delta_g"], kernel_by_name(a["kernel"]), budget, a["alpha"], rng)
+        return _fixed_rejections(p, rejected, config)
+    updater = TwoGroupUpdater(em_iters=a["em_iters"], refit_every=a["refit_every"])
     if cfg.name == "adapt":
-        return run_adapt_nonprivate(p, x, cfg.alpha, updater, s0=cfg.s0)
-    # dp-adapt
-    return run_dp_adapt(
-        p,
-        x,
-        kernel_by_name(cfg.kernel),
-        cfg.delta_g,
-        cfg.budget(),
-        cfg.resolved_m(n),
-        cfg.alpha,
-        updater,
-        rng,
-        s0=cfg.s0,
-        noise_family=cfg.noise_family,
-    )
+        result = run_adapt_nonprivate(p, x, a["alpha"], updater, s0=a["s0"])
+    else:
+        budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
+        result = run_dp_adapt(
+            p, x, kernel_by_name(a["kernel"]), a["delta_g"], budget, a["m"], a["alpha"], updater, rng,
+            s0=a["s0"], noise_family=a["noise_family"],
+        )
+    return replace(result, config=config)
 
 
 def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:

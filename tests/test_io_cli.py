@@ -15,7 +15,7 @@ from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
 from dpadapt._normal import normal_cdf
 from dpadapt.privacy import PrivacyBudget, calibrate_gaussian, calibrate_laplace, ed_to_gdp, gdp_to_ed
-from dpadapt.simulate import METHOD_NAMES, MethodConfig
+from dpadapt.simulate import METHOD_NAMES, MethodConfig, Scenario, gen_grid
 
 from . import cli_oracle, ingest_oracle
 
@@ -414,24 +414,24 @@ class TestRunCommand:
         prefix = str(tmp_path / "dpbh")
         assert main(["run", "--input", data, "--method", "dp-bh", "--epsilon", "0.4",
                      "--delta", "0.01", "--m", "3", "--out-prefix", prefix]) == EXIT_OK
-        report = json.loads((tmp_path / "dpbh.report.json").read_text())
-        for echo in (report["config"], report["resolved"]):
-            assert (echo["epsilon"], echo["delta"]) == (0.4, 0.01)
-            assert (echo["m"], echo["nu"], echo["eta"]) == (3, 0.5 * 0.1 / 9, 1e-4)
-        assert report["resolved"]["mu"] == ed_to_gdp(0.4, 0.01)
+        echo = json.loads((tmp_path / "dpbh.report.json").read_text())["config"]
+        assert (echo["epsilon"], echo["delta"]) == (0.4, 0.01)
+        assert (echo["m"], echo["nu"], echo["eta"]) == (3, 0.5 * 0.1 / 9, 1e-4)
+        assert "mu" not in echo  # dp-bh spends the Laplace (epsilon, delta) budget itself
 
         prefix = str(tmp_path / "dpadapt")
         assert main(["run", "--input", data, "--method", "dp-adapt", "--mu", "0.3",
                      "--m", "4", "--out-prefix", prefix]) == EXIT_OK
-        report = json.loads((tmp_path / "dpadapt.report.json").read_text())
-        assert report["resolved"]["mu"] == report["config"]["mu"] == 0.3
-        assert report["resolved"]["m"] == 4
+        echo = json.loads((tmp_path / "dpadapt.report.json").read_text())["config"]
+        assert (echo["mu"], echo["epsilon"], echo["delta"], echo["m"]) == (0.3, None, None, 4)
 
         # adapt runs on every row, and its echo says so
         prefix = str(tmp_path / "adapt")
         assert main(["run", "--input", data, "--method", "adapt", "--m", "4", "--out-prefix", prefix]) == EXIT_OK
-        report = json.loads((tmp_path / "adapt.report.json").read_text())
-        assert report["resolved"]["m"] == report["config"]["m"] == 9
+        echo = json.loads((tmp_path / "adapt.report.json").read_text())["config"]
+        assert echo["m"] == 9
+        assert (echo["em_iters"], echo["refit_every"]) == (5, None)
+        assert "mu" not in echo
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_one_report_schema_for_every_method(self, tmp_path, method):
@@ -441,7 +441,7 @@ class TestRunCommand:
         report = json.loads((tmp_path / "r.report.json").read_text())
         assert set(report) == {
             "config", "input", "model", "n_rejected", "private", "rejected", "rejected_ids",
-            "resolved", "seed", "stop_t", "trajectory", "versions",
+            "seed", "stop_t", "trajectory", "versions",
         }
         assert set(report["versions"]) == {"dpadapt", "numpy", "python"}
         assert report["private"] == (method in ("dp-adapt", "dp-bh", "dp-bonf"))
@@ -537,15 +537,62 @@ class TestRunMatchesOracle:
         new_report = json.loads((tmp_path / "new.report.json").read_text())
         new_leaves = dict(_leaves(new_report))
         # The one allowed difference: a gaussian run given (epsilon, delta)
-        # now spends mu = ed_to_gdp(epsilon, delta) directly, so the engine's
-        # config no longer carries the pair; the resolved echo does.
+        # now spends mu = ed_to_gdp(epsilon, delta) directly, so its budget is
+        # built from mu and the config carries no pair.
         pair_moved = method == "dp-adapt" and budget == "epsilon-delta" and not extra
         for path, value in _leaves(old_report):
             if pair_moved and path in (("config", "epsilon"), ("config", "delta")):
                 assert new_leaves[path] is None
-                assert new_report["resolved"][path[1]] == value
             else:
                 assert new_leaves[path] == value, path
+
+
+def _grid_csv(path):
+    """The 50x50 grid design (pattern 1, beta 3.5) drawn from default_rng(2)."""
+    x, p, _ = gen_grid(Scenario(kind="grid", grid_side=50, pattern=1, beta=3.5), np.random.default_rng(2))
+    rows = "".join(f"g{i},{float(p[i])!r},{float(x[i, 0])!r},{float(x[i, 1])!r}\n" for i in range(p.size))
+    return write(path, "id,p,x1,x2\n" + rows)
+
+
+def _replay_argv(config):
+    """`run` flags rebuilt from a report's config echo alone."""
+    argv = ["run", "--input", config["input"], "--seed", str(config["seed"]), "--method", config["method"]]
+    for key, value in config.items():
+        if value is None or key in ("input", "seed", "method", "n", "private"):
+            continue
+        if key == "mu" and config["epsilon"] is not None:
+            continue  # the budget was built from the (epsilon, delta) pair
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+_REFIT = ["--refit-every", "500", "--em-iters", "1"]
+_REPLAY_CASES = {
+    "bh": ("bh", []),
+    "dp-bh": ("dp-bh", []),
+    "dp-bonf": ("dp-bonf", ["--mu", "0.5"]),
+    "adapt": ("adapt", []),
+    "dp-adapt": ("dp-adapt", ["--mu", "0.5"]),
+    "dp-adapt-laplace": ("dp-adapt", ["--noise-family", "laplace", "--epsilon", "0.5", "--delta", "1e-3"]),
+    "adapt-refit": ("adapt", _REFIT),
+    "dp-adapt-refit": ("dp-adapt", ["--mu", "0.5", *_REFIT]),
+}
+
+
+class TestReplayFromConfig:
+    """A report's config, with its input and seed, replays the run exactly."""
+
+    @pytest.mark.parametrize("case", list(_REPLAY_CASES))
+    def test_config_echo_replays_the_run(self, tmp_path, case):
+        method, flags = _REPLAY_CASES[case]
+        data = _grid_csv(tmp_path / "grid.csv")
+        assert main(["run", "--input", data, "--method", method, *flags, "--seed", "4",
+                     "--out-prefix", str(tmp_path / "first")]) == EXIT_OK
+        config = json.loads((tmp_path / "first.report.json").read_text())["config"]
+        assert main(_replay_argv(config) + ["--out-prefix", str(tmp_path / "again")]) == EXIT_OK
+        assert json.loads((tmp_path / "again.report.json").read_text())["config"] == config
+        first, again = (tmp_path / "first.rejections.csv").read_bytes(), (tmp_path / "again.rejections.csv").read_bytes()
+        assert first == again
 
 
 class TestSimulateCommand:
@@ -603,12 +650,16 @@ class TestSimulateCommand:
             "simulate", "--scenario", "no-side-info", "--n", "400", "--t", "10",
             "--trials", "1", "--seed", "5", "--methods", "dp-adapt,dp-bh", "--out-dir", out,
         ]) == EXIT_OK
-        entries = json.loads((tmp_path / "m" / "manifest.json").read_text())["methods"]
-        assert [e["name"] for e in entries] == ["dp-adapt", "dp-bh"]
-        for entry in entries:
-            assert entry["mu"] == MethodConfig("dp-adapt").budget().mu
-            assert (entry["epsilon"], entry["delta"], entry["m"]) == (0.5, 1e-3, 20)
-            assert (entry["nu"], entry["eta"]) == (0.5 * 0.1 / 400, 1e-4)
+        dp_adapt, dp_bh = json.loads((tmp_path / "m" / "manifest.json").read_text())["methods"]
+        assert (dp_adapt["name"], dp_bh["name"]) == ("dp-adapt", "dp-bh")
+        # dp-adapt spends a GDP mu built from mu; dp-bh spends (epsilon, delta) itself
+        assert (dp_adapt["mu"], dp_adapt["epsilon"], dp_adapt["delta"]) == (
+            MethodConfig("dp-adapt").budget().mu, None, None
+        )
+        assert "mu" not in dp_bh
+        assert (dp_bh["epsilon"], dp_bh["delta"]) == (0.5, 1e-3)
+        assert (dp_bh["nu"], dp_bh["eta"]) == (0.5 * 0.1 / 400, 1e-4)
+        assert dp_adapt["m"] == dp_bh["m"] == 20
 
     @pytest.mark.parametrize("method, flags", [
         ("dp-bonf", ["--delta-g", "0"]),
@@ -642,7 +693,8 @@ class TestSimulateCommand:
 
     def test_full_scale(self, tmp_path):
         out = tmp_path / "full"
-        assert main(["simulate", "--full-scale", "--methods", "bh", "--trials", "1", "--seed", "3",
+        # dp-bh, as bh reads no m
+        assert main(["simulate", "--full-scale", "--methods", "dp-bh", "--trials", "1", "--seed", "3",
                      "--out-dir", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"]["total_n"] == 100_000

@@ -300,7 +300,7 @@ def _dp_adapt(**kw):
 
 
 def _check(name, **kw):
-    MethodConfig(name, **kw).check(400)
+    MethodConfig(name, **kw).resolved(400)
 
 
 _ENTRY_POINTS = [
@@ -395,9 +395,9 @@ def test_bad_parameter_is_refused_by_name(call, name, value):
 @pytest.mark.parametrize("name", ["dp-adapt", "dp-bonf"])
 def test_check_refuses_an_unknown_kernel(name):
     with pytest.raises(ValueError, match="unknown kernel 'nope'"):
-        MethodConfig(name, kernel="nope").check(400)
+        MethodConfig(name, kernel="nope").resolved(400)
 
 
 def test_check_refuses_an_unknown_noise_family():
     with pytest.raises(ValueError, match="unknown noise family 'nope'"):
-        MethodConfig("dp-adapt", noise_family="nope").check(400)
+        MethodConfig("dp-adapt", noise_family="nope").resolved(400)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -6,6 +9,8 @@ from dpadapt._normal import normal_cdf
 from dpadapt.engine import RunResult
 from dpadapt.privacy import PrivacyBudget, ed_to_gdp
 from dpadapt.simulate import (
+    ARM_FIELDS,
+    METHOD_NAMES,
     MethodConfig,
     Scenario,
     data_rng,
@@ -18,6 +23,8 @@ from dpadapt.simulate import (
     run_campaign,
     run_method,
 )
+
+from .adapt_oracle import assert_same_result
 
 
 class TestScenarioValidation:
@@ -32,6 +39,11 @@ class TestScenarioValidation:
     def test_t_bounds(self):
         with pytest.raises(ValueError):
             Scenario(kind="no_side_info", n=10, t=11)
+
+    def test_empty_design_refused(self):
+        # n=0 used to reach MethodConfig.resolved, whose nu default divides by n
+        with pytest.raises(ValueError, match="need n >= 1"):
+            Scenario(kind="no_side_info", n=0, t=0)
 
     def test_total_n_for_grid(self):
         assert Scenario(kind="grid", grid_side=50).total_n == 2500
@@ -219,10 +231,9 @@ class TestMethodConfigDefaults:
     def test_resolved_fills_derived_values(self):
         cfg = MethodConfig(name="dp-bh", alpha=0.2, delta_g=3e-4)
         echo = cfg.resolved(100)
-        assert (echo["mu"], echo["m"], echo["nu"], echo["eta"]) == (
-            cfg.budget().mu, 10, cfg.resolved_nu(100), 3e-4
-        )
-        assert (echo["name"], echo["epsilon"], echo["delta"]) == ("dp-bh", 0.5, 1e-3)
+        assert (echo["m"], echo["nu"], echo["eta"]) == (10, cfg.resolved_nu(100), 3e-4)
+        assert (echo["alpha"], echo["epsilon"], echo["delta"]) == (0.2, 0.5, 1e-3)
+        assert "mu" not in echo
 
     def test_nu_eta_defaults(self):
         cfg = MethodConfig(name="dp-bh", alpha=0.2, delta_g=3e-4)
@@ -247,6 +258,38 @@ class TestMethodConfigDefaults:
         cfg = MethodConfig(name="dp-adapt", noise_family="laplace", m=20)
         result = run_arm(cfg, x, p, method_rng(3, 0, 0))
         assert cfg.resolved(400)["mu"] == result.config["mu"] == ed_to_gdp(0.5, 1e-3)
+
+
+# A valid and a bad value for every MethodConfig field, both unlike the default.
+_OTHER = {
+    "alpha": (0.2, math.nan), "delta_g": (3e-4, math.nan), "epsilon": (0.3, math.nan),
+    "delta": (1e-2, math.nan), "mu": (0.7, math.nan), "m": (7, 0), "s0": (0.3, math.nan),
+    "em_iters": (2, 0), "refit_every": (3, 0), "eta": (1e-3, math.nan), "nu": (1e-3, math.nan),
+    "kernel": ("truncnorm:3", "nope"), "noise_family": ("laplace", "nope"),
+}
+# What a row's entry reads besides its own field: the budget its fields, a
+# default the field it is derived from.
+_ALSO_READS = {"budget": {f.name for f in fields(PrivacyBudget)}, "eta": {"delta_g"}, "nu": {"alpha"}}
+
+
+class TestArmFieldsAreExact:
+    """A field outside an arm's ARM_FIELDS row changes neither its echo nor its run."""
+
+    def test_every_field_has_values(self):
+        assert set(_OTHER) == {f.name for f in fields(MethodConfig)} - {"name"}
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["valid", "bad"])
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_unread_fields_change_nothing(self, name, which):
+        # e.g. MethodConfig("bh", m=0, kernel="nope") still runs, as plain bh
+        x, p, _ = gen_grid(Scenario(kind="grid", grid_side=20, beta=3.5), data_rng(5, 0))
+        read = set(ARM_FIELDS[name]).union(*(_ALSO_READS.get(key, ()) for key in ARM_FIELDS[name]))
+        unread = {key: values[which] for key, values in _OTHER.items() if key not in read}
+        assert unread
+        base = MethodConfig(name, mu=0.5, m=40)
+        other = replace(base, **unread)
+        assert other.resolved(400) == base.resolved(400)
+        assert_same_result(run_arm(other, x, p, method_rng(5, 0, 0)), run_arm(base, x, p, method_rng(5, 0, 0)))
 
 
 class TestDeskCampaignTargets:
