@@ -106,6 +106,11 @@ class FeatureMap:
         block = (raw - self.center) / self.scale
         return np.column_stack([np.ones(block.shape[0]), block])
 
+    def predictor_rows(self, x, n: int) -> np.ndarray:
+        """The rows a predictor for n hypotheses is evaluated on: without
+        covariates one row, broadcast over the n with the same bits."""
+        return np.ones((1, 1)) if self.kind == "intercept" else self.design(x, n_rows=n)
+
 
 def _as_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -166,11 +171,16 @@ def f1_density(p, a):
 
 
 def _masked_arrays(masked: MaskedTable):
+    """Per-row arrays no EM pass changes, taken once per em_fit: (mm, 1 - mm,
+    rev, is_rev, span, log rev, log mm, log1p(-mm)). Hidden rows read rev
+    0.5; span is the null density's denominator, 2 tau revealed, tau hidden."""
     mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
     rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
-    return mm, rev, is_rev, _null_span(mm)
+    tau = _null_span(mm)
+    span = np.where(is_rev, 2.0 * tau, tau)
+    return mm, 1.0 - mm, rev, is_rev, span, np.log(rev), np.log(mm), np.log1p(-mm)
 
 
 def _null_span(mm: np.ndarray) -> float:
@@ -186,24 +196,23 @@ def _null_span(mm: np.ndarray) -> float:
     return float(np.clip(mm.max(), 1e-6, 0.5))
 
 
-def _posterior(design, w, v, mm, rev, is_rev, tau):
+def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
     """Observed log-likelihood and the E-step it implies: (loglik, resp, logp).
 
     resp is P(non-null | data) and logp is E[log p] under the alternative.
+    The arrays after v are _masked_arrays'; each row's likelihood (revealed
+    or fold pair) is picked before the one log and division. design may be
+    one broadcast row (FeatureMap.predictor_rows).
     """
     pi = expit(np.minimum(np.maximum(design @ w, -ETA_CAP), ETA_CAP))
     a = np.minimum(np.maximum(np.exp(design @ v), A_MIN), A_MAX)
     f1_m = f1_density(mm, a)
-    f1_c = f1_density(1.0 - mm, a)
-    num_rev = pi * f1_density(rev, a)
-    lik_rev = num_rev + (1.0 - pi) / (2.0 * tau)
-    num_mask = pi * (f1_m + f1_c)
-    lik_mask = num_mask + (1.0 - pi) / tau
-    loglik = float(np.sum(np.where(is_rev, np.log(lik_rev), np.log(lik_mask))))
-    resp = np.where(is_rev, num_rev / lik_rev, num_mask / lik_mask)
-    mix = f1_m / (f1_m + f1_c)
-    logp = np.where(is_rev, np.log(rev), mix * np.log(mm) + (1.0 - mix) * np.log1p(-mm))
-    return loglik, resp, logp
+    f1_mc = f1_m + f1_density(c, a)
+    num = pi * np.where(is_rev, f1_density(rev, a), f1_mc)
+    lik = num + (1.0 - pi) / span
+    mix = f1_m / f1_mc
+    logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
+    return float(np.sum(np.log(lik))), num / lik, logp
 
 
 def _logistic_objective(resp):
@@ -334,20 +343,21 @@ def em_fit(
     never decreases across sweeps. On intercept-only designs (no covariates)
     both M-steps have exact maximizers instead (_intercept_mstep), and no
     Newton ascent runs. One _posterior pass per sweep gives both the trace
-    entry and the next E-step. stats, when given, accumulates the Newton
-    ascents of every M-step; intercept-only fits add none.
+    entry and the next E-step; its per-row logs are taken once per fit.
+    stats, when given, accumulates the Newton ascents of every M-step;
+    intercept-only fits add none.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
     check_count("k", k)
     fit = init if init is not None else default_fit(x)
     basis = fit.basis
-    design = basis.design(x, n_rows=masked.size)
+    closed_form = basis.kind == "intercept"
+    design = basis.predictor_rows(x, masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
     arrays = _masked_arrays(masked)
     loglik, resp, logp = _posterior(design, w, v, *arrays)
     trace = [loglik]
-    closed_form = basis.kind == "intercept"
     for _ in range(k):
         if closed_form:
             w, v = _intercept_mstep(resp, logp)
@@ -361,7 +371,7 @@ def em_fit(
 
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
     """Log-likelihood of the masked data under the fit; the EM ascent oracle."""
-    design = fit.basis.design(x, n_rows=masked.size)
+    design = fit.basis.predictor_rows(x, masked.size)
     return _posterior(design, fit.pi_weights, fit.f1_weights, *_masked_arrays(masked))[0]
 
 
@@ -370,12 +380,12 @@ def null_probability(x, p_prime, fit: TwoGroupFit):
 
     Uses the raw logistic predictor (no ETA_CAP) so extreme fits keep their
     full ordering resolution; PI_FLOOR still guards against exact-saturation
-    ties.
+    ties. Without covariates the predictor is one row, broadcast over p'.
     """
     p_prime = np.asarray(p_prime, dtype=float)
     scalar = np.ndim(p_prime) == 0
     pp = np.minimum(np.maximum(np.atleast_1d(p_prime), P_FLOOR), 0.5)
-    design = fit.basis.design(x, n_rows=pp.size)
+    design = fit.basis.predictor_rows(x, pp.size)
     pi = np.minimum(np.maximum(expit(design @ fit.pi_weights), PI_FLOOR), 1.0 - PI_FLOOR)
     a = fit.alt_shape(design)
     f1 = f1_density(pp, a)

@@ -3,9 +3,14 @@
 This is the EM as it stood before the model evaluation moved into one
 posterior pass and the Newton ascent into one routine on the linear
 predictor: the E-step and the observed log-likelihood each evaluate the
-mixture, and each M-step ascends through its own objective and
-gradient/Hessian helpers, every one recomputing `design @ theta`. `em_fit`
-must return bit-identical weights and log-likelihood traces.
+mixture on one design row per hypothesis, each branch (revealed value or
+fold pair) is computed for every row before `np.where` picks one, and each
+M-step ascends through its own objective and gradient/Hessian helpers,
+every one recomputing `design @ theta`. Like `twogroup`, it takes the
+per-row logs once per fit. `em_fit` must return bit-identical weights and
+log-likelihood traces, and `posterior` exposes the E-step, so that
+`twogroup._posterior`, which picks the branch before its one log and
+division and may run on one broadcast row, can be held to it bit for bit.
 
 It uses the package's own `expit` and `log_expit`, and writes the
 logistic M-step value as sum(resp * eta + log_expit(-eta)), the form
@@ -129,25 +134,11 @@ def em_fit(
     basis = fit.basis
     design = basis.design(x, n_rows=masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
-    mm, rev, is_rev = _masked_arrays(masked)
-    tau = _null_span(mm)
-    log_m = np.log(mm)
-    log_c = np.log1p(-mm)
-    log_rev = np.log(rev)
-    trace = [_observed_loglik_arrays(design, w, v, mm, rev, is_rev)]
+    arrays = _masked_arrays(masked)
+    logs = _log_arrays(*arrays)
+    trace = [_observed_loglik_arrays(design, w, v, *arrays)]
     for _ in range(k):
-        pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-        a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
-        f1_rev = f1_density(rev, a)
-        f1_m = f1_density(mm, a)
-        f1_c = f1_density(1.0 - mm, a)
-        num_rev = pi * f1_rev
-        resp_rev = num_rev / (num_rev + (1.0 - pi) / (2.0 * tau))
-        num_mask = pi * (f1_m + f1_c)
-        resp_mask = num_mask / (num_mask + (1.0 - pi) / tau)
-        resp = np.where(is_rev, resp_rev, resp_mask)
-        mix = f1_m / (f1_m + f1_c)
-        logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
+        resp, logp = _e_step_arrays(design, w, v, *arrays, *logs)
 
         w = _ascend(
             lambda th: _q_logistic(design, th, resp),
@@ -161,8 +152,38 @@ def em_fit(
             v,
             decrement_stop,
         )
-        trace.append(_observed_loglik_arrays(design, w, v, mm, rev, is_rev))
+        trace.append(_observed_loglik_arrays(design, w, v, *arrays))
     return TwoGroupFit(w, v, basis, k, tuple(trace))
+
+
+def posterior(masked: MaskedTable, x, basis, w, v):
+    """The E-step at weights (w, v): (loglik, resp, logp), as em_fit computes
+    them, on the basis' full design with one row per hypothesis."""
+    design = basis.design(x, n_rows=masked.size)
+    arrays = _masked_arrays(masked)
+    resp, logp = _e_step_arrays(design, w, v, *arrays, *_log_arrays(*arrays))
+    return _observed_loglik_arrays(design, w, v, *arrays), resp, logp
+
+
+def _log_arrays(mm, rev, is_rev):
+    return np.log(mm), np.log1p(-mm), np.log(rev)
+
+
+def _e_step_arrays(design, w, v, mm, rev, is_rev, log_m, log_c, log_rev):
+    pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
+    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    tau = _null_span(mm)
+    f1_rev = f1_density(rev, a)
+    f1_m = f1_density(mm, a)
+    f1_c = f1_density(1.0 - mm, a)
+    num_rev = pi * f1_rev
+    resp_rev = num_rev / (num_rev + (1.0 - pi) / (2.0 * tau))
+    num_mask = pi * (f1_m + f1_c)
+    resp_mask = num_mask / (num_mask + (1.0 - pi) / tau)
+    resp = np.where(is_rev, resp_rev, resp_mask)
+    mix = f1_m / (f1_m + f1_c)
+    logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
+    return resp, logp
 
 
 def _logistic_grad_hess(design, w, resp):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from dpadapt import twogroup
+from dpadapt._normal import expit as package_expit
 from dpadapt.engine import run_adapt_nonprivate
 from dpadapt.simulate import (
     MethodConfig, Scenario, data_rng, gen_grid, gen_no_side_info, method_rng, run_arm,
@@ -211,6 +212,42 @@ class TestEmFitMatchesOracle:
             s *= float(rng.uniform(0.3, 0.9))
 
 
+class TestPosteriorMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 150),
+        design=st.sampled_from(["intercept-row", "intercept", "linear", "quadratic2d"]),
+        masked=st.booleans(),
+        spread=st.sampled_from([0.5, 3.0, 12.0]),
+    )
+    def test_e_step_bit_identical_to_oracle(self, seed, n, design, masked, spread):
+        # twogroup picks each row's branch before its one log and division,
+        # and without covariates may run on one broadcast row; the oracle
+        # computes every branch on one design row per hypothesis. Weights up
+        # to +-12 drive the predictor past ETA_CAP and the shape into both
+        # of its clamps
+        rng = np.random.default_rng(seed)
+        x = {
+            "intercept-row": None,
+            "intercept": None,
+            "linear": rng.normal(size=n),
+            "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
+        }[design]
+        p = np.where(rng.random(n) < 0.3, rng.beta(0.2, 1.0, n), rng.random(n))
+        tbl = table_with_threshold(p, float(rng.uniform(0.05, 0.49))) if masked else table_all_revealed(p)
+        basis = FeatureMap.for_covariates(x)
+        w = rng.uniform(-spread, spread, basis.dim)
+        v = rng.uniform(-spread, spread, basis.dim)
+        rows = basis.predictor_rows(x, n) if design == "intercept-row" else basis.design(x, n_rows=n)
+        got = twogroup._posterior(rows, w, v, *twogroup._masked_arrays(tbl))
+        want = em_oracle.posterior(tbl, x, basis, w, v)
+        assert same_bits(got[0], want[0])
+        assert got[1].shape == got[2].shape == (n,)
+        assert same_bits(got[1], want[1])
+        assert same_bits(got[2], want[2])
+
+
 def check_closed_form_sweeps(tbl, init, fit):
     """Replay the intercept-only sweeps of fit from init: at every E-step the
     closed-form M-step must score at least what a Newton ascent from the same
@@ -387,6 +424,58 @@ class TestNullProbability:
         grid = np.linspace(1e-6, 0.5, 200)
         out = null_probability(None, grid, fit)
         assert np.all(np.diff(out) >= 0)
+
+
+def full_design_null_probability(p_prime, fit):
+    """null_probability as written with one (n, 1) design row per p', the
+    package's expit and an explicit clamp of the shape."""
+    p_prime = np.asarray(p_prime, dtype=float)
+    pp = np.minimum(np.maximum(np.atleast_1d(p_prime), twogroup.P_FLOOR), 0.5)
+    design = np.ones((pp.size, 1))
+    pi = np.minimum(
+        np.maximum(package_expit(design @ fit.pi_weights), twogroup.PI_FLOOR), 1.0 - twogroup.PI_FLOOR
+    )
+    a = np.minimum(np.maximum(np.exp(design @ fit.f1_weights), A_MIN), A_MAX)
+    out = (1.0 - pi) / (pi * (a * np.power(pp, a - 1.0)) + (1.0 - pi))
+    return float(out[0]) if np.ndim(p_prime) == 0 else out
+
+
+def intercept_fit(w0, v0):
+    return TwoGroupFit(np.array([w0]), np.array([v0]), FeatureMap.for_covariates(None), 0, ())
+
+
+# Weights that reach PI_FLOOR from either side, A_MIN and A_MAX, and neither.
+INTERCEPT_WEIGHTS = [(-20.0, math.log(0.3)), (20.0, math.log(0.3)), (-0.7, math.log(0.01)),
+                     (0.4, math.log(3.0)), (-2.2, math.log(0.5)), (1.3, math.log(A_MIN)), (-16.0, 0.0)]
+
+
+class TestInterceptPredictorIsOneRow:
+    @pytest.mark.parametrize("w0, v0", INTERCEPT_WEIGHTS)
+    def test_null_probability_matches_full_design(self, w0, v0):
+        fit = intercept_fit(w0, v0)
+        grid = np.concatenate([[0.0, 1e-300, twogroup.P_FLOOR, 0.5, 0.7],
+                               np.random.default_rng(1).random(500) / 2])
+        got = null_probability(None, grid, fit)
+        assert got.shape == grid.shape
+        assert same_bits(got, full_design_null_probability(grid, fit))
+        for scalar in (0.0, 1e-4, 0.31, 0.5):
+            one = null_probability(None, scalar, fit)
+            assert isinstance(one, float)
+            assert same_bits(one, full_design_null_probability(scalar, fit))
+        assert null_probability(None, np.empty(0), fit).shape == (0,)
+
+    @pytest.mark.parametrize("w0, v0", INTERCEPT_WEIGHTS)
+    @pytest.mark.parametrize("limit", [None, 1, 37, 400])
+    def test_removal_order_matches_full_design(self, w0, v0, limit):
+        # rounded fold minima give ties, which the order breaks by index
+        rng = np.random.default_rng(5)
+        p = np.round(rng.random(300), 2)
+        tbl = table_with_threshold(p, 0.3)
+        fit = intercept_fit(w0, v0)
+        scores = full_design_null_probability(tbl.masked_min, fit)
+        hidden = np.flatnonzero(np.isnan(tbl.revealed))
+        stable = hidden[np.argsort(-scores[hidden], kind="stable")]
+        assert removal_order(tbl, None, fit, limit).tolist() == stable[:limit].tolist()
 
 
 class TestGreedyUpdate:
@@ -569,6 +658,12 @@ class TestFeatureMap:
     def test_intercept_only(self):
         fm = FeatureMap.for_covariates(None)
         assert fm.design(None, n_rows=4).shape == (4, 1)
+        assert fm.predictor_rows(None, 4).shape == (1, 1)
+
+    def test_predictor_rows_with_covariates_are_the_design(self):
+        x = np.random.default_rng(2).normal(size=(30, 2))
+        fm = FeatureMap.for_covariates(x)
+        assert same_bits(fm.predictor_rows(x, 30), fm.design(x))
 
     def test_scalar_covariates_linear(self):
         fm = FeatureMap.for_covariates(np.arange(10.0))
