@@ -26,9 +26,7 @@ from .engine import run_adapt_nonprivate, run_dp_adapt  # noqa: F401
 from .io import (
     IngestError, ingest_csv, report_json, write_csv_atomic, write_rejections_csv, write_text_atomic,
 )
-from .privacy import (
-    BudgetAuditError, calibrate_gaussian, calibrate_laplace, compose, ed_to_gdp, gdp_to_ed,
-)
+from .privacy import BudgetAuditError, compose, ed_to_gdp, gdp_to_ed, peel_noise
 from .simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
 
 EXIT_OK = 0
@@ -161,13 +159,15 @@ def cmd_privacy(args) -> int:
     elif args.epsilon is not None and args.delta is not None:
         print(f"mu = {ed_to_gdp(args.epsilon, args.delta)!r}")
         printed = True
+    # per-round peel noise for --m rounds (one release without --m)
     if args.delta_g is not None:
         if args.mu is not None:
-            print(f"gaussian_scale = {calibrate_gaussian(args.delta_g, args.mu).scale!r}")
+            rounds = 1 if args.m is None else args.m
+            print(f"gaussian_scale = {peel_noise('gaussian', args.delta_g, rounds, mu=args.mu).scale!r}")
             printed = True
         if args.m is not None and args.epsilon is not None and args.delta is not None:
-            scale = calibrate_laplace(args.delta_g, args.m, args.epsilon, args.delta).scale
-            print(f"laplace_scale = {scale!r}")
+            noise = peel_noise("laplace", args.delta_g, args.m, epsilon=args.epsilon, delta=args.delta)
+            print(f"laplace_scale = {noise.scale!r}")
             printed = True
     if not printed:
         raise UsageError(
@@ -226,11 +226,12 @@ def cmd_run(args) -> int:
 
     source = os.fspath(args.input)
     rejected_ids = [dataset.ids[i] for i in result.rejected]
-    write_text_atomic(f"{args.out_prefix}.report.json", report_json(result, args.seed, extra={
+    # what the arm read; with the input and seed, it alone replays the run
+    config = {"method": cfg.name, "n": dataset.n, "private": result.private}
+    config |= cfg.resolved(dataset.n) | {"input": source, "seed": args.seed}
+    write_text_atomic(f"{args.out_prefix}.report.json", report_json(result, args.seed, config, extra={
         "input": source,
         "rejected_ids": rejected_ids,
-        # with the input and seed, the config echo alone replays the run
-        "config": result.config | {"input": source, "seed": args.seed},
         "versions": _versions(),
     }))
     keep = np.isin(result.selected, result.rejected)  # rejected keeps selection order

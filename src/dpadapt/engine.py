@@ -44,12 +44,12 @@ class RunResult:
     takes no steps: its rows are the rejected ones with NaN thresholds, its
     noisy_p is bh's raw p-values and NaN for the private baselines (their
     budgets do not cover raw p-values), and the defaults hold. The arrays are
-    read-only; compare results field by field, not with ==.
+    read-only; compare results field by field, not with ==. A result holds
+    only what the run did; what it read is MethodConfig.resolved(n).
     """
 
     rejected: tuple[int, ...]
     private: bool
-    config: dict
     selected: np.ndarray
     noisy_p: np.ndarray
     final_thresholds: np.ndarray
@@ -98,7 +98,7 @@ def _adapt_loop(
     alpha: float,
     s0: float,
     updater: ThresholdUpdater,
-    config: dict,
+    private: bool,
 ) -> RunResult:
     check_level("alpha", alpha)
     check_level("s0", s0, 0.5)
@@ -164,8 +164,7 @@ def _adapt_loop(
     diag = getattr(updater, "diagnostics", None)
     return RunResult(
         rejected=tuple(ids[below].tolist()) if fh <= alpha else (),
-        private=config["private"],
-        config=config,
+        private=private,
         selected=ids,
         noisy_p=p,
         final_thresholds=s,
@@ -210,21 +209,7 @@ def run_dp_adapt(
         zero_noise=zero_noise,
     )
     sel_x = xs[selection.indices] if xs is not None else None
-    config = {
-        "method": "dp-adapt",
-        "n": int(p.size),
-        "m": int(m),
-        "alpha": float(alpha),
-        "s0": float(s0),
-        "delta_g": float(delta_g),
-        "mu": float(budget.mu),
-        "epsilon": budget.epsilon,
-        "delta": budget.delta,
-        "noise_family": noise_family,
-        "kernel": kernel.name,
-        "private": selection.private,
-    }
-    return _adapt_loop(selection.indices, selection.values, sel_x, alpha, s0, updater, config)
+    return _adapt_loop(selection.indices, selection.values, sel_x, alpha, s0, updater, selection.private)
 
 
 def run_adapt_nonprivate(
@@ -237,13 +222,4 @@ def run_adapt_nonprivate(
 ) -> RunResult:
     """Same loop without selection or noise: all hypotheses, raw p-values."""
     p, xs = validate_inputs(pvalues, x)
-    ids = np.arange(p.size)
-    config = {
-        "method": "adapt",
-        "n": int(p.size),
-        "m": int(p.size),
-        "alpha": float(alpha),
-        "s0": float(s0),
-        "private": False,
-    }
-    return _adapt_loop(ids, p, xs, alpha, s0, updater, config)
+    return _adapt_loop(np.arange(p.size), p, xs, alpha, s0, updater, False)

@@ -203,8 +203,9 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def report_json(result: RunResult, seed, extra: dict | None = None) -> str:
-    """Serialize a run's outcome with the same keys for every method; extra adds or replaces keys."""
+def report_json(result: RunResult, seed, config: dict, extra: dict | None = None) -> str:
+    """Serialize a run's outcome and config, its echo, with the same keys for
+    every method; extra adds or replaces keys."""
     payload = {
         "rejected": list(result.rejected),
         "n_rejected": len(result.rejected),
@@ -215,7 +216,7 @@ def report_json(result: RunResult, seed, extra: dict | None = None) -> str:
         ],
         "stop_t": result.stop_t,
         "seed": seed,
-        "config": result.config,
+        "config": config,
         "model": result.model,
     }
     if extra:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._normal import normal_quantile, normal_quantile_scalar
 from .privacy import NoiseSpec, peel_noise
-from .transform import TransformKernel, clamp_unit
+from .transform import TransformKernel, transform_with_shift
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def validate_inputs(pvalues, x=None) -> tuple[np.ndarray, np.ndarray | None]:
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-d array")
-    if np.any((p < 0) | (p > 1)) or np.any(~np.isfinite(p)):
+    if not ((p >= 0) & (p <= 1)).all():
         raise ValueError("p-values must lie in [0, 1]")
     if x is None:
         return p, None
@@ -205,8 +205,7 @@ def report_noisy_min(
     q = kernel.quantile(p)
     # G is monotone, so the argmin of G(q + Z) is the argmin of q + Z.
     winner = int(peel(q, noise, 1, rng)[0])
-    released = float(clamp_unit(kernel.G(q[winner] + noise.draw(rng))))
-    return winner, released
+    return winner, transform_with_shift(p[winner], kernel, noise.draw(rng))
 
 
 def mirror_peel(
@@ -247,10 +246,6 @@ def mirror_peel(
         noise_family, delta_g, m, mu=mu, epsilon=epsilon, delta=delta, zero_noise=zero_noise
     )
 
-    folded = np.minimum(p, 1.0 - p)
-    q_folded = kernel.quantile(folded)
-    q_orig = kernel.quantile(p)
-
-    winners = peel(q_folded, noise, m, rng)
-    released = clamp_unit(kernel.G(q_orig[winners] + noise.draw(rng, size=m)))
+    winners = peel(kernel.quantile(np.minimum(p, 1.0 - p)), noise, m, rng)
+    released = transform_with_shift(p[winners], kernel, noise.draw(rng, size=m))
     return SelectionResult(indices=winners, values=released, m=m, private=not zero_noise)

@@ -74,7 +74,7 @@ class Scenario:
 # the only per-method field list. "budget" stands for the budget the arm
 # spends, echoed as its mu and the (epsilon, delta) pair it was built from
 # (None when it was built from mu). dp-bh spends a Laplace (epsilon, delta)
-# budget directly. An arm with a budget echoes an epsilon; it is private.
+# budget directly.
 ARM_FIELDS = {
     "dp-adapt": ("em_iters", "refit_every", "kernel", "budget", "m", "noise_family", "delta_g", "alpha", "s0"),
     "adapt": ("em_iters", "refit_every", "m", "alpha", "s0"),
@@ -296,18 +296,16 @@ def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
     return fdp, power
 
 
-def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, config: dict) -> RunResult:
+def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, private: bool) -> RunResult:
     """A baseline's RunResult: the rejected rows, no steps.
 
-    bh keeps the rows' raw p-values. The private baselines' budgets do not
-    cover raw p-values, so their noisy_p is NaN.
+    bh (private False) keeps the rows' raw p-values. The private baselines'
+    budgets do not cover raw p-values, so their noisy_p is NaN.
     """
     rows = np.asarray(rejected, dtype=int)
-    private = config["private"]
     return RunResult(
         rejected=tuple(rows.tolist()),
         private=private,
-        config=config,
         selected=rows,
         noisy_p=np.full(rows.size, np.nan) if private else p[rows],
         final_thresholds=np.full(rows.size, np.nan),
@@ -317,30 +315,26 @@ def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, config: dict) -> RunR
 def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> RunResult:
     """Execute one arm on (x, p): the only map from a method name to a procedure.
 
-    The procedure's arguments are the arm's resolved(n) echo, and the
-    RunResult's config is that echo under the method, n and private keys.
+    The procedure's arguments are the arm's resolved(n) echo, and its
+    RunResult is returned as the procedure gave it.
     """
-    n = int(p.size)
-    a = cfg.resolved(n)
-    config = {"method": cfg.name, "n": n, "private": "epsilon" in a} | a
+    a = cfg.resolved(int(p.size))
     if cfg.name == "bh":
-        return _fixed_rejections(p, bh(p, a["alpha"]), config)
+        return _fixed_rejections(p, bh(p, a["alpha"]), False)
     if cfg.name == "dp-bh":
-        return _fixed_rejections(p, dp_bh(p, BHConfig(**a), rng), config)
+        return _fixed_rejections(p, dp_bh(p, BHConfig(**a), rng), True)
     if cfg.name == "dp-bonf":
         budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
         rejected = dp_bonf(p, a["delta_g"], kernel_by_name(a["kernel"]), budget, a["alpha"], rng)
-        return _fixed_rejections(p, rejected, config)
+        return _fixed_rejections(p, rejected, True)
     updater = TwoGroupUpdater(em_iters=a["em_iters"], refit_every=a["refit_every"])
     if cfg.name == "adapt":
-        result = run_adapt_nonprivate(p, x, a["alpha"], updater, s0=a["s0"])
-    else:
-        budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
-        result = run_dp_adapt(
-            p, x, kernel_by_name(a["kernel"]), a["delta_g"], budget, a["m"], a["alpha"], updater, rng,
-            s0=a["s0"], noise_family=a["noise_family"],
-        )
-    return replace(result, config=config)
+        return run_adapt_nonprivate(p, x, a["alpha"], updater, s0=a["s0"])
+    budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
+    return run_dp_adapt(
+        p, x, kernel_by_name(a["kernel"]), a["delta_g"], budget, a["m"], a["alpha"], updater, rng,
+        s0=a["s0"], noise_family=a["noise_family"],
+    )
 
 
 def run_method(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -96,10 +96,16 @@ def kernel_by_name(spec: str) -> TransformKernel:
 
 
 def transform_with_shift(p, kernel: TransformKernel, z):
-    """Deterministic core of the mechanism: G(G_inv(p) + z), clamped off {0, 1}."""
+    """Deterministic core of the mechanism: G(G_inv(p) + z), clamped off {0, 1}.
+
+    Every noisy p-value the package releases comes from here. p must lie in
+    [0, 1] and the shift z must be finite, so no release is NaN.
+    """
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not ((p >= 0) & (p <= 1)).all():
         raise ValueError("p-values must lie in [0, 1]")
+    if not np.isfinite(z).all():
+        raise ValueError("the shift must be finite")
     out = clamp_unit(kernel.G(kernel.quantile(p) + z))
     return float(out) if np.ndim(p) == 0 and np.ndim(z) == 0 else out
 

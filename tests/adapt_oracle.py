@@ -74,7 +74,7 @@ class ReferenceGreedyUpdater:
         }
 
 
-def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> RunResult:
+def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, private) -> RunResult:
     """Whole-vector loop with the same signature as engine._adapt_loop."""
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
@@ -107,8 +107,7 @@ def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, config) -> RunResult
         t += 1
     return RunResult(
         rejected=tuple(int(i) for i in rejected),
-        private=config["private"],
-        config=config,
+        private=private,
         selected=ids,
         noisy_p=p,
         final_thresholds=s,

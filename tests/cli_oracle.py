@@ -128,13 +128,16 @@ def cmd_run(args) -> int:
     elif args.method == "adapt":
         updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)
         report = run_adapt_nonprivate(dataset.p, dataset.x, args.alpha, updater, s0=args.s0)
+        config_echo = {"method": "adapt", "n": n, "m": n, "alpha": args.alpha, "s0": args.s0,
+                       "private": report.private}
     else:  # dp-adapt
         budget = _budget_from_args(args)
+        kernel = kernel_by_name(args.kernel)
         updater = TwoGroupUpdater(em_iters=args.em_iters, refit_every=args.refit_every)
         report = run_dp_adapt(
             dataset.p,
             dataset.x,
-            kernel_by_name(args.kernel),
+            kernel,
             args.delta_g,
             budget,
             m,
@@ -144,6 +147,11 @@ def cmd_run(args) -> int:
             s0=args.s0,
             noise_family=args.noise_family,
         )
+        config_echo = {
+            "method": "dp-adapt", "n": n, "m": m, "alpha": args.alpha, "s0": args.s0,
+            "delta_g": args.delta_g, "mu": budget.mu, "epsilon": budget.epsilon, "delta": budget.delta,
+            "noise_family": args.noise_family, "kernel": kernel.name, "private": report.private,
+        }
 
     if report is not None:
         selected_pos = {sel: k for k, sel in enumerate(report.selected)}
@@ -156,8 +164,8 @@ def cmd_run(args) -> int:
             )
             for i in report.rejected
         ]
-        json_text = report_json(report, args.seed, extra={"input": os.fspath(args.input),
-                                                          "rejected_ids": rejected_ids})
+        json_text = report_json(report, args.seed, config_echo, extra={"input": os.fspath(args.input),
+                                                                       "rejected_ids": rejected_ids})
     else:
         rows = [(dataset.ids[i], float(noisy[i]), float(thresholds[i])) for i in rejected]
         payload = {

@@ -14,7 +14,7 @@ from dpadapt.engine import (
 )
 from dpadapt.privacy import PrivacyBudget
 from dpadapt.simulate import Scenario, data_rng, gen_grid, gen_no_side_info, method_rng
-from dpadapt.transform import gaussian_kernel
+from dpadapt.transform import gaussian_kernel, kernel_by_name
 from dpadapt.twogroup import TwoGroupUpdater
 
 from .adapt_oracle import ReferenceGreedyUpdater, assert_same_result, reference_adapt_loop
@@ -549,6 +549,15 @@ def run_arm(method, x, p, seed, updater):
         p, x, K, 1e-4, PrivacyBudget.from_mu(0.5), max(10, round(0.05 * p.size)), 0.1,
         updater, method_rng(seed, 0, 1),
     )
+
+
+def test_result_holds_outcomes_only():
+    # what a run read is MethodConfig.resolved(n); the result records only what it did
+    p = np.random.default_rng(0).random(200)
+    updater = TwoGroupUpdater(refit_every=3, em_iters=2)
+    result = run_dp_adapt(p, None, kernel_by_name("truncnorm:1.23456789"), 1e-3, PrivacyBudget.from_mu(0.5),
+                          20, 0.1, updater, np.random.default_rng(1))
+    assert not hasattr(result, "config")
 
 
 class TestOracle:

@@ -15,7 +15,7 @@ from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
 from dpadapt._normal import normal_cdf
 from dpadapt.privacy import PrivacyBudget, calibrate_gaussian, calibrate_laplace, ed_to_gdp, gdp_to_ed
-from dpadapt.simulate import METHOD_NAMES, MethodConfig, Scenario, gen_grid
+from dpadapt.simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, gen_grid
 
 from . import cli_oracle, ingest_oracle
 
@@ -263,6 +263,14 @@ class TestPrivacyCommand:
                      "--delta", "0.001"]) == EXIT_OK
         scale = calibrate_laplace(1e-4, 500, 0.5, 0.001).scale
         assert f"\nlaplace_scale = {scale!r}\n" in capsys.readouterr().out
+
+    def test_gaussian_scale_is_per_peel_round(self, capsys):
+        # with --m, the gaussian scale is a round's of an m-round peel, not one release's
+        assert main(["privacy", "--delta-g", "1e-4", "--mu", "0.24", "--m", "500"]) == EXIT_OK
+        scale = privacy.peel_noise("gaussian", 1e-4, 500, mu=0.24).scale
+        assert capsys.readouterr().out == f"gaussian_scale = {scale!r}\n"
+        assert scale == pytest.approx(calibrate_gaussian(1e-4, 0.24 / 500**0.5).scale, rel=1e-12)
+        assert main(["privacy", "--delta-g", "1e-4", "--mu", "0.24", "--m", "0"]) == EXIT_USAGE
 
 
 class TestRunCommand:
@@ -593,6 +601,26 @@ class TestReplayFromConfig:
         assert json.loads((tmp_path / "again.report.json").read_text())["config"] == config
         first, again = (tmp_path / "first.rejections.csv").read_bytes(), (tmp_path / "again.rejections.csv").read_bytes()
         assert first == again
+
+
+class TestOneEcho:
+    """MethodConfig.resolved(n) is the only echo: every report and manifest carries it."""
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_report_and_manifest_echo_resolved(self, tmp_path, method):
+        budget = ["--mu", "0.5"] if "budget" in ARM_FIELDS[method] else []
+        cfg = MethodConfig(method, mu=0.5 if budget else None)
+        data = _oracle_csv(tmp_path / "d.csv")
+        assert main(["run", "--input", data, "--method", method, *budget, "--seed", "3",
+                     "--out-prefix", str(tmp_path / "r")]) == EXIT_OK
+        config = json.loads((tmp_path / "r.report.json").read_text())["config"]
+        assert (config.pop("input"), config.pop("seed")) == (data, 3)
+        private = method not in ("bh", "adapt")
+        assert config == {"method": method, "n": 400, "private": private} | cfg.resolved(400)
+        assert main(["simulate", "--n", "400", "--t", "10", "--methods", method, *budget, "--trials", "1",
+                     "--seed", "3", "--out-dir", str(tmp_path / "sim")]) == EXIT_OK
+        entry = json.loads((tmp_path / "sim" / "manifest.json").read_text())["methods"][0]
+        assert entry == {"name": method} | cfg.resolved(400)
 
 
 class TestSimulateCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.stats import kstest
 
 from dpadapt._normal import normal_cdf
+from dpadapt.cli import main
 from dpadapt.engine import RunResult
 from dpadapt.privacy import PrivacyBudget, ed_to_gdp
 from dpadapt.simulate import (
@@ -251,13 +253,18 @@ class TestMethodConfigDefaults:
         rejected = run_method(cfg, x, p, method_rng(3, 0, 0))
         assert np.all(rejected < 400)
 
-    def test_laplace_echo_is_the_mu_spent(self):
+    def test_laplace_echo_is_the_mu_spent(self, tmp_path):
         # laplace noise spends the exact-duality mu, not the campaign convention
         sc = Scenario(kind="no_side_info", n=400, t=10, beta=4.0)
-        x, p, _ = gen_no_side_info(sc, data_rng(3, 0))
+        _, p, _ = gen_no_side_info(sc, data_rng(3, 0))
+        data = tmp_path / "d.csv"
+        data.write_text("id,p\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist())))
         cfg = MethodConfig(name="dp-adapt", noise_family="laplace", m=20)
-        result = run_arm(cfg, x, p, method_rng(3, 0, 0))
-        assert cfg.resolved(400)["mu"] == result.config["mu"] == ed_to_gdp(0.5, 1e-3)
+        assert main(["run", "--input", str(data), "--method", "dp-adapt", "--noise-family", "laplace",
+                     "--m", "20", "--epsilon", "0.5", "--delta", "1e-3", "--seed", "3",
+                     "--out-prefix", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r.report.json").read_text())
+        assert cfg.resolved(400)["mu"] == report["config"]["mu"] == ed_to_gdp(0.5, 1e-3)
 
 
 # A valid and a bad value for every MethodConfig field, both unlike the default.

@@ -108,6 +108,19 @@ class TestNoisyPValue:
         with pytest.raises(ValueError):
             transform_with_shift(1.5, gaussian_kernel(), 0.0)
 
+    @pytest.mark.parametrize("p,z", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.3, math.nan),
+                                     (0.3, math.inf), (np.array([0.2, math.nan]), 0.0),
+                                     (np.array([0.2, 0.4]), np.array([0.1, -math.inf]))])
+    def test_non_finite_rejected(self, p, z):
+        # a NaN p or shift would come out as a NaN release
+        with pytest.raises(ValueError):
+            transform_with_shift(p, gaussian_kernel(), z)
+
+    def test_noisy_pvalue_rejects_nan(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            noisy_pvalue(np.array([0.2, math.nan]), gaussian_kernel(), NoiseSpec("gaussian", 0.5), rng)
+
     def test_zero_scale_noise_is_identity_at_half(self):
         rng = np.random.default_rng(0)
         out = noisy_pvalue(0.5, gaussian_kernel(), NoiseSpec("gaussian", 0.0), rng)
