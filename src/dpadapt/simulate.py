@@ -17,6 +17,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -143,8 +144,14 @@ class MethodConfig:
         ed_to_gdp(epsilon, delta), the exact duality. Otherwise it is mu when
         given, else the campaign convention 4*epsilon/sqrt(10*log(1/delta)),
         which puts the Gaussian-mode noise on the same footing as the
-        Laplace-mode scale of the private BH arm.
+        Laplace-mode scale of the private BH arm. It is computed once per
+        instance (ed_to_gdp is a bisection); the class is frozen, so the
+        value cannot go stale.
         """
+        return self._budget
+
+    @cached_property
+    def _budget(self) -> PrivacyBudget:
         if self.noise_family == "laplace" and "noise_family" in ARM_FIELDS[self.name]:
             return PrivacyBudget.from_epsilon_delta(self.epsilon, self.delta)
         if self.mu is not None:

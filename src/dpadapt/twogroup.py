@@ -128,13 +128,47 @@ def _raw_block(xm: np.ndarray) -> np.ndarray:
     return xm
 
 
+def _same_bits(kept: np.ndarray, new) -> bool:
+    """Whether new holds exactly kept's float64 bits, NaN positions included."""
+    new = np.asarray(new, dtype=float)
+    return kept.shape == new.shape and np.array_equal(kept.view(np.int64), new.view(np.int64))
+
+
+@dataclass(frozen=True)
+class _EStep:
+    """One _posterior pass and private copies of every input it read.
+
+    inputs are the table's fold minima and revealed values, the design rows
+    and the weights (w, v); arrays are the table's _masked_arrays and
+    posterior the pass's (loglik, resp, logp). No caller holds a reference
+    to the inputs (the table and weights are copied, the design is made by
+    em_fit), so mutating a table in place after a fit cannot make it match
+    the inputs of a pass it no longer describes.
+    """
+
+    inputs: tuple[np.ndarray, ...]
+    arrays: tuple
+    posterior: tuple
+
+    def matches(self, inputs) -> bool:
+        return all(map(_same_bits, self.inputs, inputs))
+
+
 @dataclass(frozen=True)
 class TwoGroupFit:
+    """Weights of the two-group model, as em_fit leaves them.
+
+    last_estep is the E-step the fit ended on, kept so that a refit on the
+    same table can start from it (see em_fit); it is left out of == and
+    repr, and is None on fits em_fit did not make.
+    """
+
     pi_weights: np.ndarray
     f1_weights: np.ndarray
     basis: FeatureMap
     em_iters: int
     loglik_trace: tuple[float, ...]
+    last_estep: _EStep | None = field(default=None, compare=False, repr=False)
 
     def alt_shape(self, design: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(np.exp(design @ self.f1_weights), A_MIN), A_MAX)
@@ -173,12 +207,16 @@ def f1_density(p, a):
 def _masked_arrays(masked: MaskedTable):
     """Per-row arrays no EM pass changes, taken once per em_fit: (mm, 1 - mm,
     rev, is_rev, span, log rev, log mm, log1p(-mm)). Hidden rows read rev
-    0.5; span is the null density's denominator, 2 tau revealed, tau hidden."""
+    0.5; span is the null density's denominator, 2 tau revealed, tau hidden.
+    A table without a revealed row has no revealed side: rev, is_rev and
+    log rev are None and span is the scalar tau."""
     mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
-    rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
     tau = _null_span(mm)
+    if not is_rev.any():
+        return mm, 1.0 - mm, None, None, tau, None, np.log(mm), np.log1p(-mm)
+    rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
     span = np.where(is_rev, 2.0 * tau, tau)
     return mm, 1.0 - mm, rev, is_rev, span, np.log(rev), np.log(mm), np.log1p(-mm)
 
@@ -201,17 +239,23 @@ def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
 
     resp is P(non-null | data) and logp is E[log p] under the alternative.
     The arrays after v are _masked_arrays'; each row's likelihood (revealed
-    or fold pair) is picked before the one log and division. design may be
-    one broadcast row (FeatureMap.predictor_rows).
+    or fold pair) is picked before the one log and division. A table
+    without a revealed row (is_rev None) takes the fold-pair pass only,
+    with no revealed branch to evaluate or pick. design may be one
+    broadcast row (FeatureMap.predictor_rows).
     """
     pi = expit(np.minimum(np.maximum(design @ w, -ETA_CAP), ETA_CAP))
     a = np.minimum(np.maximum(np.exp(design @ v), A_MIN), A_MAX)
     f1_m = f1_density(mm, a)
     f1_mc = f1_m + f1_density(c, a)
-    num = pi * np.where(is_rev, f1_density(rev, a), f1_mc)
-    lik = num + (1.0 - pi) / span
     mix = f1_m / f1_mc
-    logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
+    logp = mix * log_m + (1.0 - mix) * log_c
+    if is_rev is None:
+        num = pi * f1_mc
+    else:
+        num = pi * np.where(is_rev, f1_density(rev, a), f1_mc)
+        logp = np.where(is_rev, log_rev, logp)
+    lik = num + (1.0 - pi) / span
     return float(np.sum(np.log(lik))), num / lik, logp
 
 
@@ -344,6 +388,11 @@ def em_fit(
     both M-steps have exact maximizers instead (_intercept_mstep), and no
     Newton ascent runs. One _posterior pass per sweep gives both the trace
     entry and the next E-step; its per-row logs are taken once per fit.
+    The fit keeps its last pass (TwoGroupFit.last_estep), and a refit from
+    it starts from that pass in place of a fresh _masked_arrays and
+    _posterior when the pass read bitwise the same fold minima, revealed
+    values (NaN positions included), design rows and weights as this call
+    would: the trace and weights come out with the same bits either way.
     stats, when given, accumulates the Newton ascents of every M-step;
     intercept-only fits add none.
     """
@@ -355,8 +404,15 @@ def em_fit(
     closed_form = basis.kind == "intercept"
     design = basis.predictor_rows(x, masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
-    arrays = _masked_arrays(masked)
-    loglik, resp, logp = _posterior(design, w, v, *arrays)
+    last = fit.last_estep
+    if last is not None and last.matches((masked.masked_min, masked.revealed, design, w, v)):
+        kept, arrays, (loglik, resp, logp) = last.inputs[:3], last.arrays, last.posterior
+    else:
+        kept = (
+            np.array(masked.masked_min, dtype=float), np.array(masked.revealed, dtype=float), design
+        )
+        arrays = _masked_arrays(masked)
+        loglik, resp, logp = _posterior(design, w, v, *arrays)
     trace = [loglik]
     for _ in range(k):
         if closed_form:
@@ -366,7 +422,8 @@ def em_fit(
             v = _ascend(design, v, _shape_objective(resp, logp), stats)
         loglik, resp, logp = _posterior(design, w, v, *arrays)
         trace.append(loglik)
-    return TwoGroupFit(w, v, basis, k, tuple(trace))
+    last = _EStep((*kept, w.copy(), v.copy()), arrays, (loglik, resp, logp))
+    return TwoGroupFit(w, v, basis, k, tuple(trace), last)
 
 
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
@@ -430,10 +487,12 @@ class TwoGroupUpdater:
     run starts from default_fit. Restricting the window keeps the working
     model trained where the rejection decisions happen, and the matching
     fold-range null density in em_fit stays calibrated there; scores are
-    still computed for every hypothesis. diagnostics() reports the run's last
-    fit and, under "newton", the NewtonStats of every ascent in the run;
-    without covariates em_fit uses the closed-form M-step, so those totals
-    read 0. Satisfies the engine's ThresholdUpdater contract.
+    still computed for every hypothesis. Each refit starts from the previous
+    fit, so a refit on a window in which no row was revealed since starts
+    from the E-step that fit ended on (see em_fit). diagnostics() reports
+    the run's last fit and, under "newton", the NewtonStats of every ascent
+    in the run; without covariates em_fit uses the closed-form M-step, so
+    those totals read 0. Satisfies the engine's ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):

@@ -267,6 +267,46 @@ class TestMethodConfigDefaults:
         assert cfg.resolved(400)["mu"] == report["config"]["mu"] == ed_to_gdp(0.5, 1e-3)
 
 
+def count_ed_to_gdp(monkeypatch) -> list:
+    """Count every ed_to_gdp call, through privacy and through cli's import."""
+    from dpadapt import cli, privacy
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ed_to_gdp(*args)
+
+    monkeypatch.setattr(privacy, "ed_to_gdp", counting)
+    monkeypatch.setattr(cli, "ed_to_gdp", counting)
+    return calls
+
+
+class TestBudgetBisectionOnce:
+    """A laplace arm's budget is a bisection; each config runs it once."""
+
+    def test_run_converts_the_flags_then_builds_the_budget(self, tmp_path, monkeypatch):
+        _, p, _ = gen_no_side_info(Scenario(kind="no_side_info", n=400, t=10, beta=4.0), data_rng(3, 0))
+        data = tmp_path / "d.csv"
+        data.write_text("id,p\n" + "".join(f"h{i},{v!r}\n" for i, v in enumerate(p.tolist())))
+        calls = count_ed_to_gdp(monkeypatch)
+        assert main(["run", "--input", str(data), "--method", "dp-adapt", "--noise-family", "laplace",
+                     "--epsilon", "0.5", "--delta", "1e-3", "--m", "20", "--seed", "3",
+                     "--out-prefix", str(tmp_path / "r")]) == 0
+        assert calls == [(0.5, 1e-3)] * 2
+
+    def test_campaign_builds_each_budget_once(self, monkeypatch):
+        calls = count_ed_to_gdp(monkeypatch)
+        cfg = MethodConfig("dp-adapt", noise_family="laplace", m=20)
+        sc = Scenario(kind="no_side_info", n=400, t=10, beta=4.0)
+        result = run_campaign(sc, [cfg, MethodConfig("bh")], trials=5, base_seed=3)
+        assert result.aggregates[0].trials_ok == 5
+        assert calls == [(0.5, 1e-3)]
+        assert cfg.budget() is cfg.budget() and len(calls) == 1
+        # a config equal in its fields is another instance, with its own budget
+        assert replace(cfg).budget() == cfg.budget() and len(calls) == 2
+
+
 # A valid and a bad value for every MethodConfig field, both unlike the default.
 _OTHER = {
     "alpha": (0.2, math.nan), "delta_g": (3e-4, math.nan), "epsilon": (0.3, math.nan),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dpadapt import twogroup
+from dpadapt import simulate, twogroup
 from dpadapt._normal import expit as package_expit
 from dpadapt.engine import run_adapt_nonprivate
 from dpadapt.simulate import (
@@ -46,6 +47,11 @@ def table_with_threshold(p, s):
     p = np.asarray(p, dtype=float)
     revealed = np.where((p > s) & (p < 1 - s), p, np.nan)
     return MaskedTable(np.minimum(p, 1 - p), revealed)
+
+
+def table_all_hidden(p):
+    p = np.asarray(p, dtype=float)
+    return MaskedTable(np.minimum(p, 1 - p), np.full(p.size, np.nan))
 
 
 def propose_once(updater, tbl, x):
@@ -148,6 +154,16 @@ class TestEmFit:
         fit = em_fit(tbl, None, k=4)
         assert observed_loglik(tbl, None, fit) == pytest.approx(fit.loglik_trace[-1], abs=1e-9)
 
+    @pytest.mark.parametrize("x", [None, np.linspace(-2.0, 2.0, 80)], ids=["intercept", "linear"])
+    def test_all_hidden_observed_loglik_matches_oracle(self, x):
+        # a table with no revealed row takes the fold-pair pass alone, which
+        # must keep the bits of the oracle's pick between both branches
+        tbl = table_all_hidden(np.random.default_rng(9).random(80))
+        fit = em_fit(tbl, x, k=4)
+        got = observed_loglik(tbl, x, fit)
+        assert got == fit.loglik_trace[-1]
+        assert same_bits(got, em_oracle.posterior(tbl, x, fit.basis, fit.pi_weights, fit.f1_weights)[0])
+
     def test_responsibilities_in_unit_interval(self):
         # implicit through pi/f1 positivity, checked via a sweep of fits
         rng = np.random.default_rng(10)
@@ -218,12 +234,13 @@ class TestPosteriorMatchesOracle:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 150),
         design=st.sampled_from(["intercept-row", "intercept", "linear", "quadratic2d"]),
-        masked=st.booleans(),
+        table=st.sampled_from(["revealed", "masked", "hidden"]),
         spread=st.sampled_from([0.5, 3.0, 12.0]),
     )
-    def test_e_step_bit_identical_to_oracle(self, seed, n, design, masked, spread):
+    def test_e_step_bit_identical_to_oracle(self, seed, n, design, table, spread):
         # twogroup picks each row's branch before its one log and division,
-        # and without covariates may run on one broadcast row; the oracle
+        # takes the fold-pair pass alone on a table with no revealed row, and
+        # without covariates may run on one broadcast row; the oracle
         # computes every branch on one design row per hypothesis. Weights up
         # to +-12 drive the predictor past ETA_CAP and the shape into both
         # of its clamps
@@ -235,12 +252,18 @@ class TestPosteriorMatchesOracle:
             "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
         }[design]
         p = np.where(rng.random(n) < 0.3, rng.beta(0.2, 1.0, n), rng.random(n))
-        tbl = table_with_threshold(p, float(rng.uniform(0.05, 0.49))) if masked else table_all_revealed(p)
+        tbl = {
+            "revealed": lambda: table_all_revealed(p),
+            "masked": lambda: table_with_threshold(p, float(rng.uniform(0.05, 0.49))),
+            "hidden": lambda: table_all_hidden(p),
+        }[table]()
         basis = FeatureMap.for_covariates(x)
         w = rng.uniform(-spread, spread, basis.dim)
         v = rng.uniform(-spread, spread, basis.dim)
         rows = basis.predictor_rows(x, n) if design == "intercept-row" else basis.design(x, n_rows=n)
-        got = twogroup._posterior(rows, w, v, *twogroup._masked_arrays(tbl))
+        arrays = twogroup._masked_arrays(tbl)
+        assert (arrays[3] is None) == bool(np.isnan(tbl.revealed).all())
+        got = twogroup._posterior(rows, w, v, *arrays)
         want = em_oracle.posterior(tbl, x, basis, w, v)
         assert same_bits(got[0], want[0])
         assert got[1].shape == got[2].shape == (n,)
@@ -652,6 +675,157 @@ class TestUpdaterReuse:
         again = run_adapt_nonprivate(p, None, 0.1, updater)
         assert again.stop_t == 0 and again.model is None
         assert_same_result(again, run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater()))
+
+
+def carried_chain(p, x):
+    """The steps of a refit chain, as (table, covariates, init edit, whether
+    the refit may start from the carried E-step): the same table three
+    times, as copies and as the same objects; one revealed value moved to
+    the other side of its fold; one hidden row revealed, at p = 0 exactly,
+    which a comparison that reads NaN as 0 would miss; one revealed row
+    hidden; one covariate changed (no change without covariates); the
+    init's weights replaced. Then the previous call's arrays are mutated in
+    place, and the same objects are fitted twice."""
+    p = np.concatenate([[0.0], p[1:]])
+    tbl = table_with_threshold(p, 0.3)
+    shown = np.flatnonzero(~np.isnan(tbl.revealed))
+    hidden = np.flatnonzero(np.isnan(tbl.revealed))
+    same = lambda fit: fit  # noqa: E731
+
+    def edit(table, row, value):
+        revealed = table.revealed.copy()
+        revealed[row] = value
+        return MaskedTable(table.masked_min.copy(), revealed)
+
+    flipped = edit(tbl, shown[0], 1.0 - tbl.revealed[shown[0]])
+    more = edit(flipped, hidden[0], p[hidden[0]])
+    fewer = edit(more, shown[1], np.nan)
+    moved_x = None if x is None else x.copy()
+    if moved_x is not None:
+        moved_x[0] += 1.0
+    yield tbl, x, same, False
+    yield MaskedTable(tbl.masked_min.copy(), tbl.revealed.copy()), None if x is None else x.copy(), same, True
+    yield tbl, x, same, True
+    yield flipped, x, same, False
+    yield more, x, same, False
+    yield fewer, x, same, False
+    yield fewer, moved_x, same, x is None
+    yield fewer, moved_x, lambda fit: replace(fit, pi_weights=fit.pi_weights + 0.25), False
+    fewer.revealed[hidden[1]] = p[hidden[1]]
+    fewer.masked_min[hidden[2]] *= 0.5
+    if moved_x is not None:
+        moved_x[1] += 1.0
+    yield fewer, moved_x, same, False
+    yield fewer, moved_x, same, True
+
+
+class TestCarriedEStep:
+    """A refit starts from the E-step its init ended on exactly when that
+    pass read the same table, design rows and weights, and the fits keep
+    the bits of fits that start afresh and of the oracle's."""
+
+    @pytest.mark.parametrize("design", ["intercept", "linear", "quadratic2d"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_matches_oracle(self, monkeypatch, design, seed):
+        rng = np.random.default_rng(seed)
+        n = 150
+        x = {
+            "intercept": None,
+            "linear": rng.normal(size=n),
+            "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
+        }[design]
+        prior = 0.3 if x is None else expit(np.reshape(x, (n, -1))[:, 0] - 1.0)
+        p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
+        passes = []
+        real_posterior = twogroup._posterior
+
+        def counting_posterior(*args):
+            passes.append(1)
+            return real_posterior(*args)
+
+        monkeypatch.setattr(twogroup, "_posterior", counting_posterior)
+        fit = fresh = ref = None
+        for i, (tbl, xs, edit, reused) in enumerate(carried_chain(p, x)):
+            passes.clear()
+            fit = em_fit(tbl, xs, init=None if fit is None else edit(fit), k=3)
+            assert len(passes) == 3 + (not reused), i
+            # a chain that drops every carried E-step; the oracle has no
+            # closed-form M-step, so it checks the chains with covariates
+            fresh = em_fit(tbl, xs, init=None if fresh is None else replace(edit(fresh), last_estep=None), k=3)
+            chains = [fresh]
+            if x is not None:
+                ref = em_oracle.em_fit(tbl, xs, init=None if ref is None else edit(ref), k=3)
+                chains.append(ref)
+            for other in chains:
+                assert same_bits(fit.pi_weights, other.pi_weights), i
+                assert same_bits(fit.f1_weights, other.f1_weights), i
+                assert same_bits(fit.loglik_trace, other.loglik_trace), i
+        assert i == 9
+
+
+class NoCarryUpdater(TwoGroupUpdater):
+    """Drops the carried E-step before each refit, so every em_fit starts afresh."""
+
+    def propose(self, revealed, a_t, r_t):
+        if self._fit is not None:
+            self._fit = replace(self._fit, last_estep=None)
+        return super().propose(revealed, a_t, r_t)
+
+
+def count_reuse(monkeypatch) -> dict:
+    """Counts em_fit calls and the fresh _masked_arrays they take."""
+    counts = {"fits": 0, "fresh": 0}
+    real_em_fit, real_arrays = twogroup.em_fit, twogroup._masked_arrays
+
+    def counting_em_fit(masked, x, **kwargs):
+        counts["fits"] += 1
+        return real_em_fit(masked, x, **kwargs)
+
+    def counting_arrays(masked):
+        counts["fresh"] += 1
+        return real_arrays(masked)
+
+    monkeypatch.setattr(twogroup, "em_fit", counting_em_fit)
+    monkeypatch.setattr(twogroup, "_masked_arrays", counting_arrays)
+    return counts
+
+
+class TestUpdaterCarry:
+    """Runs give the same RunResult, diagnostics included, with the carried
+    E-step as without it."""
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(kind="no_side_info", n=2000, t=40),
+        Scenario(kind="grid", grid_side=30, pattern=1, beta=3.5),
+    ], ids=["no-side-info", "grid30"])
+    @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
+    def test_run_equals_a_run_without_carry(self, monkeypatch, scenario, arm):
+        counts = count_reuse(monkeypatch)
+        for seed in (0, 1):
+            x, p, _ = simulate.generate(scenario, data_rng(seed, 0))
+            cfg = MethodConfig(arm)
+            monkeypatch.setattr(simulate, "TwoGroupUpdater", TwoGroupUpdater)
+            carried = run_arm(cfg, x, p, method_rng(seed, 0, 0))
+            monkeypatch.setattr(simulate, "TwoGroupUpdater", NoCarryUpdater)
+            fresh = run_arm(cfg, x, p, method_rng(seed, 0, 0))
+            assert carried.model is not None and carried.model == fresh.model
+            assert_same_result(carried, fresh)
+        if arm == "adapt":
+            # fits without carry take fresh arrays every time, so the carried
+            # runs reused at least one E-step
+            assert counts["fresh"] < counts["fits"]
+
+    def test_reused_updater_equals_one_without_carry(self, monkeypatch):
+        counts = count_reuse(monkeypatch)
+        carried, fresh = TwoGroupUpdater(), NoCarryUpdater()
+        rng = np.random.default_rng(4)
+        for n in (1200, 1200, 900):
+            p = np.concatenate([rng.beta(0.3, 1, n // 10), rng.random(n - n // 10)])
+            x = rng.normal(size=n)
+            got = run_adapt_nonprivate(p, x, 0.1, carried)
+            assert_same_result(got, run_adapt_nonprivate(p, x, 0.1, fresh))
+            assert carried.diagnostics() == fresh.diagnostics() == got.model
+        assert counts["fresh"] < counts["fits"]
 
 
 class TestFeatureMap:
