@@ -23,7 +23,7 @@ from .selection import stable_argsort
 from .transform import P_FLOOR
 
 A_MIN = 0.05
-A_MAX = 1.0
+A_MAX = 1.0  # a <= 1 keeps f1 non-increasing in p; _alt_shape relies on A_MAX = 1
 
 # The logistic predictor is capped at +-ETA_CAP. Without the cap, responsibilities
 # that round to float-exact 1.0 feed a separation runaway (weights diverge, pi
@@ -128,50 +128,28 @@ def _raw_block(xm: np.ndarray) -> np.ndarray:
     return xm
 
 
-def _same_bits(kept: np.ndarray, new) -> bool:
-    """Whether new holds exactly kept's float64 bits, NaN positions included."""
-    new = np.asarray(new, dtype=float)
-    return kept.shape == new.shape and np.array_equal(kept.view(np.int64), new.view(np.int64))
-
-
-@dataclass(frozen=True)
-class _EStep:
-    """One _posterior pass and private copies of every input it read.
-
-    inputs are the table's fold minima and revealed values, the design rows
-    and the weights (w, v); arrays are the table's _masked_arrays and
-    posterior the pass's (loglik, resp, logp). No caller holds a reference
-    to the inputs (the table and weights are copied, the design is made by
-    em_fit), so mutating a table in place after a fit cannot make it match
-    the inputs of a pass it no longer describes.
-    """
-
-    inputs: tuple[np.ndarray, ...]
-    arrays: tuple
-    posterior: tuple
-
-    def matches(self, inputs) -> bool:
-        return all(map(_same_bits, self.inputs, inputs))
-
-
 @dataclass(frozen=True)
 class TwoGroupFit:
-    """Weights of the two-group model, as em_fit leaves them.
-
-    last_estep is the E-step the fit ended on, kept so that a refit on the
-    same table can start from it (see em_fit); it is left out of == and
-    repr, and is None on fits em_fit did not make.
-    """
+    """Weights of the two-group model, as em_fit leaves them."""
 
     pi_weights: np.ndarray
     f1_weights: np.ndarray
     basis: FeatureMap
     em_iters: int
     loglik_trace: tuple[float, ...]
-    last_estep: _EStep | None = field(default=None, compare=False, repr=False)
 
     def alt_shape(self, design: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(np.exp(design @ self.f1_weights), A_MIN), A_MAX)
+        return _alt_shape(design @ self.f1_weights)
+
+
+def _alt_shape(eta):
+    """The alternative's shape a = exp(eta) clamped to [A_MIN, A_MAX].
+
+    eta is capped at log(A_MAX) = 0 before the exp, which clamps a at
+    exp(0) = A_MAX exactly and keeps shape weights that run off (|v| ~ 70
+    on some grid fits) from overflowing the exp.
+    """
+    return np.maximum(np.exp(np.minimum(eta, 0.0)), A_MIN)
 
 
 @dataclass
@@ -207,16 +185,12 @@ def f1_density(p, a):
 def _masked_arrays(masked: MaskedTable):
     """Per-row arrays no EM pass changes, taken once per em_fit: (mm, 1 - mm,
     rev, is_rev, span, log rev, log mm, log1p(-mm)). Hidden rows read rev
-    0.5; span is the null density's denominator, 2 tau revealed, tau hidden.
-    A table without a revealed row has no revealed side: rev, is_rev and
-    log rev are None and span is the scalar tau."""
+    0.5; span is the null density's denominator, 2 tau revealed, tau hidden."""
     mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
-    tau = _null_span(mm)
-    if not is_rev.any():
-        return mm, 1.0 - mm, None, None, tau, None, np.log(mm), np.log1p(-mm)
     rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
+    tau = _null_span(mm)
     span = np.where(is_rev, 2.0 * tau, tau)
     return mm, 1.0 - mm, rev, is_rev, span, np.log(rev), np.log(mm), np.log1p(-mm)
 
@@ -239,23 +213,17 @@ def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
 
     resp is P(non-null | data) and logp is E[log p] under the alternative.
     The arrays after v are _masked_arrays'; each row's likelihood (revealed
-    or fold pair) is picked before the one log and division. A table
-    without a revealed row (is_rev None) takes the fold-pair pass only,
-    with no revealed branch to evaluate or pick. design may be one
-    broadcast row (FeatureMap.predictor_rows).
+    or fold pair) is picked before the one log and division. design may be
+    one broadcast row (FeatureMap.predictor_rows).
     """
     pi = expit(np.minimum(np.maximum(design @ w, -ETA_CAP), ETA_CAP))
-    a = np.minimum(np.maximum(np.exp(design @ v), A_MIN), A_MAX)
+    a = _alt_shape(design @ v)
     f1_m = f1_density(mm, a)
     f1_mc = f1_m + f1_density(c, a)
-    mix = f1_m / f1_mc
-    logp = mix * log_m + (1.0 - mix) * log_c
-    if is_rev is None:
-        num = pi * f1_mc
-    else:
-        num = pi * np.where(is_rev, f1_density(rev, a), f1_mc)
-        logp = np.where(is_rev, log_rev, logp)
+    num = pi * np.where(is_rev, f1_density(rev, a), f1_mc)
     lik = num + (1.0 - pi) / span
+    mix = f1_m / f1_mc
+    logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
     return float(np.sum(np.log(lik))), num / lik, logp
 
 
@@ -279,7 +247,7 @@ def _shape_objective(resp, logp):
     """Expected complete log-likelihood of the f1 model, as (value, slopes) in eta."""
 
     def value(eta):
-        a = np.minimum(np.maximum(np.exp(eta), A_MIN), A_MAX)
+        a = _alt_shape(eta)
         return float((resp * (np.log(a) + (a - 1.0) * logp)).sum())
 
     def slopes(eta):
@@ -388,11 +356,6 @@ def em_fit(
     both M-steps have exact maximizers instead (_intercept_mstep), and no
     Newton ascent runs. One _posterior pass per sweep gives both the trace
     entry and the next E-step; its per-row logs are taken once per fit.
-    The fit keeps its last pass (TwoGroupFit.last_estep), and a refit from
-    it starts from that pass in place of a fresh _masked_arrays and
-    _posterior when the pass read bitwise the same fold minima, revealed
-    values (NaN positions included), design rows and weights as this call
-    would: the trace and weights come out with the same bits either way.
     stats, when given, accumulates the Newton ascents of every M-step;
     intercept-only fits add none.
     """
@@ -404,15 +367,8 @@ def em_fit(
     closed_form = basis.kind == "intercept"
     design = basis.predictor_rows(x, masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
-    last = fit.last_estep
-    if last is not None and last.matches((masked.masked_min, masked.revealed, design, w, v)):
-        kept, arrays, (loglik, resp, logp) = last.inputs[:3], last.arrays, last.posterior
-    else:
-        kept = (
-            np.array(masked.masked_min, dtype=float), np.array(masked.revealed, dtype=float), design
-        )
-        arrays = _masked_arrays(masked)
-        loglik, resp, logp = _posterior(design, w, v, *arrays)
+    arrays = _masked_arrays(masked)
+    loglik, resp, logp = _posterior(design, w, v, *arrays)
     trace = [loglik]
     for _ in range(k):
         if closed_form:
@@ -422,8 +378,7 @@ def em_fit(
             v = _ascend(design, v, _shape_objective(resp, logp), stats)
         loglik, resp, logp = _posterior(design, w, v, *arrays)
         trace.append(loglik)
-    last = _EStep((*kept, w.copy(), v.copy()), arrays, (loglik, resp, logp))
-    return TwoGroupFit(w, v, basis, k, tuple(trace), last)
+    return TwoGroupFit(w, v, basis, k, tuple(trace))
 
 
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
@@ -476,23 +431,31 @@ class TwoGroupUpdater:
     """Threshold updater: cadenced EM refits plus greedy local-null removal.
 
     Each propose call refits the working model and returns the next
-    refit_every hidden rows in removal_order (default max(1, m // 20), since
-    the fit is the expensive part). The loop removes them one per step, which
-    is exactly the greedy most-likely-null removal with the scores held fixed
-    between refits.
+    refit_every hidden rows, most likely null first (default
+    max(1, m // 20), since the fit is the expensive part). The loop removes
+    them one per step, which is exactly the greedy most-likely-null removal
+    with the scores held fixed between refits.
+
+    With covariates that order is removal_order under the new fit. Without
+    them it is the sweep that start computes once: the largest fold minimum
+    first, clipped as null_probability clips it, ties to the lowest index.
+    An intercept-only fit has one pi and one a <= A_MAX = 1, so its null
+    probability is non-decreasing in the fold minimum and no refit can rank
+    the rows otherwise; the loop is the Barber-Candes threshold sweep. The
+    refits still run at the same cadence, so diagnostics() still reports the
+    run's last fit, but without covariates that fit no longer orders
+    removals.
 
     The fit window is the max(200, 20% of the table) most extreme fold
     minima, so small pre-selected tables are fitted whole. start computes it
     once per run and drops the previous run's fit and Newton totals, so every
     run starts from default_fit. Restricting the window keeps the working
     model trained where the rejection decisions happen, and the matching
-    fold-range null density in em_fit stays calibrated there; scores are
-    still computed for every hypothesis. Each refit starts from the previous
-    fit, so a refit on a window in which no row was revealed since starts
-    from the E-step that fit ended on (see em_fit). diagnostics() reports
-    the run's last fit and, under "newton", the NewtonStats of every ascent
-    in the run; without covariates em_fit uses the closed-form M-step, so
-    those totals read 0. Satisfies the engine's ThresholdUpdater contract.
+    fold-range null density in em_fit stays calibrated there; with
+    covariates, scores are still computed for every hypothesis. diagnostics()
+    reports the run's last fit and, under "newton", the NewtonStats of every
+    ascent in the run; without covariates em_fit uses the closed-form M-step,
+    so those totals read 0. Satisfies the engine's ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
@@ -507,6 +470,9 @@ class TwoGroupUpdater:
         window = stable_argsort(masked_min)[:n_fit]
         self._masked_min, self._x, self._window = masked_min, x, window
         self._window_x = None if x is None else np.asarray(x)[window]
+        self._sweep = None
+        if x is None:
+            self._sweep = stable_argsort(-np.minimum(np.maximum(masked_min, P_FLOOR), 0.5))
         self._fit = None
         self._newton = NewtonStats()
 
@@ -517,7 +483,9 @@ class TwoGroupUpdater:
         cadence = self.refit_every or max(1, revealed.size // 20)
         sub = MaskedTable(self._masked_min[self._window], revealed[self._window])
         self._fit = em_fit(sub, self._window_x, init=self._fit, k=self.em_iters, stats=self._newton)
-        return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit, cadence)
+        if self._sweep is None:
+            return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit, cadence)
+        return self._sweep[np.isnan(revealed[self._sweep])][:cadence]
 
     def diagnostics(self) -> dict | None:
         if self._fit is None:

@@ -1,11 +1,12 @@
-"""Reference adaptive loop and per-step greedy updater, kept as a test oracle.
+"""Reference adaptive loop and updaters, kept as test oracles.
 
 This is the original whole-vector implementation: the updater returns a new
 threshold vector each step (one greedy removal from cached scores, refitting
 every refit_every steps), and the loop recomputes every count from scratch
 and checks the proposal against the current thresholds. It is slow (O(m) per
 step) but simple; the incremental loop in dpadapt.engine must reproduce its
-results bit for bit.
+results bit for bit. LargestFoldMinFirst is the README's model-free
+updater, whose order TwoGroupUpdater must follow without covariates.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ class ReferenceGreedyUpdater:
             "loglik_trace": [float(v) for v in self._fit.loglik_trace],
             "newton": asdict(self._newton),
         }
+
+
+class LargestFoldMinFirst:
+    """The README's model-free updater: hidden rows, largest fold minimum first."""
+
+    def start(self, masked_min, x):
+        self.masked_min = masked_min
+
+    def propose(self, revealed, a_t, r_t):
+        hidden = np.flatnonzero(np.isnan(revealed))
+        return hidden[np.argsort(-self.masked_min[hidden], kind="stable")]
 
 
 def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, private) -> RunResult:

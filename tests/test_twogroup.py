@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dpadapt import simulate, twogroup
+from dpadapt import engine, simulate, twogroup
 from dpadapt._normal import expit as package_expit
 from dpadapt.engine import run_adapt_nonprivate
 from dpadapt.simulate import (
@@ -31,8 +32,8 @@ from dpadapt.twogroup import (
     removal_order,
 )
 
-from . import em_oracle
-from .adapt_oracle import assert_same_result
+from . import adapt_oracle, em_oracle
+from .adapt_oracle import LargestFoldMinFirst, assert_same_result
 
 
 def table_all_revealed(p):
@@ -156,8 +157,8 @@ class TestEmFit:
 
     @pytest.mark.parametrize("x", [None, np.linspace(-2.0, 2.0, 80)], ids=["intercept", "linear"])
     def test_all_hidden_observed_loglik_matches_oracle(self, x):
-        # a table with no revealed row takes the fold-pair pass alone, which
-        # must keep the bits of the oracle's pick between both branches
+        # on a table with no revealed row every row takes the fold-pair
+        # branch, which must keep the bits of the oracle's pick between both
         tbl = table_all_hidden(np.random.default_rng(9).random(80))
         fit = em_fit(tbl, x, k=4)
         got = observed_loglik(tbl, x, fit)
@@ -239,11 +240,10 @@ class TestPosteriorMatchesOracle:
     )
     def test_e_step_bit_identical_to_oracle(self, seed, n, design, table, spread):
         # twogroup picks each row's branch before its one log and division,
-        # takes the fold-pair pass alone on a table with no revealed row, and
-        # without covariates may run on one broadcast row; the oracle
-        # computes every branch on one design row per hypothesis. Weights up
-        # to +-12 drive the predictor past ETA_CAP and the shape into both
-        # of its clamps
+        # also on a table with no revealed row, and without covariates may
+        # run on one broadcast row; the oracle computes every branch on one
+        # design row per hypothesis. Weights up to +-12 drive the predictor
+        # past ETA_CAP and the shape into both of its clamps
         rng = np.random.default_rng(seed)
         x = {
             "intercept-row": None,
@@ -261,9 +261,7 @@ class TestPosteriorMatchesOracle:
         w = rng.uniform(-spread, spread, basis.dim)
         v = rng.uniform(-spread, spread, basis.dim)
         rows = basis.predictor_rows(x, n) if design == "intercept-row" else basis.design(x, n_rows=n)
-        arrays = twogroup._masked_arrays(tbl)
-        assert (arrays[3] is None) == bool(np.isnan(tbl.revealed).all())
-        got = twogroup._posterior(rows, w, v, *arrays)
+        got = twogroup._posterior(rows, w, v, *twogroup._masked_arrays(tbl))
         want = em_oracle.posterior(tbl, x, basis, w, v)
         assert same_bits(got[0], want[0])
         assert got[1].shape == got[2].shape == (n,)
@@ -388,9 +386,10 @@ class TestNewtonStop:
     def test_rejections_match_gradient_only_rule(self, monkeypatch, kind, method, seed):
         # neither the decrement stop nor the closed-form intercept M-step may
         # move a single rejection against fits that ascend with the earlier
-        # gradient-only rule. On the null-only table, conservative Beta(2, 2)
-        # nulls drive adapt's fitted shape to the A_MAX clamp, the one case
-        # where the two M-steps could order removals differently
+        # gradient-only rule. Without covariates the removal order is the
+        # fold-minimum sweep, which no fit moves, so there the runs must agree
+        # whatever the M-step; on the null-only table, conservative Beta(2, 2)
+        # nulls still drive adapt's fitted shape to the A_MAX clamp
         if kind == "no_side_info":
             x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(seed, 0))
         elif kind == "null_only":
@@ -677,155 +676,94 @@ class TestUpdaterReuse:
         assert_same_result(again, run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater()))
 
 
-def carried_chain(p, x):
-    """The steps of a refit chain, as (table, covariates, init edit, whether
-    the refit may start from the carried E-step): the same table three
-    times, as copies and as the same objects; one revealed value moved to
-    the other side of its fold; one hidden row revealed, at p = 0 exactly,
-    which a comparison that reads NaN as 0 would miss; one revealed row
-    hidden; one covariate changed (no change without covariates); the
-    init's weights replaced. Then the previous call's arrays are mutated in
-    place, and the same objects are fitted twice."""
-    p = np.concatenate([[0.0], p[1:]])
-    tbl = table_with_threshold(p, 0.3)
-    shown = np.flatnonzero(~np.isnan(tbl.revealed))
-    hidden = np.flatnonzero(np.isnan(tbl.revealed))
-    same = lambda fit: fit  # noqa: E731
+class TestSweepWithoutCovariates:
+    """Without covariates the updater removes rows in the fold-minimum sweep,
+    the order of the README's model-free updater, and refits only for the
+    model it reports."""
 
-    def edit(table, row, value):
-        revealed = table.revealed.copy()
-        revealed[row] = value
-        return MaskedTable(table.masked_min.copy(), revealed)
-
-    flipped = edit(tbl, shown[0], 1.0 - tbl.revealed[shown[0]])
-    more = edit(flipped, hidden[0], p[hidden[0]])
-    fewer = edit(more, shown[1], np.nan)
-    moved_x = None if x is None else x.copy()
-    if moved_x is not None:
-        moved_x[0] += 1.0
-    yield tbl, x, same, False
-    yield MaskedTable(tbl.masked_min.copy(), tbl.revealed.copy()), None if x is None else x.copy(), same, True
-    yield tbl, x, same, True
-    yield flipped, x, same, False
-    yield more, x, same, False
-    yield fewer, x, same, False
-    yield fewer, moved_x, same, x is None
-    yield fewer, moved_x, lambda fit: replace(fit, pi_weights=fit.pi_weights + 0.25), False
-    fewer.revealed[hidden[1]] = p[hidden[1]]
-    fewer.masked_min[hidden[2]] *= 0.5
-    if moved_x is not None:
-        moved_x[1] += 1.0
-    yield fewer, moved_x, same, False
-    yield fewer, moved_x, same, True
-
-
-class TestCarriedEStep:
-    """A refit starts from the E-step its init ended on exactly when that
-    pass read the same table, design rows and weights, and the fits keep
-    the bits of fits that start afresh and of the oracle's."""
-
-    @pytest.mark.parametrize("design", ["intercept", "linear", "quadratic2d"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_chain_matches_oracle(self, monkeypatch, design, seed):
-        rng = np.random.default_rng(seed)
-        n = 150
-        x = {
-            "intercept": None,
-            "linear": rng.normal(size=n),
-            "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
-        }[design]
-        prior = 0.3 if x is None else expit(np.reshape(x, (n, -1))[:, 0] - 1.0)
-        p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
-        passes = []
-        real_posterior = twogroup._posterior
-
-        def counting_posterior(*args):
-            passes.append(1)
-            return real_posterior(*args)
-
-        monkeypatch.setattr(twogroup, "_posterior", counting_posterior)
-        fit = fresh = ref = None
-        for i, (tbl, xs, edit, reused) in enumerate(carried_chain(p, x)):
-            passes.clear()
-            fit = em_fit(tbl, xs, init=None if fit is None else edit(fit), k=3)
-            assert len(passes) == 3 + (not reused), i
-            # a chain that drops every carried E-step; the oracle has no
-            # closed-form M-step, so it checks the chains with covariates
-            fresh = em_fit(tbl, xs, init=None if fresh is None else replace(edit(fresh), last_estep=None), k=3)
-            chains = [fresh]
-            if x is not None:
-                ref = em_oracle.em_fit(tbl, xs, init=None if ref is None else edit(ref), k=3)
-                chains.append(ref)
-            for other in chains:
-                assert same_bits(fit.pi_weights, other.pi_weights), i
-                assert same_bits(fit.f1_weights, other.f1_weights), i
-                assert same_bits(fit.loglik_trace, other.loglik_trace), i
-        assert i == 9
-
-
-class NoCarryUpdater(TwoGroupUpdater):
-    """Drops the carried E-step before each refit, so every em_fit starts afresh."""
-
-    def propose(self, revealed, a_t, r_t):
-        if self._fit is not None:
-            self._fit = replace(self._fit, last_estep=None)
-        return super().propose(revealed, a_t, r_t)
-
-
-def count_reuse(monkeypatch) -> dict:
-    """Counts em_fit calls and the fresh _masked_arrays they take."""
-    counts = {"fits": 0, "fresh": 0}
-    real_em_fit, real_arrays = twogroup.em_fit, twogroup._masked_arrays
-
-    def counting_em_fit(masked, x, **kwargs):
-        counts["fits"] += 1
-        return real_em_fit(masked, x, **kwargs)
-
-    def counting_arrays(masked):
-        counts["fresh"] += 1
-        return real_arrays(masked)
-
-    monkeypatch.setattr(twogroup, "em_fit", counting_em_fit)
-    monkeypatch.setattr(twogroup, "_masked_arrays", counting_arrays)
-    return counts
-
-
-class TestUpdaterCarry:
-    """Runs give the same RunResult, diagnostics included, with the carried
-    E-step as without it."""
-
-    @pytest.mark.parametrize("scenario", [
-        Scenario(kind="no_side_info", n=2000, t=40),
-        Scenario(kind="grid", grid_side=30, pattern=1, beta=3.5),
-    ], ids=["no-side-info", "grid30"])
+    @pytest.mark.parametrize("scenario, seeds", [
+        (Scenario(), range(3)),
+        (Scenario(n=400, t=0, null_dist="beta22"), range(3)),
+    ], ids=["no-side-info", "beta22-null-only"])
     @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
-    def test_run_equals_a_run_without_carry(self, monkeypatch, scenario, arm):
-        counts = count_reuse(monkeypatch)
-        for seed in (0, 1):
-            x, p, _ = simulate.generate(scenario, data_rng(seed, 0))
-            cfg = MethodConfig(arm)
-            monkeypatch.setattr(simulate, "TwoGroupUpdater", TwoGroupUpdater)
-            carried = run_arm(cfg, x, p, method_rng(seed, 0, 0))
-            monkeypatch.setattr(simulate, "TwoGroupUpdater", NoCarryUpdater)
-            fresh = run_arm(cfg, x, p, method_rng(seed, 0, 0))
-            assert carried.model is not None and carried.model == fresh.model
-            assert_same_result(carried, fresh)
-        if arm == "adapt":
-            # fits without carry take fresh arrays every time, so the carried
-            # runs reused at least one E-step
-            assert counts["fresh"] < counts["fits"]
+    def test_runs_equal_largest_fold_min_first(self, monkeypatch, scenario, seeds, arm):
+        # on the null-only table adapt's fit reaches A_MAX, where every null
+        # probability ties; the sweep still goes by fold minimum
+        shapes = []
+        real_em_fit = twogroup.em_fit
 
-    def test_reused_updater_equals_one_without_carry(self, monkeypatch):
-        counts = count_reuse(monkeypatch)
-        carried, fresh = TwoGroupUpdater(), NoCarryUpdater()
-        rng = np.random.default_rng(4)
-        for n in (1200, 1200, 900):
-            p = np.concatenate([rng.beta(0.3, 1, n // 10), rng.random(n - n // 10)])
-            x = rng.normal(size=n)
-            got = run_adapt_nonprivate(p, x, 0.1, carried)
-            assert_same_result(got, run_adapt_nonprivate(p, x, 0.1, fresh))
-            assert carried.diagnostics() == fresh.diagnostics() == got.model
-        assert counts["fresh"] < counts["fits"]
+        def recording_em_fit(*args, **kwargs):
+            fit = real_em_fit(*args, **kwargs)
+            shapes.append(float(fit.alt_shape(np.ones((1, 1)))[0]))
+            return fit
+
+        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
+        cfg = MethodConfig(arm)
+        for seed in seeds:
+            x, p, _ = simulate.generate(scenario, data_rng(seed, 0))
+            got = run_arm(cfg, x, p, method_rng(seed, 0, 0))
+            with monkeypatch.context() as mp:
+                mp.setattr(simulate, "TwoGroupUpdater", lambda **kwargs: LargestFoldMinFirst())
+                want = run_arm(cfg, x, p, method_rng(seed, 0, 0))
+            assert got.stop_t > 0 and got.model is not None and want.model is None
+            assert_same_result(replace(got, model=None), want)
+        if scenario.null_dist == "beta22" and arm == "adapt":
+            assert A_MAX in shapes
+
+    @pytest.mark.parametrize("refit_every", [None, 7])
+    def test_tied_rounded_table_equals_largest_fold_min_first(self, refit_every):
+        # rounded values tie in runs, which both orders break by index; they
+        # stay inside [0.01, 0.99], since the fold minima of p = 0 and p = 1
+        # (1e-15 and 1 - (1 - 1e-15) after the engine's clamp) differ in their
+        # last bits, which the sweep's P_FLOOR clip ties as the model's scores
+        # do and the README updater does not
+        for seed in range(3):
+            _, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(seed, 0))
+            p = np.clip(np.round(p, 2), 0.01, 0.99)
+            got = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(refit_every=refit_every))
+            want = run_adapt_nonprivate(p, None, 0.1, LargestFoldMinFirst())
+            assert got.stop_t > 0
+            assert_same_result(replace(got, model=None), want)
+
+    @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
+    def test_no_scores_and_one_refit_per_batch(self, monkeypatch, arm):
+        # the sweep scores no row, and the run refits as often as the
+        # whole-vector reference, which refits every cadence steps
+        calls = dict.fromkeys(["em_fit", "null_probability", "removal_order", "reference em_fit"], 0)
+
+        def counting(module, name, key):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("em_fit", "null_probability", "removal_order"):
+            counting(twogroup, name, name)
+        counting(adapt_oracle, "em_fit", "reference em_fit")
+        x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(1, 0))
+        cfg = MethodConfig(arm)
+        got = run_arm(cfg, x, p, method_rng(1, 0, 0))
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_adapt_loop", adapt_oracle.reference_adapt_loop)
+            mp.setattr(simulate, "TwoGroupUpdater", adapt_oracle.ReferenceGreedyUpdater)
+            want = run_arm(cfg, x, p, method_rng(1, 0, 0))
+        assert_same_result(got, want)
+        assert calls["null_probability"] == calls["removal_order"] == 0
+        assert calls["em_fit"] == calls["reference em_fit"] > 1
+
+
+def test_runaway_shape_weights_do_not_overflow():
+    # on this 30x30 pattern-2 grid dp-adapt's shape weights run off to
+    # |v| ~ 70, where exp overflows; capping eta before the exp keeps every
+    # pass free of RuntimeWarning
+    x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, pattern=2), data_rng(18, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_arm(MethodConfig("dp-adapt"), x, p, method_rng(18, 0, 0))
+    assert max(map(abs, result.model["f1_weights"])) > 30
 
 
 class TestFeatureMap:
