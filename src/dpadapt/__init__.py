@@ -54,7 +54,6 @@ from .twogroup import (
     TwoGroupUpdater,
     em_fit,
     null_probability,
-    observed_loglik,
     removal_order,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "mirror_peel",
     "noisy_pvalue",
     "null_probability",
-    "observed_loglik",
     "peel_noise",
     "removal_order",
     "report_noisy_min",

@@ -1,16 +1,22 @@
 """CSV ingestion, canonical emission, atomic writes, and report serialization.
 
-The data schema is `id, p, x1[, x2, ...]` with a header row. Canonical files
-are sorted by id and use %.17g floats, so ingest followed by emit is
-byte-identical on them. All writes go through a temp file plus rename, so an
-interrupted run never leaves a truncated artifact.
+The data schema is `id, p, x1[, x2, ...]` with a header row. A regular file
+is read in batches of whole lines, each checked and parsed on its own, so
+ingest holds about the dataset plus one batch; any other file is read whole
+by the row loop. Canonical files are sorted by id and use %.17g floats, so
+ingest followed by emit is byte-identical on them. All writes stream into a
+temp file that is then renamed, so an interrupted run never leaves a
+truncated artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _stdio
+import itertools
 import json
+import operator
 import os
 import tempfile
 from collections import Counter
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunResult
+from .selection import validate_inputs
 
 
 class IngestError(ValueError):
@@ -40,17 +47,23 @@ class Dataset:
 def ingest_csv(path) -> Dataset:
     """Parse and validate a `id, p, x1[, x2, ...]` file.
 
-    A regular file is parsed in one columnar pass; anything else, including
-    every file that fails a check, goes through the row loop, which alone
-    words the errors. Both give the same `Dataset`.
+    A regular file is parsed in line batches, so the peak memory is about
+    the dataset plus one batch; anything else, including every file that
+    fails a check, is read again whole and goes through the row loop, which
+    alone words the errors. Both give the same `Dataset`.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+            # a pipe cannot be read twice, so it is buffered whole
+            source = fh if fh.seekable() else _stdio.StringIO(fh.read(), newline="")
+            dataset = _ingest_columnar(source)
+            if dataset is not None:
+                return dataset
+            source.seek(0)
+            text = source.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    dataset = _ingest_columnar(text)
-    return dataset if dataset is not None else _ingest_rows(path, text)
+    return _ingest_rows(path, text)
 
 
 def _expected_header(width: int) -> list[str]:
@@ -61,55 +74,81 @@ def _expected_header(width: int) -> list[str]:
 # whitespace, where float() rejects them.
 _ROW_LOOP_ONLY = '"\x1c\x1d\x1e\x1f'
 
+# Characters read per batch, then on to the end of the line: enough that
+# numpy's per-call cost is small, few enough that a batch's strings stay a
+# small part of the peak.
+_BATCH_BYTES = 1 << 20
 
-def _ingest_columnar(text: str) -> Dataset | None:
+
+def _ingest_columnar(fh) -> Dataset | None:
     """The row loop's result for a regular file that passes every check, else None.
 
-    Regular: no quote, every \\r part of a \\r\\n, every row with the header's
-    comma count and no line longer than csv's field limit. numpy parses the
-    p and x columns with the correctly rounded conversion float() uses, and
-    rejects only fields float() also rejects or `1_0` and non-ASCII digits,
-    which float() accepts; those go to the row loop.
+    fh is a text handle opened with newline="". Regular: no quote, every \\r
+    part of a \\r\\n, every row with the header's comma count and no line
+    longer than csv's field limit. Each batch of whole lines is checked and
+    parsed on its own. numpy parses the p and x columns with the correctly
+    rounded conversion float() uses, and rejects only fields float() also
+    rejects or `1_0` and non-ASCII digits, which float() accepts; those go to
+    the row loop, as does a file that is not UTF-8.
     """
-    if any(c in text for c in _ROW_LOOP_ONLY):
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
+    header: list[str] | None = None
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    while True:
+        try:
+            text = fh.read(_BATCH_BYTES)
+            if text and text[-1] != "\n":
+                text += fh.readline()
+        except UnicodeDecodeError:
             return None
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
+        if not text:
+            break
+        if any(c in text for c in _ROW_LOOP_ONLY):
+            return None
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                return None
+            text = text.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        rows = lines
+        if header is None:
+            header = [h.strip() for h in lines[0].split(",")]
+            if header != _expected_header(len(header)):
+                return None
+            rows = lines[1:]
+        # The comma count is a per-row check: a short row cannot balance a
+        # long one, since loadtxt raises on a non-blank row that lacks a used
+        # column and skips a blank one, which the row count catches.
+        if (
+            text.count(",") != (len(header) - 1) * len(lines)
+            or max(map(len, lines)) > csv.field_size_limit()
+        ):
+            return None
+        if not rows:
+            continue
+        try:
+            values = np.loadtxt(
+                rows, delimiter=",", usecols=range(1, len(header)),
+                comments=None, quotechar=None, ndmin=2,
+            )
+        except ValueError:
+            return None
+        if len(values) != len(rows):
+            return None
+        blocks.append(values)
+        ids.extend(row.partition(",")[0].strip() for row in rows)
+    if not ids:
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    rows = lines[1:]
-    # One comma count for the whole file is still a per-row check: a short
-    # row cannot balance a long one, since loadtxt raises on a non-blank row
-    # that lacks a used column and skips a blank one, which the row count
-    # below catches.
-    if (
-        header != _expected_header(len(header))
-        or text.count(",") != (len(header) - 1) * len(lines)
-        or max(map(len, lines)) > csv.field_size_limit()
-    ):
-        return None
+    p = np.concatenate([block[:, 0] for block in blocks])
+    x = np.concatenate([block[:, 1:] for block in blocks]) if len(header) > 2 else None
     try:
-        values = np.loadtxt(
-            rows, delimiter=",", usecols=range(1, len(header)),
-            comments=None, quotechar=None, ndmin=2,
-        )
+        validate_inputs(p, x)
     except ValueError:
         return None
-    ids = [row.partition(",")[0].strip() for row in rows]
-    p = np.ascontiguousarray(values[:, 0])
-    x = np.ascontiguousarray(values[:, 1:]) if len(header) > 2 else None
-    if (
-        len(values) != len(rows)
-        or not ((p >= 0.0) & (p <= 1.0)).all()
-        or len(set(ids)) != len(ids)
-        or (x is not None and not np.isfinite(x).all())
-    ):
+    # a strictly increasing list, as a canonical file's, has no duplicate
+    if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))) and len(set(ids)) != len(ids):
         return None
     return Dataset(ids=tuple(ids), p=p, x=x, covariate_names=tuple(header[2:]))
 
@@ -182,20 +221,26 @@ def emit_csv(dataset: Dataset, path) -> None:
 
 def write_csv_atomic(path, header, rows) -> None:
     """Write a header and rows as CSV with "\n" line ends, atomically."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    with _atomic_text(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_text_atomic(path, text: str) -> None:
+    with _atomic_text(path) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _atomic_text(path):
+    """A UTF-8 text handle on a temp file that replaces path when the block ends cleanly."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

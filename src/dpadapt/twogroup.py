@@ -381,12 +381,6 @@ def em_fit(
     return TwoGroupFit(w, v, basis, k, tuple(trace))
 
 
-def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
-    """Log-likelihood of the masked data under the fit; the EM ascent oracle."""
-    design = fit.basis.predictor_rows(x, masked.size)
-    return _posterior(design, fit.pi_weights, fit.f1_weights, *_masked_arrays(masked))[0]
-
-
 def null_probability(x, p_prime, fit: TwoGroupFit):
     """P(H = 0 | x, p') under the fit, with p' = min(p, 1-p) in [0, 0.5].
 

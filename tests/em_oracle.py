@@ -30,6 +30,7 @@ import numpy as np
 
 from dpadapt._normal import expit, log_expit
 from dpadapt.transform import P_FLOOR
+from dpadapt import twogroup
 from dpadapt.twogroup import MaskedTable, TwoGroupFit, default_fit, f1_density
 
 A_MIN = 0.05
@@ -154,6 +155,13 @@ def em_fit(
         )
         trace.append(_observed_loglik_arrays(design, w, v, *arrays))
     return TwoGroupFit(w, v, basis, k, tuple(trace))
+
+
+def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
+    """`twogroup`'s log-likelihood of the masked data under the fit, from its
+    own posterior pass: the value an EM ascent must not lower."""
+    design = fit.basis.predictor_rows(x, masked.size)
+    return twogroup._posterior(design, fit.pi_weights, fit.f1_weights, *twogroup._masked_arrays(masked))[0]
 
 
 def posterior(masked: MaskedTable, x, basis, w, v):

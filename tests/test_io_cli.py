@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestIngest:
         second = tmp_path / "again.csv"
         emit_csv(ingest_csv(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def columnar(path):
+    """The columnar path's result on the file at path: a Dataset, or None to fall back."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return io._ingest_columnar(fh)
 
 
 def _outcome(ingest, path):
@@ -184,8 +191,9 @@ class TestIngestMatchesOracle:
         "id,p,x1\na\x0bb,-0,1e-320\nc d, 0.5 ,\xa0-0\n",
     ], ids=["lf", "crlf", "crlf-no-final-end", "padded-and-hash", "odd-whitespace"])
     def test_regular_files_take_the_columnar_path(self, tmp_path, text):
-        assert io._ingest_columnar(text) is not None
-        assert_same_ingest(write(tmp_path / "d.csv", text))
+        path = write(tmp_path / "d.csv", text)
+        assert columnar(path) is not None
+        assert_same_ingest(path)
 
     @pytest.mark.parametrize("text", [
         'id,p\n"a",0.5\n',
@@ -220,14 +228,15 @@ class TestIngestMatchesOracle:
         "bad-header", "no-rows", "empty",
     ])
     def test_fallback_triggers(self, tmp_path, text):
-        assert io._ingest_columnar(text) is None
-        assert_same_ingest(write(tmp_path / "d.csv", text))
+        path = write(tmp_path / "d.csv", text)
+        assert columnar(path) is None
+        assert_same_ingest(path)
 
     def test_line_over_field_limit_falls_back(self, tmp_path):
         limit = csv.field_size_limit()
         text = "id,p\n" + "a" * (limit // 2) + "," + " " * (limit // 2) + "0.5\n"
-        assert io._ingest_columnar(text) is None
         path = write(tmp_path / "d.csv", text)
+        assert columnar(path) is None
         assert ingest_csv(path).p.tolist() == [0.5]
         assert_same_ingest(path)
 
@@ -237,6 +246,81 @@ class TestIngestMatchesOracle:
         g = tmp_path / "bytes.csv"
         g.write_bytes(b"id,p\na,0.5\nb\xff,0.2\n")
         assert_same_ingest(g)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts(), batch=st.integers(1, 24))
+    def test_random_files_in_small_batches(self, tmp_path, text, batch):
+        # rows, CRLF pairs, blank and ragged rows and fallbacks straddle
+        # batch boundaries; a file takes the columnar path whatever the batch
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        whole = columnar(path) is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_BATCH_BYTES", batch)
+            assert (columnar(path) is not None) == whole
+            assert_same_ingest(path)
+
+    def test_undecodable_byte_after_the_first_batch_names_its_file_position(self, tmp_path):
+        rows = "".join(f"h{i:06d},0.5\n" for i in range(io._BATCH_BYTES // 10))
+        data = ("id,p\n" + rows).encode("utf-8") + b"b\xff,0.2\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        assert f"position {data.index(0xFF)}" in str(exc.value)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"cannot read {path}: {exc.value}"
+
+    @pytest.mark.parametrize("text", [
+        "id,p,x1\na,0.5,1\nb,0.25,-2\n",
+        'id,p,x1\na,0.5,1\n"b",0.25,-2\n',
+        "id,p,x1\na,0.5,1\nb,0.25\n",
+    ], ids=["regular", "quoted", "ragged"])
+    def test_a_pipe_reads_as_the_file_does(self, tmp_path, text):
+        # a pipe cannot be read a second time, so a file the columnar path
+        # refuses must still reach the row loop whole
+        path = write(tmp_path / "d.csv", text)
+        script = (
+            "import sys\n"
+            "from dpadapt import io\n"
+            "for source in ('/dev/stdin', sys.argv[1]):\n"
+            "    try:\n"
+            "        ds = io.ingest_csv(source)\n"
+            "        print(ds.ids, ds.p.tolist(), None if ds.x is None else ds.x.tolist())\n"
+            "    except io.IngestError as exc:\n"
+            "        print(str(exc).replace(source, 'SOURCE'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(dpadapt.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, path], input=text, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        from_pipe, from_file = done.stdout.splitlines()
+        assert from_pipe == from_file
+
+
+class TestIngestMemory:
+    def test_peak_is_about_the_dataset_plus_one_batch(self, tmp_path):
+        # the whole text, a list of every line and a set of the ids would
+        # each be about the size of the dataset again
+        rng = np.random.default_rng(5)
+        n = 50_000
+        p, x = rng.random(n), rng.normal(size=(n, 2))
+        path = tmp_path / "d.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,p,x1,x2\n")
+            fh.writelines(f"h{i:06d},{pv!r},{a!r},{b!r}\n" for i, (pv, (a, b)) in enumerate(zip(p.tolist(), x.tolist())))
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n and ds.x.shape == (n, 2)
+        own = sys.getsizeof(ds.ids) + sum(map(sys.getsizeof, ds.ids)) + ds.p.nbytes + ds.x.nbytes
+        assert peak < 2.5 * own, (peak, own)
 
 
 class TestPrivacyCommand:
