@@ -1,11 +1,12 @@
-"""CSV ingestion, canonical emission, atomic writes, and report serialization.
+"""CSV ingestion, atomic writes, and report serialization.
 
 The data schema is `id, p, x1[, x2, ...]` with a header row. A regular file
 is read in batches of whole lines, each checked and parsed on its own, so
 ingest holds about the dataset plus one batch; any other file is read whole
-by the row loop. Canonical files are sorted by id and use %.17g floats, so
-ingest followed by emit is byte-identical on them. All writes stream into a
-temp file that is then renamed, so an interrupted run never leaves a
+by the row loop, which words the errors of the header and of single rows.
+Both paths end in one set of whole-file checks (p in [0, 1], unique ids,
+finite covariates), whose errors name the offending ids. All writes stream
+into a temp file that is then renamed, so an interrupted run never leaves a
 truncated artifact.
 """
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RunResult
-from .selection import validate_inputs
 
 
 class IngestError(ValueError):
@@ -48,15 +48,16 @@ def ingest_csv(path) -> Dataset:
     """Parse and validate a `id, p, x1[, x2, ...]` file.
 
     A regular file is parsed in line batches, so the peak memory is about
-    the dataset plus one batch; anything else, including every file that
-    fails a check, is read again whole and goes through the row loop, which
-    alone words the errors. Both give the same `Dataset`.
+    the dataset plus one batch; anything else, including a file with a
+    header or row the batches refuse, is read again whole and goes through
+    the row loop. Both end in _dataset, so they give the same `Dataset` or
+    the same error.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             # a pipe cannot be read twice, so it is buffered whole
             source = fh if fh.seekable() else _stdio.StringIO(fh.read(), newline="")
-            dataset = _ingest_columnar(source)
+            dataset = _ingest_columnar(path, source)
             if dataset is not None:
                 return dataset
             source.seek(0)
@@ -80,8 +81,8 @@ _ROW_LOOP_ONLY = '"\x1c\x1d\x1e\x1f'
 _BATCH_BYTES = 1 << 20
 
 
-def _ingest_columnar(fh) -> Dataset | None:
-    """The row loop's result for a regular file that passes every check, else None.
+def _ingest_columnar(path, fh) -> Dataset | None:
+    """The row loop's Dataset or IngestError for a regular file, None for any other.
 
     fh is a text handle opened with newline="". Regular: no quote, every \\r
     part of a \\r\\n, every row with the header's comma count and no line
@@ -143,18 +144,11 @@ def _ingest_columnar(fh) -> Dataset | None:
         return None
     p = np.concatenate([block[:, 0] for block in blocks])
     x = np.concatenate([block[:, 1:] for block in blocks]) if len(header) > 2 else None
-    try:
-        validate_inputs(p, x)
-    except ValueError:
-        return None
-    # a strictly increasing list, as a canonical file's, has no duplicate
-    if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))) and len(set(ids)) != len(ids):
-        return None
-    return Dataset(ids=tuple(ids), p=p, x=x, covariate_names=tuple(header[2:]))
+    return _dataset(path, header, ids, p, x)
 
 
 def _ingest_rows(path, text: str) -> Dataset:
-    """Parse row by row with csv; every IngestError about the file's contents comes from here."""
+    """Parse row by row with csv, wording the errors of the header and of single rows; then _dataset."""
     try:
         rows = list(csv.reader(_stdio.StringIO(text, newline="")))
     except csv.Error as exc:
@@ -168,11 +162,9 @@ def _ingest_rows(path, text: str) -> Dataset:
         )
     if len(rows) == 1:
         raise IngestError(f"{path}: no data rows")
-    n_cov = len(header) - 2
     ids: list[str] = []
     p: list[float] = []
     x: list[list[float]] = []
-    bad_p: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise IngestError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
@@ -182,41 +174,31 @@ def _ingest_rows(path, text: str) -> Dataset:
             cov = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise IngestError(f"{path}: row {lineno} ({rid}): {exc}") from exc
-        if not 0.0 <= pv <= 1.0:
-            bad_p.append(rid)
         ids.append(rid)
         p.append(pv)
         x.append(cov)
-    if bad_p:
+    xs = np.array(x, dtype=float) if len(header) > 2 else None
+    return _dataset(path, header, ids, np.array(p, dtype=float), xs)
+
+
+def _dataset(path, header: list[str], ids: list[str], p: np.ndarray, x: np.ndarray | None) -> Dataset:
+    """The parsed file as a Dataset, after the whole-file checks that both ingest paths share."""
+    in_range = (p >= 0.0) & (p <= 1.0)
+    if not in_range.all():
+        bad_p = [ids[i] for i in np.flatnonzero(~in_range)]
         raise IngestError(f"{path}: p outside [0, 1] for ids: {', '.join(bad_p)}")
-    if len(set(ids)) != len(ids):
+    # a strictly increasing list, as a sorted file's, has no duplicate
+    if not all(map(operator.lt, ids, itertools.islice(ids, 1, None))) and len(set(ids)) != len(ids):
         dup = sorted(rid for rid, count in Counter(ids).items() if count > 1)
         raise IngestError(f"{path}: duplicate ids: {', '.join(dup)}")
-    xs = np.array(x, dtype=float) if n_cov else None
-    if xs is not None and not np.isfinite(xs).all():
-        bad_x = [ids[i] for i in np.flatnonzero(~np.isfinite(xs).all(axis=1))]
+    if x is not None and not np.isfinite(x).all():
+        bad_x = [ids[i] for i in np.flatnonzero(~np.isfinite(x).all(axis=1))]
         raise IngestError(f"{path}: non-finite covariates for ids: {', '.join(bad_x)}")
-    return Dataset(
-        ids=tuple(ids),
-        p=np.array(p, dtype=float),
-        x=xs,
-        covariate_names=tuple(header[2:]),
-    )
+    return Dataset(ids=tuple(ids), p=p, x=x, covariate_names=tuple(header[2:]))
 
 
 def _fmt(v: float) -> str:
     return "%.17g" % v
-
-
-def emit_csv(dataset: Dataset, path) -> None:
-    """Write the dataset in canonical form: ids sorted, %.17g floats."""
-    order = sorted(range(dataset.n), key=lambda i: dataset.ids[i])
-    x = dataset.x if dataset.x is not None else np.empty((dataset.n, 0))
-    write_csv_atomic(
-        path,
-        ["id", "p", *dataset.covariate_names],
-        ([dataset.ids[i], _fmt(dataset.p[i]), *map(_fmt, x[i])] for i in order),
-    )
 
 
 def write_csv_atomic(path, header, rows) -> None:

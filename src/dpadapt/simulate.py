@@ -390,9 +390,13 @@ def run_campaign(
 
     Records are keyed by arm position; a failed arm/trial pair is left out of
     the aggregates but counted. The result is identical for any worker count.
+    An empty method list, or a trial or worker count below 1, is refused.
     """
     check_count("trials", trials)
+    check_count("workers", workers)
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must name at least one arm")
     jobs = (repeat(scenario), repeat(methods), repeat(base_seed), range(trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

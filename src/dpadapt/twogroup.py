@@ -405,20 +405,11 @@ def removal_order(masked: MaskedTable, x, fit: TwoGroupFit, limit: int | None = 
     Scores are null probabilities under the fit; they depend only on the fold
     minima and the fit, so the order is the sequence of greedy one-at-a-time
     removals for as long as the fit is held fixed. With a limit, only the
-    first limit rows of that order are returned, found without sorting the
-    rest: the rows that score higher than the limit-th, then the
-    lowest-index rows that tie with it, ordered by (-score, index).
+    first limit rows of that order are returned.
     """
     scores = null_probability(x, masked.masked_min, fit)
     hidden = np.flatnonzero(np.isnan(masked.revealed))
-    keys = -scores[hidden]
-    if limit is not None and 0 < limit < hidden.size:
-        cut = np.partition(keys, limit - 1)[limit - 1]
-        above = np.flatnonzero(keys < cut)
-        tied = np.flatnonzero(keys == cut)[: limit - above.size]
-        chosen = np.concatenate([above, tied])
-        return hidden[chosen[np.lexsort((chosen, keys[chosen]))]]
-    return hidden[stable_argsort(keys)][:limit]
+    return hidden[stable_argsort(-scores[hidden])][:limit]
 
 
 class TwoGroupUpdater:

@@ -13,7 +13,7 @@ from dpadapt.engine import (
     run_dp_adapt,
 )
 from dpadapt.privacy import PrivacyBudget
-from dpadapt.simulate import Scenario, data_rng, gen_grid, gen_no_side_info, method_rng
+from dpadapt.simulate import Scenario, data_rng, fdp_and_power, gen_grid, gen_no_side_info, method_rng
 from dpadapt.transform import gaussian_kernel, kernel_by_name
 from dpadapt.twogroup import TwoGroupUpdater
 
@@ -601,6 +601,21 @@ class TestEmpiricalFdr:
             rej = np.asarray(rep.rejected, dtype=int)
             v = int(np.sum(~labels[rej])) if rej.size else 0
             fdps.append(v / max(rej.size, 1))
+        fdr = float(np.mean(fdps))
+        se = float(np.std(fdps, ddof=1) / np.sqrt(len(fdps)))
+        assert fdr <= 0.1 + 3 * se, (fdr, se)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known leak: min(p, 1 - p) tells a rounded p from 1 - its mirror in the last bits, "
+        "so the removal order sees the side of tied fold minima"
+    ))
+    def test_nonprivate_fdr_controlled_on_rounded_pvalues(self):
+        # two-digit p-values tie in fold minima; the order must not see the side
+        fdps = []
+        for seed in range(100):
+            _, p, labels = gen_no_side_info(Scenario(n=2000, t=100), data_rng(seed, 0))
+            rep = run_adapt_nonprivate(np.round(p, 2), None, 0.1, TwoGroupUpdater())
+            fdps.append(fdp_and_power(rep.rejected, labels)[0])
         fdr = float(np.mean(fdps))
         se = float(np.std(fdps, ddof=1) / np.sqrt(len(fdps)))
         assert fdr <= 0.1 + 3 * se, (fdr, se)

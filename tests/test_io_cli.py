@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dpadapt
 from dpadapt import cli, io, privacy
 from dpadapt.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from dpadapt.io import Dataset, IngestError, emit_csv, ingest_csv
+from dpadapt.io import Dataset, IngestError, ingest_csv
 from dpadapt._normal import normal_cdf
 from dpadapt.privacy import PrivacyBudget, calibrate_gaussian, calibrate_laplace, ed_to_gdp, gdp_to_ed
 from dpadapt.simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, gen_grid
@@ -70,25 +70,11 @@ class TestIngest:
         with pytest.raises(IngestError, match="no data rows"):
             ingest_csv(f)
 
-    def test_roundtrip_byte_identical_for_canonical_files(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ds = Dataset(
-            ids=tuple(f"g{i:03d}" for i in range(25)),
-            p=rng.random(25),
-            x=rng.normal(size=(25, 2)),
-            covariate_names=("x1", "x2"),
-        )
-        first = tmp_path / "canonical.csv"
-        emit_csv(ds, first)
-        second = tmp_path / "again.csv"
-        emit_csv(ingest_csv(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
 
 def columnar(path):
-    """The columnar path's result on the file at path: a Dataset, or None to fall back."""
+    """The columnar path's Dataset for the file at path, or None to fall back; it may raise IngestError."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return io._ingest_columnar(fh)
+        return io._ingest_columnar(path, fh)
 
 
 def _outcome(ingest, path):
@@ -212,11 +198,6 @@ class TestIngestMatchesOracle:
         "id,p\na,０.５\n",
         "id,p\na,٠.٥\n",
         "id,p\na,0.5\x1c\n",
-        "id,p\na,1.5\n",
-        "id,p\na,nan\n",
-        "id,p,x1\na,0.5,inf\n",
-        "id,p,x1\na,0.5,1e400\n",
-        "id,p\na,0.5\n a ,0.25\n",
         "id,q\na,0.5\n",
         "id,p\n",
         "",
@@ -224,12 +205,33 @@ class TestIngestMatchesOracle:
         "quote", "lone-cr", "lone-cr-at-end", "mixed-cr", "short-row", "long-row",
         "short-and-long-rows", "blank-and-long-rows", "whitespace-and-long-rows", "blank-row", "trailing-blank",
         "loadtxt-error", "underscore", "fullwidth-digit", "arabic-digit", "x1c-whitespace",
-        "p-out-of-range", "p-nan", "x-inf", "x-overflow", "duplicate-after-strip",
         "bad-header", "no-rows", "empty",
     ])
     def test_fallback_triggers(self, tmp_path, text):
         path = write(tmp_path / "d.csv", text)
         assert columnar(path) is None
+        assert_same_ingest(path)
+
+    @pytest.mark.parametrize("text", [
+        "id,p\na,1.5\n",
+        "id,p\na,nan\n",
+        "id,p,x1\na,0.5,inf\n",
+        "id,p,x1\na,0.5,1e400\n",
+        "id,p\na,0.5\n a ,0.25\n",
+        "id,p,x1\nb,0.25,1\na,1.5,nan\nc,-0.5,1\nb,0.3,inf\n",
+    ], ids=["p-out-of-range", "p-nan", "x-inf", "x-overflow", "duplicate-after-strip", "every-check-fails"])
+    def test_whole_file_checks_are_worded_without_the_row_loop(self, tmp_path, text, monkeypatch):
+        path = write(tmp_path / "d.csv", text)
+        with pytest.raises(IngestError) as want:
+            ingest_oracle.ingest_csv(path)
+        with pytest.raises(IngestError) as got:
+            columnar(path)
+        assert str(got.value) == str(want.value)
+
+        def row_loop(*args):
+            raise AssertionError("the row loop read a regular file")
+
+        monkeypatch.setattr(io, "_ingest_rows", row_loop)
         assert_same_ingest(path)
 
     def test_line_over_field_limit_falls_back(self, tmp_path):
@@ -254,10 +256,10 @@ class TestIngestMatchesOracle:
         # batch boundaries; a file takes the columnar path whatever the batch
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
-        whole = columnar(path) is not None
+        whole = _outcome(columnar, path) is not None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_BATCH_BYTES", batch)
-            assert (columnar(path) is not None) == whole
+            assert (_outcome(columnar, path) is not None) == whole
             assert_same_ingest(path)
 
     def test_undecodable_byte_after_the_first_batch_names_its_file_position(self, tmp_path):
@@ -379,7 +381,7 @@ class TestRunCommand:
         assert report["rejected_ids"] == ["g0"]
 
     def test_reads_and_writes_utf8_whatever_the_locale(self, tmp_path):
-        # every open() in `dpadapt run` and emit_csv names its encoding, so an
+        # every open() in `dpadapt run` names its encoding, so an
         # EncodingWarning, made an error here, cannot fire
         data = tmp_path / "d.csv"
         data.write_bytes("id,p\né0,0.001\nb,0.5\n".encode("utf-8"))
@@ -388,22 +390,20 @@ class TestRunCommand:
         script = (
             "import sys\n"
             "from dpadapt import cli, io\n"
-            "data, cfg, prefix, out = sys.argv[1:]\n"
+            "data, cfg, prefix = sys.argv[1:]\n"
             "code = cli.main(['run', '--config', cfg, '--input', data, '--method', 'bh',"
             " '--seed', '1', '--out-prefix', prefix])\n"
-            "io.emit_csv(io.ingest_csv(data), out)\n"
             "sys.exit(code)\n"
         )
         src = os.path.dirname(os.path.dirname(dpadapt.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script,
-             str(data), str(cfg), str(tmp_path / "o"), str(tmp_path / "e.csv")],
+             str(data), str(cfg), str(tmp_path / "o")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert (tmp_path / "o.rejections.csv").read_bytes().splitlines()[1].startswith("é0,".encode("utf-8"))
-        assert (tmp_path / "e.csv").read_bytes() == "id,p\nb,0.5\né0,0.001\n".encode("utf-8")
 
     def test_duplicate_ids_is_data_error(self, tmp_path):
         f = write(tmp_path / "d.csv", "id,p\na,0.1\na,0.2\n")
@@ -798,6 +798,21 @@ class TestSimulateCommand:
                      *budget, *flags, "--trials", "2", "--seed", "1",
                      "--out-dir", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == run_err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", ""], "methods must name at least one arm"),
+        (["--methods", " , "], "methods must name at least one arm"),
+        (["--workers", "0"], "workers must be a positive integer, got 0"),
+        (["--workers", "-2"], "workers must be a positive integer, got -2"),
+    ], ids=["no-methods", "blank-methods", "workers-0", "workers-negative"])
+    def test_campaign_without_an_arm_or_a_worker_is_usage_error(self, tmp_path, capsys, flags, message):
+        # these used to exit 0: no arm wrote empty artifacts, and a worker
+        # count below 1 ran serially
+        out = tmp_path / "bad"
+        assert main(["simulate", "--n", "400", "--t", "10", *flags, "--trials", "2", "--seed", "1",
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     def test_seed_required(self):

@@ -362,6 +362,8 @@ _ENTRY_POINTS = [
     ("TwoGroupUpdater", "refit_every", "count", lambda v: TwoGroupUpdater(refit_every=v)),
     ("run_campaign", "trials", "count",
      lambda v: run_campaign(Scenario(n=100, t=5), [MethodConfig("bh")], v, base_seed=0)),
+    ("run_campaign", "workers", "count",
+     lambda v: run_campaign(Scenario(n=100, t=5), [MethodConfig("bh")], 1, base_seed=0, workers=v)),
     ("check-bh", "alpha", "level", lambda v: _check("bh", alpha=v)),
     *[("check-dp-bh", name, kind, lambda v, name=name: _check("dp-bh", **{name: v}))
       for name, kind in [("alpha", "level"), ("nu", "level"), ("eta", "positive"),
