@@ -220,7 +220,7 @@ class TestIngestMatchesOracle:
         "id,p\na,0.5\n a ,0.25\n",
         "id,p,x1\nb,0.25,1\na,1.5,nan\nc,-0.5,1\nb,0.3,inf\n",
     ], ids=["p-out-of-range", "p-nan", "x-inf", "x-overflow", "duplicate-after-strip", "every-check-fails"])
-    def test_whole_file_checks_are_worded_without_the_row_loop(self, tmp_path, text, monkeypatch):
+    def test_whole_file_checks_worded(self, tmp_path, text, monkeypatch):
         path = write(tmp_path / "d.csv", text)
         with pytest.raises(IngestError) as want:
             ingest_oracle.ingest_csv(path)
