@@ -86,8 +86,9 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     sel_val = f[sel_idx] + noise.draw(rng, size=config.m)
 
     correction = noise.scale * math.log(6.0 * config.m / config.alpha)
+    values = sel_val.tolist()
     for j in range(config.m, 0, -1):
-        if sel_val[j - 1] > math.log(config.alpha * j / n) - correction:
+        if values[j - 1] > math.log(config.alpha * j / n) - correction:
             continue
         return np.sort(sel_idx[:j])
     return np.empty(0, dtype=int)

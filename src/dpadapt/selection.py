@@ -96,6 +96,28 @@ def _noise_ppf_scalar(noise: NoiseSpec, f: float) -> float:
     return float(noise.scale * (-log_tail if upper else log_tail))
 
 
+# Relative margin of _noise_ppf_lower: far above the few ulps by which it and
+# _noise_ppf_scalar round. The Gaussian bound has at least 0.26 % of slack
+# besides; the Laplace one is the quantile itself, less the margin.
+_LOWER_MARGIN = 1.0 + 1e-9
+
+
+def _noise_ppf_lower(noise: NoiseSpec, u: float) -> float | None:
+    """A float never above _noise_ppf_scalar(noise, u), for 0 < u < 1/2; else None.
+
+    Gaussian: Phi(-x) <= exp(-x^2 / 2) / 2 for x >= 0, so the quantile is at
+    least -sqrt(-2 ln 2u). Laplace: the quantile is ln 2u. The unit-scale
+    bound is widened by _LOWER_MARGIN before the multiply by the scale, and
+    rounding is monotone, so the scaled bound stays below the scaled
+    quantile. math.log suffices here: its rounding is inside the margin.
+    """
+    if not 0.0 < u < 0.5:
+        return None
+    if noise.family == "gaussian":
+        return noise.scale * (-math.sqrt(-2.0 * math.log(2.0 * u)) * _LOWER_MARGIN)
+    return noise.scale * (math.log(2.0 * u) * _LOWER_MARGIN)
+
+
 def stable_argsort(s: np.ndarray) -> np.ndarray:
     """np.argsort(s, kind="stable") for a NaN-free 1-d float array, computed faster.
 
@@ -141,12 +163,17 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     exceeding W, by inverse CDF. Zero noise gives the stable sort prefix
     (ties to the lowest index), as the dense loop does.
 
-    A round is one block draw from noise.draw, one exponential and one
-    scalar inverse CDF (_noise_ppf_scalar); only a tail resolution adds k
-    uniforms, one integer and an array inverse CDF. The scalar path makes
-    the same draws in the same order as the array-valued loop it replaced
-    (tests/peel_oracle.py keeps it), so the random stream and the winners
-    are unchanged.
+    A round is one block draw, one exponential and the tail test, all kept
+    on Python scalars: the block's end moves forward by a pointer, since the
+    smallest alive score never decreases. The test first tries
+    _noise_ppf_lower, a closed-form bound that is never above W; float
+    addition is monotone, so when the best value is below the first tail
+    score plus the bound, it is below that score plus W too, and W itself
+    (the scalar inverse CDF, _noise_ppf_scalar) is computed only when the
+    bound cannot decide. Only a tail resolution adds k uniforms, one integer
+    and an array inverse CDF. The draws are those of the array-valued loop
+    this replaced, in the same order (tests/peel_oracle.py keeps it), so the
+    random stream and the winners are unchanged.
     """
     s = np.asarray(scores, dtype=float)
     order = stable_argsort(s)
@@ -156,32 +183,41 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     n = t.size
     width = _block_width(noise.family, n) * noise.scale
     alive = np.ones(n, dtype=bool)
-    winners = np.empty(m, dtype=np.intp)
-    draw, exponential = noise.draw, rng.standard_exponential
-    first = 0
+    won = np.empty(m, dtype=np.intp)
+    # noise.draw's generator call, looked up once
+    draw = rng.normal if noise.family == "gaussian" else rng.laplace
+    exponential, item, scale = rng.standard_exponential, t.item, noise.scale
+    lower_bound, ppf = _noise_ppf_lower, _noise_ppf_scalar
+    first = end = 0
     for j in range(m):
         while not alive[first]:
             first += 1
-        end = int(t.searchsorted(t[first] + width, side="right"))
+        # t.searchsorted(t[first] + width, side="right"), one step at a time
+        limit = item(first) + width
+        while end < n and item(end) <= limit:
+            end += 1
         block = alive[first:end].nonzero()[0] + first
-        values = t[block] + draw(rng, size=block.size)
+        values = t[block] + draw(0.0, scale, block.size)
         best = int(values.argmin())
-        winner = int(block[best])
+        winner = block.item(best)
         k = n - j - block.size
         if k > 0:
+            best_value, tail_start = values.item(best), item(end)
             w_cdf = -math.expm1(-exponential() / k)
-            w = _noise_ppf_scalar(noise, w_cdf)
-            if not values[best] < t[end] + w:
-                tail = alive[end:].nonzero()[0] + end
-                z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))
-                z[rng.integers(k)] = w
-                tail_values = t[tail] + z
-                i = int(tail_values.argmin())
-                if tail_values[i] < values[best]:
-                    winner = int(tail[i])
+            w = lower_bound(noise, w_cdf)
+            if w is None or not best_value < tail_start + w:
+                w = ppf(noise, w_cdf)
+                if not best_value < tail_start + w:
+                    tail = alive[end:].nonzero()[0] + end
+                    z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))
+                    z[rng.integers(k)] = w
+                    tail_values = t[tail] + z
+                    i = int(tail_values.argmin())
+                    if tail_values[i] < best_value:
+                        winner = int(tail[i])
         alive[winner] = False
-        winners[j] = order[winner]
-    return winners
+        won[j] = winner
+    return order[won]
 
 
 def report_noisy_min(

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._normal import expit, log_expit
+from ._normal import expit
 from .privacy import check_count
 from .selection import stable_argsort
 from .transform import P_FLOOR
@@ -224,21 +224,36 @@ def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
     lik = num + (1.0 - pi) / span
     mix = f1_m / f1_mc
     logp = np.where(is_rev, log_rev, mix * log_m + (1.0 - mix) * log_c)
-    return float(np.sum(np.log(lik))), num / lik, logp
+    return float(np.add.reduce(np.log(lik))), num / lik, logp
 
 
 def _logistic_objective(resp):
-    """Expected complete log-likelihood of the pi model, as (value, slopes) in eta."""
+    """Expected complete log-likelihood of the pi model, as (value, slopes) in eta.
+
+    value keeps the clipped eta and e = exp(-|eta|) of the point it
+    evaluated last, and slopes at that point (the ascent's accepted one)
+    reuses them: expit and log_expit are both written in that exp
+    (_normal), and exp(min(eta, 0)) is e below 0 and 1 elsewhere, so the
+    slopes keep the bits of a fresh evaluation.
+    """
+    last = [None, None, None]
+
+    def clipped(eta):
+        ec = np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP)
+        return ec, np.exp(-np.abs(ec))
 
     def value(eta):
         # resp * log_expit(eta) + (1 - resp) * log_expit(-eta), with one
-        # log_expit call: log_expit(eta) = eta + log_expit(-eta)
-        eta = np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP)
-        return float((resp * eta + log_expit(-eta)).sum())
+        # log_expit: log_expit(eta) = eta + log_expit(-eta)
+        ec, e = clipped(eta)
+        last[:] = eta, ec, e
+        return float(np.add.reduce(resp * ec + (np.minimum(-ec, 0.0) - np.log1p(e))))
 
     def slopes(eta):
-        pi = expit(np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP))
-        return resp - pi, -(pi * (1.0 - pi))
+        ec, e = last[1:] if eta is last[0] else clipped(eta)
+        pi = np.where(ec < 0.0, e, 1.0) / (1.0 + e)  # expit(ec)
+        # pi * (pi - 1) is -(pi * (1 - pi)): negation is exact, rounding symmetric
+        return resp - pi, pi * (pi - 1.0)
 
     return value, slopes
 
@@ -248,7 +263,7 @@ def _shape_objective(resp, logp):
 
     def value(eta):
         a = _alt_shape(eta)
-        return float((resp * (np.log(a) + (a - 1.0) * logp)).sum())
+        return float(np.add.reduce(resp * (np.log(a) + (a - 1.0) * logp)))
 
     def slopes(eta):
         # Slopes of the unclamped objective; the line search evaluates the
@@ -263,7 +278,9 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     """Newton ascent on eta = design @ theta with halving line search.
 
     objective is (value, slopes): value(eta) sums over rows and slopes(eta)
-    gives the per-row first and second eta-derivatives (d1, d2). Never
+    gives the per-row first and second eta-derivatives (d1, d2); slopes is
+    only called at the point value evaluated last, so it may reuse that
+    evaluation (_logistic_objective does). Never
     decreases the value. The ascent stops when the gradient vanishes, or
     when 0.5 * grad @ step, the gain the quadratic model predicts for the
     Newton step (half the squared Newton decrement), is at most
@@ -300,7 +317,8 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
         scale = 1.0
         improved = False
         for _ in range(30):
-            cand = theta + scale * step
+            # 1.0 * step is step: the full step skips the multiply
+            cand = theta + step if scale == 1.0 else theta + scale * step
             eta_c = design @ cand
             fc = value(eta_c)
             evaluations += 1

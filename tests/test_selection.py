@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -295,6 +296,35 @@ class TestPeelStream:
         assert outputs() == fast
         assert 0 < len(fast[2]) < 8 * cfg.m
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_bound_and_exact_tail_tests_match_reference(self, family, monkeypatch):
+        # A narrow block keeps the tail close, so some rounds' bound cannot
+        # decide and W is computed; the rest are decided by the bound alone.
+        calls = Counter()
+        lower, exact = selection._noise_ppf_lower, selection._noise_ppf_scalar
+
+        def counting_lower(noise, u):
+            calls["tail test"] += 1
+            return lower(noise, u)
+
+        def counting_exact(noise, u):
+            calls["computed W"] += 1
+            return exact(noise, u)
+
+        monkeypatch.setattr(selection, "_block_width", lambda family, n: 0.5)
+        monkeypatch.setattr(selection, "_noise_ppf_lower", counting_lower)
+        monkeypatch.setattr(selection, "_noise_ppf_scalar", counting_exact)
+        g = rng(31)
+        noise = NoiseSpec(family, 0.4)
+        for scores in (g.normal(size=300), np.log(np.maximum(1e-4, g.beta(0.3, 1.0, size=300)))):
+            for seed in range(4):
+                fast, slow = rng(seed), rng(seed)
+                won = peel(scores, noise, 60, fast)
+                assert np.array_equal(won, lazy_peel_reference(scores, noise, 60, slow))
+                assert fast.bit_generator.state == slow.bit_generator.state
+        assert calls["computed W"] >= 1
+        assert calls["tail test"] - calls["computed W"] >= 1
+
 
 class TestNoisePpfScalar:
     EDGES = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324, 1.0 - 2.0**-53]
@@ -322,6 +352,46 @@ class TestNoisePpfScalar:
     )
     def test_matches_array_inverse_bit_for_bit(self, family, scale, f):
         self.check(family, scale, f)
+
+
+class TestNoisePpfLower:
+    """The bound peel's tail test tries first: never above W, None outside (0, 1/2)."""
+
+    EDGES = [5e-324, 1e-300, 1e-16, math.nextafter(0.5, 0.0)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "laplace"]),
+        scale=st.sampled_from([1e-300, 1e-4, 0.37, 1.0, 2.0, 1e300]),
+        u=st.one_of(st.sampled_from(EDGES), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+    )
+    def test_never_above_the_quantile(self, family, scale, u):
+        noise = NoiseSpec(family, scale)
+        bound = selection._noise_ppf_lower(noise, u)
+        assert type(bound) is float
+        assert bound <= selection._noise_ppf_scalar(noise, u)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_exact_path_outside_the_lower_half(self, family, u):
+        assert selection._noise_ppf_lower(NoiseSpec(family, 0.7), u) is None
+
+
+def test_peel_memory_stays_near_the_scores():
+    # dp_bh's m = 1000 peel of a 100k pool: the sorted copy and the order
+    # are about twice the scores; a per-row Python list would be six times.
+    g = rng(12)
+    p = np.concatenate([g.beta(0.1, 1.0, 5_000), g.random(95_000)])
+    scores = np.log(np.maximum(1e-5, p))
+    noise = privacy.peel_noise("laplace", 1e-4, 1000, epsilon=0.5, delta=1e-3)
+    tracemalloc.start()
+    try:
+        won = peel(scores, noise, 1000, rng(13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(won).size == 1000
+    assert peak <= 3 * scores.nbytes, peak / scores.nbytes
 
 
 _TIED_FLOATS = [0.0, -0.0, math.inf, -math.inf, 1.0, -2.5, 5e-324]

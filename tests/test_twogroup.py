@@ -320,6 +320,38 @@ def fitted_objectives(design_kind, seed, n=2000):
     ]
 
 
+class TestObjectiveReuse:
+    """slopes at the point value evaluated last may reuse that evaluation,
+    and then keeps the bytes of a fresh one."""
+
+    @staticmethod
+    def slope_bytes(slopes, eta):
+        return tuple(d.tobytes() for d in slopes(eta))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("which", [0, 1], ids=["logistic", "shape"])
+    def test_slopes_after_value_match_a_fresh_evaluation(self, which, seed):
+        design, objectives = fitted_objectives("quadratic2d", seed, n=500)
+        rng = np.random.default_rng(seed)
+        # the fitted predictor, points past both caps, and both zeros
+        eta = np.concatenate([design @ objectives[which][1], rng.normal(0.0, 12.0, 200), [0.0, -0.0]])
+        resp, logp = rng.random(eta.size), rng.normal(-1.0, 1.0, eta.size)
+
+        def fresh_slopes(at):
+            objective = (twogroup._logistic_objective(resp), twogroup._shape_objective(resp, logp))[which]
+            return self.slope_bytes(objective[1], at.copy())
+
+        value, slopes = (twogroup._logistic_objective(resp), twogroup._shape_objective(resp, logp))[which]
+        value(eta + 1.0)
+        value(eta)
+        assert self.slope_bytes(slopes, eta) == fresh_slopes(eta)
+        # a point other than the last one evaluated is evaluated afresh
+        assert self.slope_bytes(slopes, eta * 0.5) == fresh_slopes(eta * 0.5)
+        if which == 0:
+            pi = package_expit(np.minimum(np.maximum(eta, -ETA_CAP), ETA_CAP))
+            assert self.slope_bytes(slopes, eta) == ((resp - pi).tobytes(), (-(pi * (1.0 - pi))).tobytes())
+
+
 def oracle_gradient_rule_em_fit(masked, x, init=None, k=5, stats=None):
     return em_oracle.em_fit(masked, x, init=init, k=k, decrement_stop=False)
 
