@@ -105,7 +105,12 @@ def _adapt_loop(
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
     ids = np.array(ids, dtype=int)
-    masked_min = np.minimum(p, 1.0 - p)
+    # 1 - max(p, 1 - p), not min(p, 1 - p): the larger of the two is at
+    # least 1/2, so 1 minus it is exact, and a p and fl(1 - p) share one fold
+    # minimum. min(p, 1 - p) keeps 1 - p's rounding on one side only, so on
+    # rounded p-values (0.01 and 0.99) the fold minima differ in the last
+    # bits and an order by fold minimum sees the side.
+    masked_min = 1.0 - np.maximum(p, 1.0 - p)
     masked_min.setflags(write=False)
     updater.start(masked_min, x)
     s = np.full(m, float(s0))

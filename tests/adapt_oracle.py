@@ -91,7 +91,7 @@ def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, private) -> RunResul
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
     ids = np.array(ids, dtype=int)
-    masked_min = np.minimum(p, 1.0 - p)
+    masked_min = 1.0 - np.maximum(p, 1.0 - p)
     s = np.full(m, float(s0))
     trajectory = []
     t = 0

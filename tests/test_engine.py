@@ -149,7 +149,7 @@ def replay(rep, calls, s0=0.45):
     removals after the stopping step in the last batch are never applied.
     """
     vals = np.asarray(rep.noisy_p)
-    mm = np.minimum(vals, 1 - vals)
+    mm = 1 - np.maximum(vals, 1 - vals)  # the loop's fold minimum
     s = np.full(vals.size, s0)
     states = [s.copy()]
     removed = [int(i) for call in calls for i in call["batch"]][: rep.stop_t]
@@ -250,7 +250,7 @@ class TestLoopBehavior:
         assert rep.stop_t > 0 and len(updater.starts) == 2
         masked_min, x = updater.starts[1]
         assert x is None and not masked_min.flags.writeable
-        assert np.array_equal(masked_min, np.minimum(p, 1 - p))
+        assert np.array_equal(masked_min, 1 - np.maximum(p, 1 - p))
 
     def test_removals_past_the_stop_are_not_applied(self):
         # one batch holding every row; the loop stops after the first removal
@@ -386,7 +386,7 @@ class TestInformationBarrier:
         rep = run_adapt_nonprivate(p, None, 0.05, rec)
         states = replay(rep, rec.calls)
         vals = np.asarray(rep.noisy_p)
-        mm = np.minimum(vals, 1 - vals)
+        mm = 1 - np.maximum(vals, 1 - vals)  # the loop's fold minimum
         step = 0
         for call in rec.calls:
             s = states[step]
@@ -477,7 +477,7 @@ def test_random_valid_updaters_keep_the_books(p, alpha, s0, seed):
     assert all(fh > alpha for fh in fhs[:-1])
     vals = np.asarray(rep.noisy_p)
     final = states[-1]
-    exhausted = not np.any(np.minimum(vals, 1 - vals) <= final)
+    exhausted = not np.any(1 - np.maximum(vals, 1 - vals) <= final)  # the loop's fold minimum
     assert fhs[-1] <= alpha or exhausted
     expected = np.flatnonzero(vals <= final) if fhs[-1] <= alpha else []
     assert rep.rejected == tuple(int(i) for i in expected)
@@ -605,10 +605,6 @@ class TestEmpiricalFdr:
         se = float(np.std(fdps, ddof=1) / np.sqrt(len(fdps)))
         assert fdr <= 0.1 + 3 * se, (fdr, se)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known leak: min(p, 1 - p) tells a rounded p from 1 - its mirror in the last bits, "
-        "so the removal order sees the side of tied fold minima"
-    ))
     def test_nonprivate_fdr_controlled_on_rounded_pvalues(self):
         # two-digit p-values tie in fold minima; the order must not see the side
         fdps = []
