@@ -196,10 +196,12 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
         limit = item(first) + width
         while end < n and item(end) <= limit:
             end += 1
-        block = alive[first:end].nonzero()[0] + first
-        values = t[block] + draw(0.0, scale, block.size)
+        block = alive[first:end].nonzero()[0]  # offsets from first
+        # draws + scores is scores + draws: float addition commutes
+        values = draw(0.0, scale, block.size)
+        values += t[first:end][block]
         best = int(values.argmin())
-        winner = block.item(best)
+        winner = first + block.item(best)
         k = n - j - block.size
         if k > 0:
             best_value, tail_start = values.item(best), item(end)

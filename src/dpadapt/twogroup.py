@@ -278,16 +278,15 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     """Newton ascent on eta = design @ theta with halving line search.
 
     objective is (value, slopes): value(eta) sums over rows and slopes(eta)
-    gives the per-row first and second eta-derivatives (d1, d2); slopes is
+    gives the per-row first and second eta-derivatives (d1, d2). slopes is
     only called at the point value evaluated last, so it may reuse that
-    evaluation (_logistic_objective does). Never
-    decreases the value. The ascent stops when the gradient vanishes, or
-    when 0.5 * grad @ step, the gain the quadratic model predicts for the
-    Newton step (half the squared Newton decrement), is at most
-    1e-12 * max(1, |value|): a smaller gain is below what the value
-    resolves, and the line search would only halve on rounding. A
-    non-positive gain stops it too, since the step is then no ascent
-    direction. Singular solves fall back to a 1e-6 ridge; when that is
+    evaluation (_logistic_objective does). Never decreases the value.
+    The ascent stops when the gradient vanishes, or when 0.5 * grad @
+    step, the gain the quadratic model predicts for the Newton step (half
+    the squared Newton decrement), is at most 1e-12 * max(1, |value|): a
+    smaller gain is below what the value resolves, and the line search
+    would only halve on rounding. A non-positive gain stops it too, since
+    the step is then no ascent direction. Singular solves fall back to a 1e-6 ridge; when that is
     singular too, the ascent stops and keeps theta. stats, when given,
     records the iterations, the value evaluations and the stop reason.
     """
