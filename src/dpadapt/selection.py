@@ -184,10 +184,7 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     width = _block_width(noise.family, n) * noise.scale
     alive = np.ones(n, dtype=bool)
     won = np.empty(m, dtype=np.intp)
-    # noise.draw's generator call, looked up once
-    draw = rng.normal if noise.family == "gaussian" else rng.laplace
-    exponential, item, scale = rng.standard_exponential, t.item, noise.scale
-    lower_bound, ppf = _noise_ppf_lower, _noise_ppf_scalar
+    exponential, item = rng.standard_exponential, t.item
     first = end = 0
     for j in range(m):
         while not alive[first]:
@@ -198,7 +195,7 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
             end += 1
         block = alive[first:end].nonzero()[0]  # offsets from first
         # draws + scores is scores + draws: float addition commutes
-        values = draw(0.0, scale, block.size)
+        values = noise.draw(rng, block.size)
         values += t[first:end][block]
         best = int(values.argmin())
         winner = first + block.item(best)
@@ -206,9 +203,9 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
         if k > 0:
             best_value, tail_start = values.item(best), item(end)
             w_cdf = -math.expm1(-exponential() / k)
-            w = lower_bound(noise, w_cdf)
+            w = _noise_ppf_lower(noise, w_cdf)
             if w is None or not best_value < tail_start + w:
-                w = ppf(noise, w_cdf)
+                w = _noise_ppf_scalar(noise, w_cdf)
                 if not best_value < tail_start + w:
                     tail = alive[end:].nonzero()[0] + end
                     z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))

@@ -379,7 +379,8 @@ class TestNoisePpfLower:
 
 def test_peel_memory_stays_near_the_scores():
     # dp_bh's m = 1000 peel of a 100k pool: the sorted copy and the order
-    # are about twice the scores; a per-row Python list would be six times.
+    # are about twice the scores; with a per-row Python list of the scores
+    # as well, the peak passes six times.
     g = rng(12)
     p = np.concatenate([g.beta(0.1, 1.0, 5_000), g.random(95_000)])
     scores = np.log(np.maximum(1e-5, p))
