@@ -9,9 +9,8 @@ against mpmath at 80 digits (tests/test_normal.py holds the checks):
 - normal_quantile is Wichura's AS241 (1988, *The percentage points of the
   normal distribution*), the rational approximations the standard library's
   `statistics.NormalDist.inv_cdf` also uses. Worst error seen: 5.1 ulp on
-  [1e-300, 1 - 1e-16] (the tests allow 8). The array form and the scalar
-  form (normal_quantile_scalar) perform the same operations in the same
-  order, so they agree bit for bit.
+  [1e-300, 1 - 1e-16] (the tests allow 8). A scalar runs through the
+  array form, as a one-element array.
 - normal_cdf is 0.5 * erfc(-x / sqrt(2)) with the C library's erfc, plus a
   first-order correction for the rounding of x / sqrt(2). Uncorrected,
   that rounding costs up to about x**2 ulp in the lower tail (1600 seen
@@ -90,35 +89,10 @@ def _poly(c, r):
     return (((((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) * r + c[6]) * r + c[7])
 
 
-def normal_quantile_scalar(p: float) -> float:
-    """normal_quantile at one float; the same bits as the array form.
-
-    The tail logarithm is np.log's, not math.log's, so that it rounds as the
-    array form's does.
-    """
-    q = p - 0.5
-    if -0.425 <= q <= 0.425:
-        r = 0.180625 - q * q
-        return _poly(_CENTRAL_NUM, r) * q / _poly(_CENTRAL_DEN, r)
-    tail = p if q <= 0.0 else 1.0 - p
-    if not tail > 0.0:
-        if tail == 0.0:
-            return -math.inf if q < 0.0 else math.inf
-        return math.nan
-    r = math.sqrt(-np.log(tail))
-    if r <= 5.0:
-        r = r - 1.6
-        x = _poly(_NEAR_NUM, r) / _poly(_NEAR_DEN, r)
-    else:
-        r = r - 5.0
-        x = _poly(_FAR_NUM, r) / _poly(_FAR_DEN, r)
-    return -x if q < 0.0 else x
-
-
 def normal_quantile(p):
     """Inverse of normal_cdf on [0, 1]: -inf/+inf at the endpoints, NaN outside."""
     if np.ndim(p) == 0:
-        return normal_quantile_scalar(float(p))
+        return float(normal_quantile(np.array([p], dtype=float))[0])
     pv = np.asarray(p, dtype=float)
     # log(0) at the endpoints and NaN outside [0, 1] are results, not warnings
     with np.errstate(all="ignore"):

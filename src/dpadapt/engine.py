@@ -1,15 +1,18 @@
 """Adaptive FDR control loop over masked noisy p-values.
 
 The loop owns the information barrier: threshold updaters only ever see the
-fold minimum min(p, 1-p) of every hypothesis, handed over once per run, and
-the actual value only once it lies strictly between the thresholds (where it
-can no longer be rejected or serve as a control). Updaters propose
-ordered batches of hidden rows to remove. Each removal is one step: it drops
-that row's threshold just below its fold minimum. The loop applies each
-batch in one vectorized pass, with the counters of every step as cumulative
-sums, up to the first step that stops the run. Thresholds therefore only
-shrink, values revealed once stay revealed, and the analyst's
-knowledge grows monotonically while the estimate
+fold minimum 1 - max(p, 1 - p) of every hypothesis, handed over once per run,
+and the actual value only of a row that is not hidden (it can no longer be
+rejected or serve as a control). A row is hidden, a candidate, while its
+fold minimum is at most its threshold s (s0 at the start), and it counts in
+R_t (p < 1/2) or in A_t (p >= 1/2) exactly while it is hidden. Updaters
+propose ordered batches of hidden rows to remove. Each removal is one step: it drops
+that row's threshold just below its fold minimum, so the row leaves the
+candidates and its counter together. The loop applies each batch in one
+vectorized pass, with the counters of every step as cumulative sums, up to
+the first step that stops the run. Thresholds therefore only shrink, values
+revealed once stay revealed, and the analyst's knowledge grows monotonically
+while the estimate
 
     fdr_hat = (1 + A_t) / max(R_t, 1)
 
@@ -38,8 +41,10 @@ class RunResult:
     """Outcome of one run of any method, as `dpadapt run` reports it.
 
     selected, noisy_p and final_thresholds give each row's (privatized)
-    value and last threshold in selection order; rejected is the subset with
-    noisy_p <= final threshold, in that order. trajectory rows are (t, A_t,
+    value and last threshold in selection order; rejected is the subset still
+    hidden at the stop on the small side (fold minimum <= final threshold and
+    noisy_p < 1/2), in that order. That is noisy_p <= final threshold except
+    for a noisy_p within an ulp of s0. trajectory rows are (t, A_t,
     R_t, fdr_hat) for every step including the stopping one. A baseline
     takes no steps: its rows are the rejected ones with NaN thresholds, its
     noisy_p is bh's raw p-values and NaN for the private baselines (their
@@ -113,13 +118,11 @@ def _adapt_loop(
     masked_min = 1.0 - np.maximum(p, 1.0 - p)
     masked_min.setflags(write=False)
     updater.start(masked_min, x)
-    s = np.full(m, float(s0))
-    below = p <= s0
-    above = p >= 1.0 - s0
     candidate = masked_min <= s0
-    r_t = int(below.sum())
-    a_t = int(above.sum())
+    low = p < 0.5
     n_candidates = int(candidate.sum())
+    r_t = int(np.count_nonzero(candidate & low))
+    a_t = n_candidates - r_t
     fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
     steps = [np.array([[0, a_t, r_t, fh]], dtype=float)]
     t = 0
@@ -140,15 +143,10 @@ def _adapt_loop(
         valid &= in_range & candidate[np.where(in_range, batch, 0)]
         n = batch.size if valid.all() else int(np.argmin(valid))
         rows = batch[:n]
-        # Drop each threshold an ulp-scale step below the fold minimum, sized
-        # on the 1 - s scale too, so the row leaves both p <= s and p >= 1 - s.
-        mm = masked_min[rows]
-        s_new = np.maximum(0.0, mm - 2.0 * np.spacing(1.0 - mm))
-        p_rows = p[rows]
-        now_below = p_rows <= s_new
-        now_above = p_rows >= 1.0 - s_new
-        r = r_t + np.cumsum(now_below.astype(np.intp) - below[rows])
-        a = a_t + np.cumsum(now_above.astype(np.intp) - above[rows])
+        # each removed row leaves R_t if its p < 1/2, else A_t
+        left_r = np.cumsum(low[rows])
+        r = r_t - left_r
+        a = a_t - (np.arange(1, n + 1) - left_r)
         fhs = (1.0 + a) / np.maximum(r, 1)
         # Apply up to the first step reaching alpha. A prefix holding every
         # candidate ends the run as well, so what follows it is never read.
@@ -157,18 +155,18 @@ def _adapt_loop(
             n = int(reached[0]) + 1
         elif n < batch.size and n < n_candidates:
             raise StallError(f"updater proposed row {batch[n]}, which is not a candidate")
-        rows = rows[:n]
-        s[rows] = s_new[:n]
-        candidate[rows] = False
-        below[rows] = now_below[:n]
-        above[rows] = now_above[:n]
+        candidate[rows[:n]] = False
         n_candidates -= n
         steps.append(np.column_stack((np.arange(t + 1, t + n + 1), a[:n], r[:n], fhs[:n])))
         t += n
         a_t, r_t, fh = int(a[n - 1]), int(r[n - 1]), float(fhs[n - 1])
+    # A removed row's threshold sits an ulp-scale step below its fold minimum,
+    # sized on the 1 - s scale too, so p leaves both p <= s and p >= 1 - s.
+    below_mm = np.maximum(0.0, masked_min - 2.0 * np.spacing(1.0 - masked_min))
+    s = np.where(candidate | (masked_min > s0), float(s0), below_mm)
     diag = getattr(updater, "diagnostics", None)
     return RunResult(
-        rejected=tuple(ids[below].tolist()) if fh <= alpha else (),
+        rejected=tuple(ids[candidate & low].tolist()) if fh <= alpha else (),
         private=private,
         selected=ids,
         noisy_p=p,

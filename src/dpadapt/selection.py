@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import normal_quantile, normal_quantile_scalar
+from ._normal import normal_quantile
 from .privacy import NoiseSpec, peel_noise
 from .transform import TransformKernel, transform_with_shift
 
@@ -82,28 +82,14 @@ def _noise_ppf(noise: NoiseSpec, f):
     return noise.scale * np.where(upper, -log_tail, log_tail)
 
 
-def _noise_ppf_scalar(noise: NoiseSpec, f: float) -> float:
-    """_noise_ppf at one probability, as a float, without the array wrappers.
-
-    It performs the same floating-point operations in the same order, so the
-    result has the same bits as float(_noise_ppf(noise, f)); np.log, not
-    math.log, keeps the Laplace logarithm identical.
-    """
-    if noise.family == "gaussian":
-        return noise.scale * normal_quantile_scalar(f)
-    upper = f >= 0.5
-    log_tail = np.log(2.0 * (1.0 - f if upper else f))
-    return float(noise.scale * (-log_tail if upper else log_tail))
-
-
 # Relative margin of _noise_ppf_lower: far above the few ulps by which it and
-# _noise_ppf_scalar round. The Gaussian bound has at least 0.26 % of slack
+# _noise_ppf round. The Gaussian bound has at least 0.26 % of slack
 # besides; the Laplace one is the quantile itself, less the margin.
 _LOWER_MARGIN = 1.0 + 1e-9
 
 
 def _noise_ppf_lower(noise: NoiseSpec, u: float) -> float | None:
-    """A float never above _noise_ppf_scalar(noise, u), for 0 < u < 1/2; else None.
+    """A float never above _noise_ppf(noise, u), for 0 < u < 1/2; else None.
 
     Gaussian: Phi(-x) <= exp(-x^2 / 2) / 2 for x >= 0, so the quantile is at
     least -sqrt(-2 ln 2u). Laplace: the quantile is ln 2u. The unit-scale
@@ -169,11 +155,11 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
     _noise_ppf_lower, a closed-form bound that is never above W; float
     addition is monotone, so when the best value is below the first tail
     score plus the bound, it is below that score plus W too, and W itself
-    (the scalar inverse CDF, _noise_ppf_scalar) is computed only when the
-    bound cannot decide. Only a tail resolution adds k uniforms, one integer
-    and an array inverse CDF. The draws are those of the array-valued loop
-    this replaced, in the same order (tests/peel_oracle.py keeps it), so the
-    random stream and the winners are unchanged.
+    (the inverse CDF, _noise_ppf) is computed only when the bound cannot
+    decide. Only a tail resolution adds k uniforms, one integer and an array
+    inverse CDF. The draws are those of the array-valued loop this replaced,
+    in the same order (tests/peel_oracle.py keeps it), so the random stream
+    and the winners are unchanged.
     """
     s = np.asarray(scores, dtype=float)
     order = stable_argsort(s)
@@ -205,7 +191,7 @@ def peel(scores, noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarr
             w_cdf = -math.expm1(-exponential() / k)
             w = _noise_ppf_lower(noise, w_cdf)
             if w is None or not best_value < tail_start + w:
-                w = _noise_ppf_scalar(noise, w_cdf)
+                w = float(_noise_ppf(noise, w_cdf))
                 if not best_value < tail_start + w:
                     tail = alive[end:].nonzero()[0] + end
                     z = _noise_ppf(noise, w_cdf + (1.0 - w_cdf) * rng.random(k))

@@ -24,8 +24,9 @@ from .privacy import NoiseSpec, check_count, check_positive
 
 # Quantile clamp: p is pulled into [P_FLOOR, 1 - P_FLOOR] before G_inv so the
 # endpoints stay finite, and transform outputs are kept inside the same band
-# so fold minima min(p, 1-p) are always strictly positive. Only pathological
-# inputs are affected; simulation-scale values pass through untouched.
+# so fold minima 1 - max(p, 1 - p) are always strictly positive (at least
+# 1 - fl(1 - P_FLOOR), just under P_FLOOR). Only pathological inputs are
+# affected; simulation-scale values pass through untouched.
 P_FLOOR = 1e-15
 
 

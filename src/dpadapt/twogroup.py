@@ -399,7 +399,8 @@ def em_fit(
 
 
 def null_probability(x, p_prime, fit: TwoGroupFit):
-    """P(H = 0 | x, p') under the fit, with p' = min(p, 1-p) in [0, 0.5].
+    """P(H = 0 | x, p') under the fit, with p' the fold minimum 1 - max(p, 1 - p),
+    clipped into [P_FLOOR, 0.5].
 
     Uses the raw logistic predictor (no ETA_CAP) so extreme fits keep their
     full ordering resolution; PI_FLOOR still guards against exact-saturation

@@ -3,10 +3,12 @@
 This is the original whole-vector implementation: the updater returns a new
 threshold vector each step (one greedy removal from cached scores, refitting
 every refit_every steps), and the loop recomputes every count from scratch
-and checks the proposal against the current thresholds. It is slow (O(m) per
-step) but simple; the incremental loop in dpadapt.engine must reproduce its
-results bit for bit. LargestFoldMinFirst is the README's model-free
-updater, whose order TwoGroupUpdater must follow without covariates.
+and checks the proposal against the current thresholds. A row counts in R_t
+(p < 1/2) or A_t exactly while it is a candidate, masked_min <= s. It is
+slow (O(m) per step) but simple; the incremental loop in dpadapt.engine must
+reproduce its results bit for bit. LargestFoldMinFirst is the README's
+model-free updater, whose order TwoGroupUpdater must follow without
+covariates.
 """
 
 from __future__ import annotations
@@ -92,18 +94,19 @@ def reference_adapt_loop(ids, pvals, x, alpha, s0, updater, private) -> RunResul
     m = p.size
     ids = np.array(ids, dtype=int)
     masked_min = 1.0 - np.maximum(p, 1.0 - p)
+    low = p < 0.5
     s = np.full(m, float(s0))
     trajectory = []
     t = 0
     while True:
-        r_t = int(np.count_nonzero(p <= s))
-        a_t = int(np.count_nonzero(p >= 1.0 - s))
+        candidates = masked_min <= s
+        r_t = int(np.count_nonzero(candidates & low))
+        a_t = int(np.count_nonzero(candidates & ~low))
         fh = fdr_hat(a_t, r_t)
         trajectory.append((t, a_t, r_t, fh))
-        candidates = masked_min <= s
-        n_candidates = int(np.count_nonzero(candidates))
+        n_candidates = a_t + r_t
         if fh <= alpha:
-            rejected = ids[p <= s]
+            rejected = ids[candidates & low]
             break
         if n_candidates == 0:
             rejected = ids[:0]

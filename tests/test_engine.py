@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpadapt import engine
@@ -91,6 +91,10 @@ def removal_threshold(mm):
     return max(0.0, mm - 2 * np.spacing(1.0 - mm))
 
 
+def fold_min(vals):
+    return 1 - np.maximum(vals, 1 - vals)  # the loop's fold minimum
+
+
 class RecordingUpdater:
     """Records every view the loop hands over and every batch returned.
 
@@ -148,9 +152,8 @@ def replay(rep, calls, s0=0.45):
     Returns stop_t + 1 threshold vectors, one per trajectory row; the
     removals after the stopping step in the last batch are never applied.
     """
-    vals = np.asarray(rep.noisy_p)
-    mm = 1 - np.maximum(vals, 1 - vals)  # the loop's fold minimum
-    s = np.full(vals.size, s0)
+    mm = fold_min(np.asarray(rep.noisy_p))
+    s = np.full(mm.size, s0)
     states = [s.copy()]
     removed = [int(i) for call in calls for i in call["batch"]][: rep.stop_t]
     for i in removed:
@@ -161,12 +164,16 @@ def replay(rep, calls, s0=0.45):
 
 
 def assert_counters_match(rep, calls, s0=0.45):
+    """Recount each trajectory row in fold terms: R_t and A_t are the rows
+    still hidden under the replayed thresholds, split by the side of p."""
     vals = np.asarray(rep.noisy_p)
+    mm, low = fold_min(vals), vals < 0.5
     states = replay(rep, calls, s0)
     for s, row in zip(states, rep.trajectory, strict=True):
         t, a_t, r_t, fh = row
-        assert r_t == int(np.sum(vals <= s))
-        assert a_t == int(np.sum(vals >= 1 - s))
+        hidden = mm <= s
+        assert r_t == int(np.sum(hidden & low))
+        assert a_t == int(np.sum(hidden & ~low))
         assert fh == (1 + a_t) / max(r_t, 1)
     assert np.array_equal(states[-1], np.asarray(rep.final_thresholds))
     return states
@@ -386,7 +393,7 @@ class TestInformationBarrier:
         rep = run_adapt_nonprivate(p, None, 0.05, rec)
         states = replay(rep, rec.calls)
         vals = np.asarray(rep.noisy_p)
-        mm = 1 - np.maximum(vals, 1 - vals)  # the loop's fold minimum
+        mm = fold_min(vals)
         step = 0
         for call in rec.calls:
             s = states[step]
@@ -395,6 +402,39 @@ class TestInformationBarrier:
             assert np.array_equal(call["revealed"][~hidden], vals[~hidden])
             assert [call["a_t"], call["r_t"]] == rep.trajectory[step][1:3].tolist()
             step += call["batch"].size
+
+
+class TestTieAtS0:
+    """With s0 = 0.05, p = 0.05 folds to 1 - fl(0.95) = 0.050000000000000044,
+    above s0, so that row is shown to the updater from the start, as is
+    p = 0.95; only row 2 (0.01, or 0.99 mirrored) is hidden."""
+
+    P = np.array([0.05, 0.95, 0.01, 0.3])
+
+    @staticmethod
+    def run(p):
+        rec = RecordingUpdater(LargestMinUpdater(), per_step=False)
+        rep = run_adapt_nonprivate(p, None, 0.5, rec, s0=0.05)
+        assert rec.calls
+        for call in rec.calls:
+            assert call["a_t"] + call["r_t"] == int(np.isnan(call["revealed"]).sum())
+        return rep, rec.calls
+
+    def test_only_the_hidden_row_is_counted(self):
+        rep, _ = self.run(self.P)
+        assert rep.trajectory.tolist() == [[0, 0, 1, 1.0], [1, 0, 0, 1.0]]
+        assert rep.rejected == ()
+
+    def test_mirrored_input_gives_identical_views(self):
+        rep, calls = self.run(self.P)
+        mirror, mirror_calls = self.run(1 - self.P)
+        assert mirror.trajectory.tolist() == [[0, 1, 0, 2.0], [1, 0, 0, 1.0]]
+        assert len(calls) == len(mirror_calls)
+        for a, b in zip(calls, mirror_calls):
+            assert np.array_equal(a["masked_min"], b["masked_min"])
+            assert np.array_equal(fold_min(a["revealed"]), fold_min(b["revealed"]), equal_nan=True)
+            assert np.array_equal(a["batch"], b["batch"])
+            assert a["a_t"] + a["r_t"] == b["a_t"] + b["r_t"]
 
 
 class TestBookkeeping:
@@ -465,21 +505,24 @@ class TestBookkeeping:
     s0=st.floats(0.05, 0.49),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(p=[0.05, 0.95], alpha=0.5, s0=0.05, seed=0)
 def test_random_valid_updaters_keep_the_books(p, alpha, s0, seed):
     rec = RecordingUpdater(RandomUpdater(seed), per_step=False)
     rep = run_adapt_nonprivate(p, None, alpha, rec, s0=s0)
     states = assert_counters_match(rep, rec.calls, s0)
     for before, after in zip(states, states[1:]):
         assert np.all(after <= before)
+    # every row the updater cannot see is counted once, and no other row
+    for call in rec.calls:
+        assert call["a_t"] + call["r_t"] == int(np.isnan(call["revealed"]).sum())
     # the loop stops at the first row with fdr_hat <= alpha, or when no
     # candidate is left to remove
     fhs = [row[3] for row in rep.trajectory]
     assert all(fh > alpha for fh in fhs[:-1])
     vals = np.asarray(rep.noisy_p)
-    final = states[-1]
-    exhausted = not np.any(1 - np.maximum(vals, 1 - vals) <= final)  # the loop's fold minimum
-    assert fhs[-1] <= alpha or exhausted
-    expected = np.flatnonzero(vals <= final) if fhs[-1] <= alpha else []
+    hidden = fold_min(vals) <= states[-1]
+    assert fhs[-1] <= alpha or not hidden.any()
+    expected = np.flatnonzero(hidden & (vals < 0.5)) if fhs[-1] <= alpha else []
     assert rep.rejected == tuple(int(i) for i in expected)
 
 
@@ -501,7 +544,7 @@ def batched_vs_single_steps(p, alpha, s0, seed):
     last = rec.calls[-1]["batch"]
     used = whole.stop_t - sum(call["batch"].size for call in rec.calls[:-1])
     vals = np.asarray(whole.noisy_p)
-    hidden = np.minimum(vals, 1 - vals) <= np.asarray(whole.final_thresholds)
+    hidden = fold_min(vals) <= np.asarray(whole.final_thresholds)
     stopped = whole.trajectory[-1][3] <= alpha
     crossed = stopped and bool(np.any(hidden[last[used:][last[used:] < vals.size]]))
     exhausted = not hidden.any() and used < last.size
@@ -573,6 +616,19 @@ class TestOracle:
         assert new.stop_t > 0
         assert_same_result(new, old)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounded_pvalues_at_small_s0(self, monkeypatch, seed):
+        # two-digit p-values put whole groups of rows on s0 = 0.05 and tie
+        # in fold minima
+        _, p = oracle_inputs("no_side_info", seed)
+        p = np.round(p, 2)
+        new = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(), s0=0.05)
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_adapt_loop", reference_adapt_loop)
+            old = run_adapt_nonprivate(p, None, 0.1, ReferenceGreedyUpdater(), s0=0.05)
+        assert new.stop_t > 0
+        assert_same_result(new, old)
+
 
 class TestEmpiricalFdr:
     def test_all_null_fdr_controlled(self):
@@ -605,13 +661,19 @@ class TestEmpiricalFdr:
         se = float(np.std(fdps, ddof=1) / np.sqrt(len(fdps)))
         assert fdr <= 0.1 + 3 * se, (fdr, se)
 
-    def test_nonprivate_fdr_controlled_on_rounded_pvalues(self):
-        # two-digit p-values tie in fold minima; the order must not see the side
-        fdps = []
+    @pytest.mark.parametrize("s0", [0.45, 0.05])
+    def test_nonprivate_fdr_controlled_on_rounded_pvalues(self, s0):
+        # two-digit p-values tie in fold minima; the order must not see the
+        # side. At s0 = 0.05 the rows at p = 0.05 and 0.95 fold just above
+        # s0: they are shown to the updater, so they must not be counted.
+        fdps, powers = [], []
         for seed in range(100):
             _, p, labels = gen_no_side_info(Scenario(n=2000, t=100), data_rng(seed, 0))
-            rep = run_adapt_nonprivate(np.round(p, 2), None, 0.1, TwoGroupUpdater())
-            fdps.append(fdp_and_power(rep.rejected, labels)[0])
+            rep = run_adapt_nonprivate(np.round(p, 2), None, 0.1, TwoGroupUpdater(), s0=s0)
+            fdp, power = fdp_and_power(rep.rejected, labels)
+            fdps.append(fdp)
+            powers.append(power)
         fdr = float(np.mean(fdps))
         se = float(np.std(fdps, ddof=1) / np.sqrt(len(fdps)))
         assert fdr <= 0.1 + 3 * se, (fdr, se)
+        assert np.mean(powers) >= 0.3, np.mean(powers)

@@ -19,7 +19,6 @@ from dpadapt._normal import (
     normal_cdf,
     normal_logcdf,
     normal_quantile,
-    normal_quantile_scalar,
 )
 
 DIGITS = 80
@@ -97,19 +96,21 @@ class TestAccuracy:
         assert max(ulps(v, exact_log_expit(t)) for t, v in zip(x, le)) <= 4
 
     def test_scalar_quantile_is_the_array_quantile_bit_for_bit(self):
+        # a 0-d argument runs the array form on a one-element array
         g = np.random.default_rng(45)
         p = np.concatenate([
-            g.random(40_000),
-            10.0 ** g.uniform(-300, math.log10(0.075), 30_000),
-            1.0 - 10.0 ** g.uniform(-16, math.log10(0.075), 30_000),
+            g.random(4_000),
+            10.0 ** g.uniform(-300, math.log10(0.075), 3_000),
+            1.0 - 10.0 ** g.uniform(-16, math.log10(0.075), 3_000),
         ])
         # all three AS241 branches: central, near tail (r <= 5) and far tail
         r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
         central = np.abs(p - 0.5) <= 0.425
-        assert min(central.sum(), (~central & (r <= 5)).sum(), (r > 5).sum()) > 5_000
+        assert min(central.sum(), (~central & (r <= 5)).sum(), (r > 5).sum()) > 500
         array = normal_quantile(p)
-        scalar = np.array([normal_quantile_scalar(float(v)) for v in p])
-        assert np.array_equal(array.view(np.int64), scalar.view(np.int64))
+        one = [normal_quantile(float(v)) for v in p]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(array.view(np.int64), np.array(one).view(np.int64))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -300,26 +300,31 @@ class TestPeelStream:
     def test_bound_and_exact_tail_tests_match_reference(self, family, monkeypatch):
         # A narrow block keeps the tail close, so some rounds' bound cannot
         # decide and W is computed; the rest are decided by the bound alone.
+        # W is _noise_ppf at one probability; lazy_peel_reference calls
+        # _noise_ppf too, so only the fast peel's calls are counted.
         calls = Counter()
-        lower, exact = selection._noise_ppf_lower, selection._noise_ppf_scalar
+        in_peel = [False]
+        lower, ppf = selection._noise_ppf_lower, selection._noise_ppf
 
         def counting_lower(noise, u):
-            calls["tail test"] += 1
+            calls["tail test"] += in_peel[0]
             return lower(noise, u)
 
-        def counting_exact(noise, u):
-            calls["computed W"] += 1
-            return exact(noise, u)
+        def counting_ppf(noise, f):
+            calls["computed W"] += in_peel[0] and np.ndim(f) == 0
+            return ppf(noise, f)
 
         monkeypatch.setattr(selection, "_block_width", lambda family, n: 0.5)
         monkeypatch.setattr(selection, "_noise_ppf_lower", counting_lower)
-        monkeypatch.setattr(selection, "_noise_ppf_scalar", counting_exact)
+        monkeypatch.setattr(selection, "_noise_ppf", counting_ppf)
         g = rng(31)
         noise = NoiseSpec(family, 0.4)
         for scores in (g.normal(size=300), np.log(np.maximum(1e-4, g.beta(0.3, 1.0, size=300)))):
             for seed in range(4):
                 fast, slow = rng(seed), rng(seed)
+                in_peel[0] = True
                 won = peel(scores, noise, 60, fast)
+                in_peel[0] = False
                 assert np.array_equal(won, lazy_peel_reference(scores, noise, 60, slow))
                 assert fast.bit_generator.state == slow.bit_generator.state
         assert calls["computed W"] >= 1
@@ -327,14 +332,17 @@ class TestPeelStream:
 
 
 class TestNoisePpfScalar:
+    """_noise_ppf at one Python float, as peel computes W, has the bits of
+    the same probability inside an array."""
+
     EDGES = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 5e-324, 1.0 - 2.0**-53]
 
     @staticmethod
     def check(family, scale, f):
         noise = NoiseSpec(family, scale)
-        got = selection._noise_ppf_scalar(noise, f)
-        assert type(got) is float
-        assert same_bits(got, float(selection._noise_ppf(noise, np.asarray(f))))
+        got = selection._noise_ppf(noise, f)
+        assert np.ndim(got) == 0
+        assert same_bits(float(got), selection._noise_ppf(noise, np.array([0.3, f, 0.7]))[1])
 
     @pytest.mark.parametrize("f", EDGES)
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
@@ -369,7 +377,7 @@ class TestNoisePpfLower:
         noise = NoiseSpec(family, scale)
         bound = selection._noise_ppf_lower(noise, u)
         assert type(bound) is float
-        assert bound <= selection._noise_ppf_scalar(noise, u)
+        assert bound <= float(selection._noise_ppf(noise, u))
 
     @pytest.mark.parametrize("u", [0.0, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0**-53, 1.0])
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
