@@ -212,6 +212,14 @@ def _versions() -> dict:
     return {"dpadapt": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
 
 
+def _writable_dir(directory: str, missing_ok: bool = False) -> bool:
+    """Whether files can be written in directory; with missing_ok, whether makedirs could also create it."""
+    found = os.path.abspath(directory)
+    while missing_ok and not os.path.lexists(found):
+        found = os.path.dirname(found)
+    return os.path.isdir(found) and os.access(found, os.W_OK | os.X_OK)
+
+
 def cmd_run(args) -> int:
     # Resolution order: explicit flag > preset > MethodConfig default.
     if args.preset:
@@ -220,6 +228,10 @@ def cmd_run(args) -> int:
                 setattr(args, key, value)
     _resolve_run_budget(args)
     cfg = _method_config(args.method, args)
+    # checked before ingest: a run that cannot write its output must not spend its budget
+    out_dir = os.path.dirname(args.out_prefix) or "."
+    if not _writable_dir(out_dir):
+        raise UsageError(f"--out-prefix directory {out_dir} does not exist or is not writable")
     dataset = ingest_csv(args.input)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     result = run_arm(cfg, dataset.x, dataset.p, rng)
@@ -258,6 +270,8 @@ def cmd_simulate(args) -> int:
     # resolving checks each arm before anything is written, so a setting
     # every trial would refuse is a usage error, as in `run`
     echoes = [{"name": cfg.name} | cfg.resolved(scenario.total_n) for cfg in methods]
+    if not _writable_dir(args.out_dir, missing_ok=True):
+        raise UsageError(f"--out-dir {args.out_dir} cannot be created or is not writable")
     result = run_campaign(scenario, methods, args.trials, args.seed, workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     write_csv_atomic(

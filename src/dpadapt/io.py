@@ -1,26 +1,26 @@
 """CSV ingestion, atomic writes, and report serialization.
 
-The data schema is `id, p, x1[, x2, ...]` with a header row. A regular file
-is read in batches of whole lines, each checked and parsed on its own, so
-ingest holds about the dataset plus one batch; any other file is read whole
-by the row loop, which words the errors of the header and of single rows.
-Both paths end in one set of whole-file checks (p in [0, 1], unique ids,
-finite covariates), whose errors name the offending ids. All writes stream
-into a temp file that is then renamed, so an interrupted run never leaves a
-truncated artifact.
+The data schema is `id, p, x1[, x2, ...]` with a header row. The file is
+read once, in batches of whole lines: numpy parses them while they are
+regular, and the row loop, which words the errors of the header and of
+single rows, takes the first batch refused and the rest. Both end in one
+set of whole-file checks (p in [0, 1], unique ids, finite covariates),
+whose errors name the offending ids. All writes stream into a temp file
+that is then renamed, so an interrupted run never leaves a truncated
+artifact.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io as _stdio
 import itertools
 import json
 import operator
 import os
+import re
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,26 +45,25 @@ class Dataset:
 
 
 def ingest_csv(path) -> Dataset:
-    """Parse and validate a `id, p, x1[, x2, ...]` file.
+    """Parse and validate a `id, p, x1[, x2, ...]` file, reading it once, in batches of whole lines.
 
-    A regular file is parsed in line batches, so the peak memory is about
-    the dataset plus one batch; anything else, including a file with a
-    header or row the batches refuse, is read again whole and goes through
-    the row loop. Both end in _dataset, so they give the same `Dataset` or
-    the same error.
+    numpy parses the batches while they are regular, and the row loop the
+    first it refuses and the rest, so the peak memory is about the dataset
+    plus one batch. Every file gives the row loop's `Dataset` or error.
     """
+    header, ids, blocks = None, [], []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            # a pipe cannot be read twice, so it is buffered whole
-            source = fh if fh.seekable() else _stdio.StringIO(fh.read(), newline="")
-            dataset = _ingest_columnar(path, source)
-            if dataset is not None:
-                return dataset
-            source.seek(0)
-            text = source.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            batches = _batches(path, fh)
+            for text in batches:
+                names = _parse_regular(text, header, ids, blocks)
+                if names is None:
+                    return _ingest_rows(path, header, itertools.chain([text], batches), ids, blocks)
+                header = names
+    except (OSError, csv.Error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    return _ingest_rows(path, text)
+    # the row loop words an empty file, or a header without rows
+    return _dataset(path, header, ids, blocks) if ids else _ingest_rows(path, header, [], ids, blocks)
 
 
 def _expected_header(width: int) -> list[str]:
@@ -75,114 +74,113 @@ def _expected_header(width: int) -> list[str]:
 # whitespace, where float() rejects them.
 _ROW_LOOP_ONLY = '"\x1c\x1d\x1e\x1f'
 
-# Characters read per batch, then on to the end of the line: enough that
-# numpy's per-call cost is small, few enough that a batch's strings stay a
-# small part of the peak.
+# Bytes read per batch, then on to the end of the line: numpy's per-call
+# cost stays small, and so does a batch's share of the peak.
 _BATCH_BYTES = 1 << 20
 
+# Rows whose Python floats the row loop holds before it packs them into a block.
+_CHUNK_ROWS = 1 << 12
 
-def _ingest_columnar(path, fh) -> Dataset | None:
-    """The row loop's Dataset or IngestError for a regular file, None for any other.
+# A line as a file opened with newline="" yields it: up to \r\n, \r or \n.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
-    fh is a text handle opened with newline="". Regular: no quote, every \\r
-    part of a \\r\\n, every row with the header's comma count and no line
-    longer than csv's field limit. Each batch of whole lines is checked and
-    parsed on its own. numpy parses the p and x columns with the correctly
-    rounded conversion float() uses, and rejects only fields float() also
-    rejects or `1_0` and non-ASCII digits, which float() accepts; those go to
-    the row loop, as does a file that is not UTF-8.
+
+def _batches(path, fh):
+    """The binary handle's lines, decoded in batches; a decode error names its byte's position in the file."""
+    offset = 0
+    while data := fh.read(_BATCH_BYTES):
+        if not data.endswith(b"\n"):
+            data += fh.readline()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # worded as decoding the whole file words it
+            at, last = offset + exc.start, offset + exc.end - 1
+            what = f"byte 0x{data[exc.start]:02x} in position {at}" if at == last else f"bytes in position {at}-{last}"
+            raise IngestError(f"cannot read {path}: 'utf-8' codec can't decode {what}: {exc.reason}") from exc
+        offset += len(data)
+        del data  # the batch is parsed from its text alone
+        yield text
+
+
+def _parse_regular(text: str, header: list[str] | None, ids: list[str], blocks: list[np.ndarray]) -> list[str] | None:
+    """Append a regular batch's ids and p-and-x block and return the header; None for any other batch.
+
+    Regular: no quote, every \\r part of a \\r\\n, every row with the header's
+    comma count and no line longer than csv's field limit, and every field
+    one numpy parses: it rounds as float() does, and refuses only fields
+    float() refuses or `1_0` and non-ASCII digits, which float() accepts.
     """
-    header: list[str] | None = None
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    while True:
+    if any(c in text for c in _ROW_LOOP_ONLY) or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    names = header or [h.strip() for h in lines[0].split(",")]
+    rows = lines if header else lines[1:]
+    # The comma count is a per-row check: a short row cannot balance a long
+    # one, since loadtxt raises on a non-blank row that lacks a used column
+    # and skips a blank one, which the row count catches.
+    if (
+        names != _expected_header(len(names))
+        or text.count(",") != (len(names) - 1) * len(lines)
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        return None
+    if rows:
         try:
-            text = fh.read(_BATCH_BYTES)
-            if text and text[-1] != "\n":
-                text += fh.readline()
-        except UnicodeDecodeError:
-            return None
-        if not text:
-            break
-        if any(c in text for c in _ROW_LOOP_ONLY):
-            return None
-        if "\r" in text:
-            if text.count("\r") != text.count("\r\n"):
-                return None
-            text = text.replace("\r\n", "\n")
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        rows = lines
-        if header is None:
-            header = [h.strip() for h in lines[0].split(",")]
-            if header != _expected_header(len(header)):
-                return None
-            rows = lines[1:]
-        # The comma count is a per-row check: a short row cannot balance a
-        # long one, since loadtxt raises on a non-blank row that lacks a used
-        # column and skips a blank one, which the row count catches.
-        if (
-            text.count(",") != (len(header) - 1) * len(lines)
-            or max(map(len, lines)) > csv.field_size_limit()
-        ):
-            return None
-        if not rows:
-            continue
-        try:
-            values = np.loadtxt(
-                rows, delimiter=",", usecols=range(1, len(header)),
-                comments=None, quotechar=None, ndmin=2,
-            )
+            values = np.loadtxt(rows, delimiter=",", usecols=range(1, len(names)), comments=None, quotechar=None, ndmin=2)
         except ValueError:
             return None
         if len(values) != len(rows):
             return None
         blocks.append(values)
         ids.extend(row.partition(",")[0].strip() for row in rows)
+    return names
+
+
+def _ingest_rows(path, header: list[str] | None, texts, ids: list[str], blocks: list[np.ndarray]) -> Dataset:
+    """Parse row by row with csv, wording the errors of the header and of single rows; then _dataset.
+
+    texts are the batches left, the first starting with the header if header
+    is None; the row numbers go on from the rows in ids. A csv or decode
+    error anywhere wins, so the header's and rows' errors wait for the end.
+    """
+    reader = csv.reader(m.group() for text in texts for m in _LINE.finditer(text))
+
+    def refuse(message: str) -> IngestError:
+        deque(reader, maxlen=0)  # read on to the end of the file
+        return IngestError(f"{path}: {message}")
+
+    if header is None:
+        first = next(reader, None)
+        if first is None:
+            raise IngestError(f"{path}: file is empty")
+        header = [h.strip() for h in first]
+        if header != _expected_header(len(header)):
+            raise refuse(f"expected header id, p, x1, x2, ... but found {', '.join(header)}")
+    chunk: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=len(ids) + 2):
+        if len(row) != len(header):
+            raise refuse(f"row {lineno} has {len(row)} fields, expected {len(header)}")
+        try:
+            chunk.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise refuse(f"row {lineno} ({row[0].strip()}): {exc}") from exc
+        ids.append(row[0].strip())
+        if len(chunk) == _CHUNK_ROWS:
+            blocks.append(np.array(chunk))
+            chunk = []
     if not ids:
-        return None
+        raise IngestError(f"{path}: no data rows")
+    if chunk:
+        blocks.append(np.array(chunk))
+    return _dataset(path, header, ids, blocks)
+
+
+def _dataset(path, header: list[str], ids: list[str], blocks: list[np.ndarray]) -> Dataset:
+    """The rows, as blocks of p and x columns, as a Dataset after the whole-file checks both paths share."""
     p = np.concatenate([block[:, 0] for block in blocks])
     x = np.concatenate([block[:, 1:] for block in blocks]) if len(header) > 2 else None
-    return _dataset(path, header, ids, p, x)
-
-
-def _ingest_rows(path, text: str) -> Dataset:
-    """Parse row by row with csv, wording the errors of the header and of single rows; then _dataset."""
-    try:
-        rows = list(csv.reader(_stdio.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise IngestError(f"{path}: file is empty")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2 or header != _expected_header(len(header)):
-        raise IngestError(
-            f"{path}: expected header id, p, x1, x2, ... but found {', '.join(header)}"
-        )
-    if len(rows) == 1:
-        raise IngestError(f"{path}: no data rows")
-    ids: list[str] = []
-    p: list[float] = []
-    x: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-        rid = row[0].strip()
-        try:
-            pv = float(row[1])
-            cov = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise IngestError(f"{path}: row {lineno} ({rid}): {exc}") from exc
-        ids.append(rid)
-        p.append(pv)
-        x.append(cov)
-    xs = np.array(x, dtype=float) if len(header) > 2 else None
-    return _dataset(path, header, ids, np.array(p, dtype=float), xs)
-
-
-def _dataset(path, header: list[str], ids: list[str], p: np.ndarray, x: np.ndarray | None) -> Dataset:
-    """The parsed file as a Dataset, after the whole-file checks that both ingest paths share."""
     in_range = (p >= 0.0) & (p <= 1.0)
     if not in_range.all():
         bad_p = [ids[i] for i in np.flatnonzero(~in_range)]

@@ -72,9 +72,10 @@ class TestIngest:
 
 
 def columnar(path):
-    """The columnar path's Dataset for the file at path, or None to fall back; it may raise IngestError."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return io._ingest_columnar(path, fh)
+    """ingest_csv's Dataset for the file at path, or None if any batch reached the row loop; it may raise IngestError."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_ingest_rows", lambda *args: None)
+        return ingest_csv(path)
 
 
 def _outcome(ingest, path):
@@ -303,6 +304,61 @@ class TestIngestMatchesOracle:
         assert from_pipe == from_file
 
 
+class TestIngestReadsOnce:
+    def test_opens_once_and_never_seeks(self, tmp_path, monkeypatch):
+        # the first batch is regular; the long row that ends the file is
+        # refused in the second, which goes on to the row loop
+        n = io._BATCH_BYTES // 10
+        path = write(tmp_path / "d.csv", "id,p\n" + "".join(f"h{i:06d},0.5\n" for i in range(n)) + "z,0.5,1\n")
+        calls = []
+
+        class Handle:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.fh, name)
+
+        def spy_open(*args, **kwargs):
+            calls.append("open")
+            return Handle(open(*args, **kwargs))
+
+        monkeypatch.setattr(io, "open", spy_open, raising=False)
+        with pytest.raises(IngestError) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"{path}: row {n + 2} has 3 fields, expected 2"
+        assert calls.count("open") == 1 and "seek" not in calls, calls
+        monkeypatch.undo()
+        assert_same_ingest(path)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82"], ids=["start-byte", "cut-sequence"])
+    def test_undecodable_byte_in_a_pipe_names_its_file_position(self, bad):
+        rows = "".join(f"h{i:06d},0.5\n" for i in range(io._BATCH_BYTES // 10))
+        data = ("id,p\n" + rows).encode("utf-8") + b"b" + bad + b",0.2\n"
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        assert f"position {data.index(bad)}" in str(exc.value)
+        script = (
+            "from dpadapt import io\n"
+            "try:\n"
+            "    io.ingest_csv('/dev/stdin')\n"
+            "except io.IngestError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dpadapt.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], input=data, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode("utf-8") == f"cannot read /dev/stdin: {exc.value}\n"
+
+
 class TestIngestMemory:
     def test_peak_is_about_the_dataset_plus_one_batch(self, tmp_path):
         # the whole text, a list of every line and a set of the ids would
@@ -323,6 +379,33 @@ class TestIngestMemory:
         assert ds.n == n and ds.x.shape == (n, 2)
         own = sys.getsizeof(ds.ids) + sum(map(sys.getsizeof, ds.ids)) + ds.p.nbytes + ds.x.nbytes
         assert peak < 2.5 * own, (peak, own)
+
+    def test_a_quoted_field_costs_about_one_batch(self, tmp_path):
+        # about 40k rows over two batches. R's write.csv quotes the header and
+        # every id, so the row loop reads the whole file; with only the last
+        # id quoted, it reads the second batch. Either way it holds about the
+        # dataset plus one batch, as the batches do.
+        rng = np.random.default_rng(6)
+        p, x = rng.random(40_000).tolist(), rng.normal(size=40_000).tolist()
+        rows = [f"h{i:06d},{pv!r},{xv!r}\n" for i, (pv, xv) in enumerate(zip(p, x))]
+        plain = "id,p,x1\n" + "".join(rows)
+        assert 1 < len(plain) / io._BATCH_BYTES <= 2
+        quoted = {
+            "r-style": '"id","p","x1"\n' + "".join('"' + row.replace(",", '",', 1) for row in rows),
+            "last-id": plain[: -len(rows[-1])] + '"' + rows[-1].replace(",", '",', 1),
+        }
+        peaks = {}
+        for name, text in {"plain": plain, **quoted}.items():
+            path = write(tmp_path / f"{name}.csv", text)
+            tracemalloc.start()
+            try:
+                ds = ingest_csv(path)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ds.ids[-1] == "h039999" and ds.p.tolist() == p and ds.x[:, 0].tolist() == x
+        assert peaks["r-style"] <= 1.5 * peaks["plain"], peaks
+        assert peaks["last-id"] <= 1.2 * peaks["plain"], peaks
 
 
 class TestPrivacyCommand:
@@ -434,6 +517,23 @@ class TestRunCommand:
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.csv"), "--method", "bh",
                      "--seed", "1"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("prefix", ["nodir/x", "afile/x"])
+    def test_unwritable_output_is_usage_error_before_ingest(self, tmp_path, monkeypatch, capsys, prefix):
+        # the run used to spend its budget, then die writing its report
+        f = write(tmp_path / "d.csv", "id,p\na,0.1\nb,0.9\n")
+        (tmp_path / "afile").write_text("")
+
+        def unreachable(*args):
+            raise AssertionError("reached before the output directory was checked")
+
+        monkeypatch.setattr(cli, "ingest_csv", unreachable)
+        monkeypatch.setattr(cli, "run_arm", unreachable)
+        out = tmp_path / prefix
+        assert main(["run", "--input", f, "--method", "dp-adapt", "--mu", "0.5", "--out-prefix", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: --out-prefix directory {out.parent} does not exist or is not writable\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "d.csv"] and not (tmp_path / "afile").read_text()
 
     def test_contradictory_budget_is_usage_error(self, tmp_path):
         data = write(tmp_path / "d.csv", "id,p\ng0,0.5\n")
@@ -814,6 +914,26 @@ class TestSimulateCommand:
                      "--out-dir", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+    def test_unusable_out_dir_is_usage_error_before_the_first_trial(self, tmp_path, monkeypatch, capsys):
+        # the campaign used to run whole, then die making the directory
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a trial ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_campaign", unreachable)
+        assert main(["simulate", "--n", "400", "--t", "10", "--methods", "bh", "--trials", "2", "--seed", "1",
+                     "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --out-dir {out} cannot be created or is not writable\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+    def test_nested_out_dir_is_created(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["simulate", "--n", "400", "--t", "10", "--methods", "bh", "--trials", "1", "--seed", "1",
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["aggregate.csv", "manifest.json", "trials.csv"]
 
     def test_seed_required(self):
         assert main(["simulate", "--trials", "2"]) == EXIT_USAGE
