@@ -167,6 +167,14 @@ class NewtonStats:
         self.evaluations += evaluations
         self.stops[stop] += 1
 
+    def add(self, other: "NewtonStats", times: int = 1) -> None:
+        """Add other's totals, times over."""
+        self.ascents += times * other.ascents
+        self.iterations += times * other.iterations
+        self.evaluations += times * other.evaluations
+        for stop, count in other.stops.items():
+            self.stops[stop] += times * count
+
 
 def default_fit(x) -> TwoGroupFit:
     """Signal-agnostic start: pi ~ 0.1 and a ~ 0.5, flat in the covariates."""
@@ -183,7 +191,7 @@ def f1_density(p, a):
 
 
 def _masked_arrays(masked: MaskedTable):
-    """Per-row arrays no EM pass changes, taken once per em_fit: (mm, 1 - mm,
+    """Per-row arrays no EM pass changes, taken once per table: (mm, 1 - mm,
     rev, is_rev, span, log rev, log mm, log1p(-mm)). Hidden rows read rev
     0.5; span is the null density's denominator, 2 tau revealed, tau hidden."""
     mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
@@ -373,29 +381,56 @@ def em_fit(
     both M-steps have exact maximizers instead (_intercept_mstep), and no
     Newton ascent runs. One _posterior pass per sweep gives both the trace
     entry and the next E-step; its per-row logs are taken once per fit.
-    stats, when given, accumulates the Newton ascents of every M-step;
-    intercept-only fits add none.
+    A sweep whose M-step returns its input weights byte for byte is a fixed
+    point: every later sweep would repeat it exactly, so the fit stops there
+    and fills in what those sweeps would give (_em_sweeps). stats, when
+    given, accumulates the Newton ascents of every M-step, skipped sweeps
+    included; intercept-only fits add none.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
     check_count("k", k)
     fit = init if init is not None else default_fit(x)
-    basis = fit.basis
-    closed_form = basis.kind == "intercept"
-    design = basis.predictor_rows(x, masked.size)
+    design = fit.basis.predictor_rows(x, masked.size)
+    return _em_sweeps(design, _masked_arrays(masked), fit, k, stats)[0]
+
+
+def _em_sweeps(design, arrays, fit: TwoGroupFit, k: int, stats: NewtonStats | None, estep=None):
+    """k EM sweeps from fit's weights: (the new TwoGroupFit, its last E-step).
+
+    design and arrays (_masked_arrays) are the table's; estep, when given,
+    must be the _posterior pass at fit's weights on them, which the sweeps
+    then start from instead of computing it. When an M-step returns the
+    weights it was given, byte for byte, the E-step it read is the pass at
+    those weights, so every later sweep would read the same E-step, return
+    the same weights and record the same Newton ascents. The loop stops
+    there: the trace is padded with the last log-likelihood and that
+    sweep's Newton records are added once per sweep left, which are the
+    bits k sweeps give.
+    """
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
-    arrays = _masked_arrays(masked)
-    loglik, resp, logp = _posterior(design, w, v, *arrays)
+    closed_form = fit.basis.kind == "intercept"
+    if estep is None:
+        estep = _posterior(design, w, v, *arrays)
+    loglik, resp, logp = estep
     trace = [loglik]
-    for _ in range(k):
+    for sweep in range(k):
+        newton = NewtonStats()
         if closed_form:
-            w, v = _intercept_mstep(resp, logp)
+            w_new, v_new = _intercept_mstep(resp, logp)
         else:
-            w = _ascend(design, w, _logistic_objective(resp), stats)
-            v = _ascend(design, v, _shape_objective(resp, logp), stats)
-        loglik, resp, logp = _posterior(design, w, v, *arrays)
+            w_new = _ascend(design, w, _logistic_objective(resp), newton)
+            v_new = _ascend(design, v, _shape_objective(resp, logp), newton)
+        fixed = w_new.tobytes() == w.tobytes() and v_new.tobytes() == v.tobytes()
+        if stats is not None:
+            stats.add(newton, k - sweep if fixed else 1)
+        if fixed:
+            trace += [loglik] * (k - sweep)
+            break
+        w, v = w_new, v_new
+        estep = loglik, resp, logp = _posterior(design, w, v, *arrays)
         trace.append(loglik)
-    return TwoGroupFit(w, v, basis, k, tuple(trace))
+    return TwoGroupFit(w, v, fit.basis, k, tuple(trace)), estep
 
 
 def null_probability(x, p_prime, fit: TwoGroupFit):
@@ -451,14 +486,20 @@ class TwoGroupUpdater:
 
     The fit window is the max(200, 20% of the table) most extreme fold
     minima, so small pre-selected tables are fitted whole. start computes it
-    once per run and drops the previous run's fit and Newton totals, so every
-    run starts from default_fit. Restricting the window keeps the working
-    model trained where the rejection decisions happen, and the matching
-    fold-range null density in em_fit stays calibrated there; with
-    covariates, scores are still computed for every hypothesis. diagnostics()
-    reports the run's last fit and, under "newton", the NewtonStats of every
-    ascent in the run; without covariates em_fit uses the closed-form M-step,
-    so those totals read 0. Satisfies the engine's ThresholdUpdater contract.
+    and its design once per run and drops the previous run's fit, E-step
+    and Newton totals, so every run starts from default_fit. Restricting the
+    window keeps the working model trained where the rejection decisions
+    happen, and the matching fold-range null density in em_fit stays
+    calibrated there; with covariates, scores are still computed for every
+    hypothesis. Each refit is em_fit's sweeps (_em_sweeps) from the last
+    fit, with both of their exact shortcuts: a sweep at a bitwise fixed
+    point ends the fit, and while the window's revealed values keep their
+    bytes from one refit to the next, the refit starts from the last
+    E-step, which is the pass at the last fit's weights on the same arrays
+    that em_fit would recompute. diagnostics() reports the run's last fit
+    and, under "newton", the NewtonStats of every ascent in the run; without
+    covariates the M-step is closed-form, so those totals read 0. Satisfies
+    the engine's ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
@@ -472,11 +513,14 @@ class TwoGroupUpdater:
         n_fit = min(max(200, round(0.2 * masked_min.size)), masked_min.size)
         window = stable_argsort(masked_min)[:n_fit]
         self._masked_min, self._x, self._window = masked_min, x, window
-        self._window_x = None if x is None else np.asarray(x)[window]
+        window_x = None if x is None else np.asarray(x)[window]
+        self._default = default_fit(window_x)
+        self._design = self._default.basis.predictor_rows(window_x, n_fit)
         self._sweep = None
         if x is None:
             self._sweep = stable_argsort(-np.minimum(np.maximum(masked_min, P_FLOOR), 0.5))
         self._fit = None
+        self._last = None  # (the window's revealed values, their _masked_arrays, the last E-step)
         self._newton = NewtonStats()
 
     def propose(self, revealed: np.ndarray, a_t: int, r_t: int) -> np.ndarray:
@@ -484,8 +528,14 @@ class TwoGroupUpdater:
         if not np.isnan(revealed).any():
             raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, revealed.size // 20)
-        sub = MaskedTable(self._masked_min[self._window], revealed[self._window])
-        self._fit = em_fit(sub, self._window_x, init=self._fit, k=self.em_iters, stats=self._newton)
+        shown = revealed[self._window]
+        if self._last is not None and shown.tobytes() == self._last[0].tobytes():
+            _, arrays, estep = self._last
+        else:
+            arrays, estep = _masked_arrays(MaskedTable(self._masked_min[self._window], shown)), None
+        fit = self._default if self._fit is None else self._fit
+        self._fit, estep = _em_sweeps(self._design, arrays, fit, self.em_iters, self._newton, estep)
+        self._last = shown, arrays, estep
         if self._sweep is None:
             return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit, cadence)
         return self._sweep[np.isnan(revealed[self._sweep])][:cadence]

@@ -6,7 +6,11 @@ every refit_every steps), and the loop recomputes every count from scratch
 and checks the proposal against the current thresholds. A row counts in R_t
 (p < 1/2) or A_t exactly while it is a candidate, masked_min <= s. It is
 slow (O(m) per step) but simple; the incremental loop in dpadapt.engine must
-reproduce its results bit for bit. LargestFoldMinFirst is the README's
+reproduce its results bit for bit. ReferenceGreedyUpdater refits through
+`tests/em_oracle.em_fit`, which runs every EM sweep and computes every
+E-step afresh, so TwoGroupUpdater's two exact shortcuts (the fixed-point
+stop and the reused E-step) are held to the path with neither.
+LargestFoldMinFirst is the README's
 model-free updater, whose order TwoGroupUpdater must follow without
 covariates.
 """
@@ -19,7 +23,9 @@ import numpy as np
 
 from dpadapt.engine import RunResult, StallError, fdr_hat
 from dpadapt.transform import clamp_unit
-from dpadapt.twogroup import MaskedTable, NewtonStats, em_fit, null_probability
+from dpadapt.twogroup import MaskedTable, NewtonStats, null_probability
+
+from .em_oracle import em_fit
 
 
 def greedy_step(s, masked_min, scores):

@@ -18,10 +18,19 @@ logistic M-step value as sum(resp * eta + log_expit(-eta)), the form
 log_expit(-eta)), so the byte equality tests the EM structure, not the
 rounding of the special functions.
 
-The Newton ascent stops on the Newton decrement as `twogroup._ascend` does.
-`decrement_stop=False` gives the earlier rule, which stops only on the
-gradient tolerance, the iteration cap, a failed line search or a singular
-solve.
+The Newton ascent stops on the Newton decrement and records its
+iterations, value evaluations and stop reason in the `NewtonStats` it is
+given, both as `twogroup._ascend` does. `decrement_stop=False` gives the
+earlier rule, which stops only on the gradient tolerance, the
+iteration cap, a failed line search or a singular solve.
+
+Every one of the k sweeps runs, and every E-step is computed afresh from
+the table: there is no fixed-point stop and no reuse of an earlier fit's
+E-step, so `twogroup.em_fit` and `TwoGroupUpdater`, which take both
+shortcuts, can be held to the path with neither. On an intercept-only
+design the M-step is `twogroup._intercept_mstep`, as in `twogroup.em_fit`
+(its optimality against Newton is checked on its own);
+`closed_form=False` ascends by Newton there too, as the earlier rule did.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from dpadapt._normal import expit, log_expit
 from dpadapt.transform import P_FLOOR
 from dpadapt import twogroup
-from dpadapt.twogroup import MaskedTable, TwoGroupFit, default_fit, f1_density
+from dpadapt.twogroup import MaskedTable, NewtonStats, TwoGroupFit, default_fit, f1_density
 
 A_MIN = 0.05
 A_MAX = 1.0
@@ -64,28 +73,39 @@ def _null_span(mm: np.ndarray) -> float:
     return float(np.clip(mm.max(), 1e-6, 0.5))
 
 
+def _shape(eta):
+    """a = exp(eta) clipped to [A_MIN, A_MAX]; an exp that overflows gives
+    inf, which the clip takes to A_MAX."""
+    with np.errstate(over="ignore"):
+        return np.clip(np.exp(eta), A_MIN, A_MAX)
+
+
 def _q_logistic(design, w, resp):
     eta = np.clip(design @ w, -ETA_CAP, ETA_CAP)
     return float(np.sum(resp * eta + log_expit(-eta)))
 
 
 def _q_shape(design, v, resp, logp):
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    a = _shape(design @ v)
     return float(np.sum(resp * (np.log(a) + (a - 1.0) * logp)))
 
 
-def _ascend(objective, grad_hess, theta, decrement_stop=True):
+def _ascend(objective, grad_hess, theta, decrement_stop=True, stats=None):
     """Newton ascent with halving line search; never decreases the objective.
 
     grad_hess returns (gradient, negative-definite Hessian). Singular solves
     fall back to a 1e-6 ridge; when that is singular too, the ascent stops
     and keeps theta. With decrement_stop it also stops once
-    0.5 * grad @ step <= 1e-12 * max(1, |objective|).
+    0.5 * grad @ step <= 1e-12 * max(1, |objective|). stats, when given,
+    records the iterations, the objective evaluations and the stop reason.
     """
     f0 = objective(theta)
-    for _ in range(_NEWTON_MAX_ITER):
+    evaluations = 1
+    stop = "max_iter"
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
         grad, hess = grad_hess(theta)
         if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
+            stop = "gradient"
             break
         try:
             step = np.linalg.solve(-hess, grad)
@@ -93,20 +113,26 @@ def _ascend(objective, grad_hess, theta, decrement_stop=True):
             try:
                 step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
             except np.linalg.LinAlgError:
+                stop = "singular"
                 break
         if decrement_stop and 0.5 * (grad @ step) <= _NEWTON_DECREMENT_TOL * max(1.0, abs(f0)):
+            stop = "decrement"
             break
         scale = 1.0
         improved = False
         for _ in range(30):
             cand = theta + scale * step
             fc = objective(cand)
+            evaluations += 1
             if fc >= f0:
                 theta, f0, improved = cand, fc, True
                 break
             scale *= 0.5
         if not improved:
+            stop = "line_search"
             break
+    if stats is not None:
+        stats.record(iterations, evaluations, stop)
     return theta
 
 
@@ -115,7 +141,9 @@ def em_fit(
     x,
     init: TwoGroupFit | None = None,
     k: int = 5,
+    stats: NewtonStats | None = None,
     decrement_stop: bool = True,
+    closed_form: bool = True,
 ) -> TwoGroupFit:
     """Fit (pi, f1) by k EM sweeps over the masked table.
 
@@ -125,34 +153,44 @@ def em_fit(
     working density is uniform over the observed fold range (see
     _null_span), which reduces to the plain uniform null on full tables.
     Each M-step is a guarded Newton ascent, so the observed log-likelihood
-    never decreases across sweeps.
+    never decreases across sweeps; with closed_form, an intercept-only
+    design takes the exact maximizers instead. stats, when given,
+    accumulates the Newton ascents of every sweep.
     """
     if masked.size == 0:
         raise ValueError("masked table must be non-empty")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
     fit = init if init is not None else default_fit(x)
+    return sweeps(masked, fit.basis.design(x, n_rows=masked.size), fit, k, stats, decrement_stop, closed_form)
+
+
+def sweeps(masked, design, fit, k, stats=None, decrement_stop=True, closed_form=True):
+    """em_fit's k sweeps from fit's weights, on the table's design rows."""
     basis = fit.basis
-    design = basis.design(x, n_rows=masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
     arrays = _masked_arrays(masked)
     logs = _log_arrays(*arrays)
     trace = [_observed_loglik_arrays(design, w, v, *arrays)]
     for _ in range(k):
         resp, logp = _e_step_arrays(design, w, v, *arrays, *logs)
-
-        w = _ascend(
-            lambda th: _q_logistic(design, th, resp),
-            lambda th: _logistic_grad_hess(design, th, resp),
-            w,
-            decrement_stop,
-        )
-        v = _ascend(
-            lambda th: _q_shape(design, th, resp, logp),
-            lambda th: _shape_grad_hess(design, th, resp, logp),
-            v,
-            decrement_stop,
-        )
+        if closed_form and basis.kind == "intercept":
+            w, v = twogroup._intercept_mstep(resp, logp)
+        else:
+            w = _ascend(
+                lambda th: _q_logistic(design, th, resp),
+                lambda th: _logistic_grad_hess(design, th, resp),
+                w,
+                decrement_stop,
+                stats,
+            )
+            v = _ascend(
+                lambda th: _q_shape(design, th, resp, logp),
+                lambda th: _shape_grad_hess(design, th, resp, logp),
+                v,
+                decrement_stop,
+                stats,
+            )
         trace.append(_observed_loglik_arrays(design, w, v, *arrays))
     return TwoGroupFit(w, v, basis, k, tuple(trace))
 
@@ -179,7 +217,7 @@ def _log_arrays(mm, rev, is_rev):
 
 def _e_step_arrays(design, w, v, mm, rev, is_rev, log_m, log_c, log_rev):
     pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    a = _shape(design @ v)
     tau = _null_span(mm)
     f1_rev = f1_density(rev, a)
     f1_m = f1_density(mm, a)
@@ -213,7 +251,7 @@ def _shape_grad_hess(design, v, resp, logp):
 
 def _observed_loglik_arrays(design, w, v, mm, rev, is_rev):
     pi = expit(np.clip(design @ w, -ETA_CAP, ETA_CAP))
-    a = np.clip(np.exp(design @ v), A_MIN, A_MAX)
+    a = _shape(design @ v)
     tau = _null_span(mm)
     lik_rev = pi * f1_density(rev, a) + (1.0 - pi) / (2.0 * tau)
     lik_mask = pi * (f1_density(mm, a) + f1_density(1.0 - mm, a)) + (1.0 - pi) / tau

@@ -246,9 +246,16 @@ class TestIngestMatchesOracle:
     def test_fields_over_limit_and_undecodable_bytes(self, tmp_path):
         f = write(tmp_path / "big.csv", "id,p\n" + "a" * (csv.field_size_limit() + 1) + ",0.5\n")
         assert_same_ingest(f)
+        # a bad start byte and a sequence cut at the end of the file, each in
+        # a small file and past the first 8 KiB of one, where a text reader's
+        # decode chunks would restart the position count
+        rows = ("id,p\n" + "".join(f"h{i:06d},0.5\n" for i in range(1000))).encode("utf-8")
+        assert len(rows) > 8192
         g = tmp_path / "bytes.csv"
-        g.write_bytes(b"id,p\na,0.5\nb\xff,0.2\n")
-        assert_same_ingest(g)
+        for data in (b"id,p\na,0.5\nb\xff,0.2\n", b"id,p\nh0,0.0\xe2\x82",
+                     rows + b"b\xff,0.2\n", rows + b"h0,0.0\xe2\x82"):
+            g.write_bytes(data)
+            assert_same_ingest(g)
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts(), batch=st.integers(1, 24))
@@ -274,6 +281,7 @@ class TestIngestMatchesOracle:
         with pytest.raises(IngestError) as err:
             ingest_csv(path)
         assert str(err.value) == f"cannot read {path}: {exc.value}"
+        assert_same_ingest(path)
 
     @pytest.mark.parametrize("text", [
         "id,p,x1\na,0.5,1\nb,0.25,-2\n",

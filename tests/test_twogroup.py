@@ -187,7 +187,43 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def assert_same_fit(fit, ref):
+    assert same_bits(fit.pi_weights, ref.pi_weights)
+    assert same_bits(fit.f1_weights, ref.f1_weights)
+    assert same_bits(fit.loglik_trace, ref.loglik_trace)
+    assert fit.em_iters == ref.em_iters == len(fit.loglik_trace) - 1
+
+
+def oracle_case(seed, n, design):
+    """A table of n rows with signals, thresholded at a random s, and its covariates."""
+    rng = np.random.default_rng(seed)
+    x = {
+        "intercept": None,
+        "linear": rng.normal(size=n),
+        "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
+    }[design]
+    signal = rng.random(n) < (0.3 if x is None else expit(np.reshape(x, (n, -1))[:, 0] - 1.0))
+    p = np.where(signal, rng.beta(float(rng.uniform(0.05, 0.8)), 1.0, n), rng.random(n))
+    return p, x, float(rng.uniform(0.2, 0.49)), rng
+
+
+def counting_posterior(monkeypatch):
+    """Count twogroup._posterior passes from here on."""
+    calls = [0]
+    real = twogroup._posterior
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(twogroup, "_posterior", counted)
+    return calls
+
+
 class TestEmFitMatchesOracle:
+    """em_fit against em_oracle.em_fit, which runs every sweep, in weights,
+    trace and Newton totals."""
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -201,31 +237,72 @@ class TestEmFitMatchesOracle:
         # the fit must reproduce the oracle's weights and trace bit for bit, on
         # fully revealed and partly masked tables, along a chain of refits
         # warm-started from the previous fit while the thresholds shrink;
-        # intercept-only fits take the closed-form M-step instead, checked
+        # intercept-only fits take the closed-form M-step, also checked
         # against Newton by check_closed_form_sweeps
-        rng = np.random.default_rng(seed)
-        x = {
-            "intercept": None,
-            "linear": rng.normal(size=n),
-            "quadratic2d": rng.uniform(-3.0, 3.0, size=(n, 2)),
-        }[design]
-        signal = rng.random(n) < (0.3 if x is None else expit(np.reshape(x, (n, -1))[:, 0] - 1.0))
-        p = np.where(signal, rng.beta(float(rng.uniform(0.05, 0.8)), 1.0, n), rng.random(n))
-        s = float(rng.uniform(0.2, 0.49))
+        p, x, s, rng = oracle_case(seed, n, design)
         fit = ref = None
+        stats, ref_stats = NewtonStats(), NewtonStats()
         for _ in range(chain):
             tbl = table_with_threshold(p, s) if masked else table_all_revealed(p)
             init = fit
-            fit = em_fit(tbl, x, init=init, k=k)
+            fit = em_fit(tbl, x, init=init, k=k, stats=stats)
+            ref = em_oracle.em_fit(tbl, x, init=ref, k=k, stats=ref_stats)
             assert fit.basis.kind == design
+            assert_same_fit(fit, ref)
+            assert stats == ref_stats
             if design == "intercept":
                 check_closed_form_sweeps(tbl, init, fit)
-            else:
-                ref = em_oracle.em_fit(tbl, x, init=ref, k=k)
-                assert same_bits(fit.pi_weights, ref.pi_weights)
-                assert same_bits(fit.f1_weights, ref.f1_weights)
-                assert same_bits(fit.loglik_trace, ref.loglik_trace)
             s *= float(rng.uniform(0.3, 0.9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        design=st.sampled_from(["intercept", "linear", "quadratic2d"]),
+        masked=st.booleans(),
+        k=st.integers(1, 100),
+    )
+    def test_long_fits_match_every_sweep(self, seed, n, design, masked, k):
+        # on small tables long fits often reach a bitwise fixed point, where
+        # em_fit stops; a second fit from such a point stops at its first sweep
+        p, x, s, _ = oracle_case(seed, n, design)
+        tbl = table_with_threshold(p, s) if masked else table_all_revealed(p)
+        fit = ref = None
+        stats, ref_stats = NewtonStats(), NewtonStats()
+        for _ in range(2):
+            fit = em_fit(tbl, x, init=fit, k=k, stats=stats)
+            ref = em_oracle.em_fit(tbl, x, init=ref, k=k, stats=ref_stats)
+            assert_same_fit(fit, ref)
+            assert stats == ref_stats
+
+    @pytest.mark.parametrize("design, seed, n, k, sweeps", [
+        ("intercept", 26, 12, 40, 22),
+        ("linear", 5, 40, 30, 19),
+        ("quadratic2d", 2, 12, 40, 28),
+    ])
+    def test_stop_mid_fit_matches_every_sweep(self, monkeypatch, design, seed, n, k, sweeps):
+        # the M-step of sweep `sweeps` returns its input weights: the fit
+        # stops there, before its last sweep, and pads the trace and (with
+        # covariates) the Newton totals, which include line-search and
+        # iteration-cap stops on the quadratic2d table; refitting from the
+        # fixed point stops at the first sweep without a posterior pass
+        p, x, s, _ = oracle_case(seed, n, design)
+        tbl = table_with_threshold(p, s)
+        passes = counting_posterior(monkeypatch)
+        stats, ref_stats = NewtonStats(), NewtonStats()
+        fit = em_fit(tbl, x, k=k, stats=stats)
+        assert passes[0] == sweeps
+        ref = em_oracle.em_fit(tbl, x, k=k, stats=ref_stats)
+        assert_same_fit(fit, ref)
+        assert stats == ref_stats
+        assert (stats.ascents > 0) == (design != "intercept")
+        if design == "quadratic2d":
+            assert stats.stops["line_search"] > 0 and stats.stops["max_iter"] > 0
+        assert len(set(fit.loglik_trace[sweeps - 1:])) == 1
+        again = em_fit(tbl, x, init=fit, k=k, stats=stats)
+        assert passes[0] == sweeps + 1
+        assert_same_fit(again, em_oracle.em_fit(tbl, x, init=ref, k=k, stats=ref_stats))
+        assert stats == ref_stats
 
 
 class TestPosteriorMatchesOracle:
@@ -352,8 +429,14 @@ class TestObjectiveReuse:
             assert self.slope_bytes(slopes, eta) == ((resp - pi).tobytes(), (-(pi * (1.0 - pi))).tobytes())
 
 
-def oracle_gradient_rule_em_fit(masked, x, init=None, k=5, stats=None):
-    return em_oracle.em_fit(masked, x, init=init, k=k, decrement_stop=False)
+def oracle_gradient_rule_sweeps(design, arrays, fit, k, stats, estep=None):
+    """A stand-in for twogroup._em_sweeps: em_oracle's sweeps, every one run,
+    with Newton M-steps under the earlier gradient-only rule, on the table
+    the arrays were taken from (clipping it again changes no value)."""
+    mm, _, rev, is_rev = arrays[:4]
+    table = MaskedTable(mm, np.where(is_rev, rev, np.nan))
+    rows = np.broadcast_to(design, (mm.size, design.shape[1]))
+    return em_oracle.sweeps(table, rows, fit, k, decrement_stop=False, closed_form=False), None
 
 
 class TestNewtonStop:
@@ -431,14 +514,16 @@ class TestNewtonStop:
         cfg = MethodConfig(name=method, mu=0.5)
         shapes = []
 
-        def recording_em_fit(*args, **kwargs):
-            fit = em_fit(*args, **kwargs)
-            shapes.append(float(fit.alt_shape(np.ones((1, fit.basis.dim)))[0]))
-            return fit
+        real_sweeps = twogroup._em_sweeps
 
-        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
+        def recording_sweeps(*args, **kwargs):
+            fit, estep = real_sweeps(*args, **kwargs)
+            shapes.append(float(fit.alt_shape(np.ones((1, fit.basis.dim)))[0]))
+            return fit, estep
+
+        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
         new = run_arm(cfg, x, p, method_rng(seed, 0, 1))
-        monkeypatch.setattr(twogroup, "em_fit", oracle_gradient_rule_em_fit)
+        monkeypatch.setattr(twogroup, "_em_sweeps", oracle_gradient_rule_sweeps)
         old = run_arm(cfg, x, p, method_rng(seed, 0, 1))
         assert new.rejected == old.rejected
         assert np.array_equal(new.trajectory, old.trajectory)
@@ -633,15 +718,15 @@ class TestGreedyUpdate:
     def test_fit_window_follows_the_table(self, monkeypatch):
         # one updater over three runs, two of them the same size: every fit of
         # a run is on that run's window of fold minima, revealed values and
-        # covariates
+        # covariates, also when it reuses the arrays of an earlier refit
         fitted = []
-        real_em_fit = twogroup.em_fit
+        real_sweeps = twogroup._em_sweeps
 
-        def recording_em_fit(masked, x, **kwargs):
-            fitted.append((masked, x))
-            return real_em_fit(masked, x, **kwargs)
+        def recording_sweeps(design, arrays, *args):
+            fitted.append((design, arrays))
+            return real_sweeps(design, arrays, *args)
 
-        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
+        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
         runs = []
 
         class Spy(TwoGroupUpdater):
@@ -666,10 +751,12 @@ class TestGreedyUpdate:
             assert np.array_equal(run_x, x)
             n_fit = min(max(200, round(0.2 * n)), n)
             window = np.argsort(masked_min, kind="stable")[:n_fit]
-            for revealed, (sub, sub_x) in zip(calls, fitted[first_fit:], strict=True):
-                assert np.array_equal(sub.masked_min, masked_min[window])
-                assert np.array_equal(sub.revealed, revealed[window], equal_nan=True)
-                assert np.array_equal(sub_x, x[window])
+            design = FeatureMap.for_covariates(x[window]).design(x[window])
+            for revealed, (sub_design, arrays) in zip(calls, fitted[first_fit:], strict=True):
+                want = twogroup._masked_arrays(MaskedTable(masked_min[window], revealed[window]))
+                assert len(arrays) == len(want)
+                assert all(same_bits(a, b) for a, b in zip(arrays, want))
+                assert same_bits(sub_design, design)
         assert len(runs) == 3
 
 
@@ -707,6 +794,52 @@ class TestUpdaterReuse:
         assert_same_result(again, run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater()))
 
 
+def count_shortcuts(monkeypatch):
+    """Count, per twogroup._em_sweeps call, the run's first refit, later
+    refits that reuse the last E-step ("hits") or recompute it ("misses"),
+    and fits that stop at a fixed point, before their k-th posterior pass."""
+    counts = dict.fromkeys(["first", "hits", "misses", "stops"], 0)
+    passes = counting_posterior(monkeypatch)
+    real = twogroup._em_sweeps
+
+    def counted(design, arrays, fit, k, stats, estep=None):
+        before = passes[0]
+        out = real(design, arrays, fit, k, stats, estep)
+        if fit.em_iters == 0:
+            counts["first"] += 1
+        else:
+            counts["misses" if estep is None else "hits"] += 1
+        counts["stops"] += passes[0] - before - (estep is None) < k
+        return out
+
+    monkeypatch.setattr(twogroup, "_em_sweeps", counted)
+    return counts
+
+
+class TestRefitShortcuts:
+    """Covariate runs against the whole-vector reference, whose refits run
+    every sweep and compute every E-step afresh (em_oracle.em_fit)."""
+
+    @pytest.mark.parametrize("kind", ["linear", "grid"])
+    def test_runs_match_every_sweep(self, monkeypatch, kind):
+        # the loop reveals window rows between some refits, so the E-step
+        # reuse must miss there and hit elsewhere; some refits stop at a
+        # bitwise fixed point
+        if kind == "linear":
+            p, x = covariate_table(1)
+        else:
+            x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(2, 0))
+        counts = count_shortcuts(monkeypatch)
+        got = run_adapt_nonprivate(p, x, 0.1, TwoGroupUpdater())
+        assert counts["first"] == 1
+        assert counts["hits"] > 0 and counts["misses"] > 0 and counts["stops"] > 0, counts
+        assert got.model["newton"]["ascents"] > 0
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_adapt_loop", adapt_oracle.reference_adapt_loop)
+            want = run_adapt_nonprivate(p, x, 0.1, adapt_oracle.ReferenceGreedyUpdater())
+        assert_same_result(got, want)
+
+
 class TestSweepWithoutCovariates:
     """Without covariates the updater removes rows in the fold-minimum sweep,
     the order of the README's model-free updater, and refits only for the
@@ -721,14 +854,14 @@ class TestSweepWithoutCovariates:
         # on the null-only table adapt's fit reaches A_MAX, where every null
         # probability ties; the sweep still goes by fold minimum
         shapes = []
-        real_em_fit = twogroup.em_fit
+        real_sweeps = twogroup._em_sweeps
 
-        def recording_em_fit(*args, **kwargs):
-            fit = real_em_fit(*args, **kwargs)
+        def recording_sweeps(*args):
+            fit, estep = real_sweeps(*args)
             shapes.append(float(fit.alt_shape(np.ones((1, 1)))[0]))
-            return fit
+            return fit, estep
 
-        monkeypatch.setattr(twogroup, "em_fit", recording_em_fit)
+        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
         cfg = MethodConfig(arm)
         for seed in seeds:
             x, p, _ = simulate.generate(scenario, data_rng(seed, 0))
@@ -760,7 +893,7 @@ class TestSweepWithoutCovariates:
     def test_no_scores_and_one_refit_per_batch(self, monkeypatch, arm):
         # the sweep scores no row, and the run refits as often as the
         # whole-vector reference, which refits every cadence steps
-        calls = dict.fromkeys(["em_fit", "null_probability", "removal_order", "reference em_fit"], 0)
+        calls = dict.fromkeys(["_em_sweeps", "null_probability", "removal_order", "reference em_fit"], 0)
 
         def counting(module, name, key):
             real = getattr(module, name)
@@ -771,7 +904,7 @@ class TestSweepWithoutCovariates:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("em_fit", "null_probability", "removal_order"):
+        for name in ("_em_sweeps", "null_probability", "removal_order"):
             counting(twogroup, name, name)
         counting(adapt_oracle, "em_fit", "reference em_fit")
         x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(1, 0))
@@ -783,7 +916,7 @@ class TestSweepWithoutCovariates:
             want = run_arm(cfg, x, p, method_rng(1, 0, 0))
         assert_same_result(got, want)
         assert calls["null_probability"] == calls["removal_order"] == 0
-        assert calls["em_fit"] == calls["reference em_fit"] > 1
+        assert calls["_em_sweeps"] == calls["reference em_fit"] > 1
 
 
 def test_runaway_shape_weights_do_not_overflow():
