@@ -27,24 +27,12 @@ from .io import (
     IngestError, ingest_csv, report_json, write_csv_atomic, write_rejections_csv, write_text_atomic,
 )
 from .privacy import BudgetAuditError, compose, ed_to_gdp, gdp_to_ed, peel_noise
-from .simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, full_scale, run_arm, run_campaign
+from .simulate import ARM_FIELDS, METHOD_NAMES, MethodConfig, Scenario, run_arm, run_campaign
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-# Gene-expression style defaults: tight sensitivity, generous selection size.
-PRESETS = {
-    "bottomly-like": {
-        "mu": 0.25,
-        "delta_g": 3e-5,
-        "m": 2500,
-        "kernel": "gaussian",
-        "alpha": 0.1,
-    }
-}
-
 
 class UsageError(Exception):
     pass
@@ -77,17 +65,21 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"dpadapt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one method on an ingested CSV")
-    run.add_argument("--config", help="key=value config file; flags override")
+    # the flags `run` and `simulate` share: the config file and the method
+    # parameters that MethodConfig fills when they are unset
+    method = _Parser(add_help=False)
+    method.add_argument("--config", help="key=value config file; flags override")
+    method.add_argument("--alpha", type=float)
+    method.add_argument("--mu", type=float)
+    method.add_argument("--epsilon", type=float)
+    method.add_argument("--delta", type=float)
+    method.add_argument("--delta-g", type=float, dest="delta_g")
+    method.add_argument("--m", type=int)
+    method.add_argument("--s0", type=float)
+
+    run = sub.add_parser("run", parents=[method], help="run one method on an ingested CSV")
     run.add_argument("--input", required=True, help="CSV with columns id, p, x1[, x2, ...]")
     run.add_argument("--method", choices=METHOD_NAMES, default="dp-adapt")
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--mu", type=float)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--delta-g", type=float, dest="delta_g")
-    run.add_argument("--m", type=int)
-    run.add_argument("--s0", type=float)
     run.add_argument("--kernel")
     run.add_argument("--noise-family", choices=("gaussian", "laplace"))
     run.add_argument("--em-iters", type=int)
@@ -95,11 +87,9 @@ def build_parser() -> _Parser:
     run.add_argument("--eta", type=float)
     run.add_argument("--nu", type=float)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--preset", choices=sorted(PRESETS))
     run.add_argument("--out-prefix", default="dpadapt-run")
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo campaign")
-    sim.add_argument("--config", help="key=value config file; flags override")
+    sim = sub.add_parser("simulate", parents=[method], help="run a Monte Carlo campaign")
     sim.add_argument("--scenario", choices=("no-side-info", "grid"), default="no-side-info")
     sim.add_argument("--pattern", type=int, choices=(1, 2, 3), default=1)
     sim.add_argument("--null", choices=("uniform", "beta22", "pow-cubic"), default="uniform")
@@ -107,16 +97,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, default=10_000)
     sim.add_argument("--t", type=int, default=50)
     sim.add_argument("--grid-side", type=int, default=50)
-    sim.add_argument("--full-scale", action="store_true", help="benchmark-scale sizes")
     sim.add_argument("--methods", default="dp-adapt,dp-bh", help="comma-separated arms")
     sim.add_argument("--trials", type=int, default=100)
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--mu", type=float)
-    sim.add_argument("--epsilon", type=float)
-    sim.add_argument("--delta", type=float)
-    sim.add_argument("--delta-g", type=float, dest="delta_g")
-    sim.add_argument("--m", type=int)
-    sim.add_argument("--s0", type=float)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
     sim.add_argument("--out-dir", default="dpadapt-sim")
@@ -221,11 +203,6 @@ def _writable_dir(directory: str, missing_ok: bool = False) -> bool:
 
 
 def cmd_run(args) -> int:
-    # Resolution order: explicit flag > preset > MethodConfig default.
-    if args.preset:
-        for key, value in PRESETS[args.preset].items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
     _resolve_run_budget(args)
     cfg = _method_config(args.method, args)
     # checked before ingest: a run that cannot write its output must not spend its budget
@@ -263,8 +240,6 @@ def cmd_simulate(args) -> int:
         pattern=args.pattern,
         grid_side=args.grid_side,
     )
-    if args.full_scale:
-        scenario = full_scale(scenario)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     methods = [_method_config(name, args) for name in names]
     # resolving checks each arm before anything is written, so a setting

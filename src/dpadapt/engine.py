@@ -1,7 +1,7 @@
 """Adaptive FDR control loop over masked noisy p-values.
 
 The loop owns the information barrier: threshold updaters only ever see the
-fold minimum 1 - max(p, 1 - p) of every hypothesis, handed over once per run,
+fold minimum (transform.fold) of every hypothesis, handed over once per run,
 and the actual value only of a row that is not hidden (it can no longer be
 rejected or serve as a control). A row is hidden, a candidate, while its
 fold minimum is at most its threshold s (s0 at the start), and it counts in
@@ -29,7 +29,7 @@ import numpy as np
 
 from .privacy import PrivacyBudget, check_level
 from .selection import mirror_peel, validate_inputs
-from .transform import TransformKernel, clamp_unit
+from .transform import TransformKernel, clamp_unit, fold
 
 
 class StallError(RuntimeError):
@@ -110,12 +110,7 @@ def _adapt_loop(
     p = clamp_unit(np.asarray(pvals, dtype=float))
     m = p.size
     ids = np.array(ids, dtype=int)
-    # 1 - max(p, 1 - p), not min(p, 1 - p): the larger of the two is at
-    # least 1/2, so 1 minus it is exact, and a p and fl(1 - p) share one fold
-    # minimum. min(p, 1 - p) keeps 1 - p's rounding on one side only, so on
-    # rounded p-values (0.01 and 0.99) the fold minima differ in the last
-    # bits and an order by fold minimum sees the side.
-    masked_min = 1.0 - np.maximum(p, 1.0 - p)
+    masked_min = fold(p)
     masked_min.setflags(write=False)
     updater.start(masked_min, x)
     candidate = masked_min <= s0
@@ -123,7 +118,7 @@ def _adapt_loop(
     n_candidates = int(candidate.sum())
     r_t = int(np.count_nonzero(candidate & low))
     a_t = n_candidates - r_t
-    fh = (1.0 + a_t) / max(r_t, 1)  # fdr_hat, without its validation
+    fh = fdr_hat(a_t, r_t)
     steps = [np.array([[0, a_t, r_t, fh]], dtype=float)]
     t = 0
     while fh > alpha and n_candidates:

@@ -19,7 +19,6 @@ import json
 import operator
 import os
 import re
-import tempfile
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -214,10 +213,19 @@ def write_text_atomic(path, text: str) -> None:
 
 @contextlib.contextmanager
 def _atomic_text(path):
-    """A UTF-8 text handle on a temp file that replaces path when the block ends cleanly."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    """A UTF-8 text handle on a temp file that replaces path when the block ends cleanly.
+
+    The temp file is created with mode 0666 less the umask, as open() would
+    create path itself; os.replace keeps that mode.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}{name}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh

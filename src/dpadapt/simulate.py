@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -322,8 +322,9 @@ def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, private: bool) -> Run
 def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> RunResult:
     """Execute one arm on (x, p): the only map from a method name to a procedure.
 
-    The procedure's arguments are the arm's resolved(n) echo, and its
-    RunResult is returned as the procedure gave it.
+    The procedure's arguments are the arm's resolved(n) echo, its budget
+    the cfg.budget() that echo reads, and its RunResult is returned as the
+    procedure gave it.
     """
     a = cfg.resolved(int(p.size))
     if cfg.name == "bh":
@@ -331,15 +332,13 @@ def run_arm(cfg: MethodConfig, x, p: np.ndarray, rng: np.random.Generator) -> Ru
     if cfg.name == "dp-bh":
         return _fixed_rejections(p, dp_bh(p, BHConfig(**a), rng), True)
     if cfg.name == "dp-bonf":
-        budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
-        rejected = dp_bonf(p, a["delta_g"], kernel_by_name(a["kernel"]), budget, a["alpha"], rng)
+        rejected = dp_bonf(p, a["delta_g"], kernel_by_name(a["kernel"]), cfg.budget(), a["alpha"], rng)
         return _fixed_rejections(p, rejected, True)
     updater = TwoGroupUpdater(em_iters=a["em_iters"], refit_every=a["refit_every"])
     if cfg.name == "adapt":
         return run_adapt_nonprivate(p, x, a["alpha"], updater, s0=a["s0"])
-    budget = PrivacyBudget(a["mu"], a["epsilon"], a["delta"])
     return run_dp_adapt(
-        p, x, kernel_by_name(a["kernel"]), a["delta_g"], budget, a["m"], a["alpha"], updater, rng,
+        p, x, kernel_by_name(a["kernel"]), a["delta_g"], cfg.budget(), a["m"], a["alpha"], updater, rng,
         s0=a["s0"], noise_family=a["noise_family"],
     )
 
@@ -444,10 +443,3 @@ def run_campaign(
         aggregates=tuple(aggregates),
         failures=tuple(all_failures),
     )
-
-
-def full_scale(scenario: Scenario) -> Scenario:
-    """Benchmark-scale variant (n=100000, or the 100x100 grid) of a scenario."""
-    if scenario.kind == "no_side_info":
-        return replace(scenario, n=100_000, t=100)
-    return replace(scenario, grid_side=100)

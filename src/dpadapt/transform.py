@@ -24,14 +24,26 @@ from .privacy import NoiseSpec, check_count, check_positive
 
 # Quantile clamp: p is pulled into [P_FLOOR, 1 - P_FLOOR] before G_inv so the
 # endpoints stay finite, and transform outputs are kept inside the same band
-# so fold minima 1 - max(p, 1 - p) are always strictly positive (at least
-# 1 - fl(1 - P_FLOOR), just under P_FLOOR). Only pathological inputs are
-# affected; simulation-scale values pass through untouched.
+# so fold minima are always strictly positive (at least 1 - fl(1 - P_FLOOR),
+# just under P_FLOOR). Only pathological inputs are affected;
+# simulation-scale values pass through untouched.
 P_FLOOR = 1e-15
 
 
 def clamp_unit(p):
     return np.clip(p, P_FLOOR, 1.0 - P_FLOOR)
+
+
+def fold(p):
+    """The fold minimum 1 - max(p, 1 - p), the value a masked p-value shows.
+
+    Not min(p, 1 - p): the larger of p and 1 - p is at least 1/2, so 1 minus
+    it is exact, and a p and fl(1 - p) share one fold minimum. min(p, 1 - p)
+    keeps 1 - p's rounding on one side only, so on rounded p-values (0.01
+    and 0.99) the fold minima differ in the last bits and an order by fold
+    minimum sees the side.
+    """
+    return 1.0 - np.maximum(p, 1.0 - p)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from ._normal import expit
 from .privacy import check_count
 from .selection import stable_argsort
-from .transform import P_FLOOR
+from .transform import P_FLOOR, clamp_unit
 
 A_MIN = 0.05
 A_MAX = 1.0  # a <= 1 keeps f1 non-increasing in p; _alt_shape relies on A_MAX = 1
@@ -197,7 +197,7 @@ def _masked_arrays(masked: MaskedTable):
     mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
-    rev = np.clip(np.where(is_rev, rev, 0.5), P_FLOOR, 1.0 - P_FLOOR)
+    rev = clamp_unit(np.where(is_rev, rev, 0.5))
     tau = _null_span(mm)
     span = np.where(is_rev, 2.0 * tau, tau)
     return mm, 1.0 - mm, rev, is_rev, span, np.log(rev), np.log(mm), np.log1p(-mm)
@@ -434,7 +434,7 @@ def _em_sweeps(design, arrays, fit: TwoGroupFit, k: int, stats: NewtonStats | No
 
 
 def null_probability(x, p_prime, fit: TwoGroupFit):
-    """P(H = 0 | x, p') under the fit, with p' the fold minimum 1 - max(p, 1 - p),
+    """P(H = 0 | x, p') under the fit, with p' the fold minimum (transform.fold),
     clipped into [P_FLOOR, 0.5].
 
     Uses the raw logistic predictor (no ETA_CAP) so extreme fits keep their

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -554,7 +555,7 @@ class TestRunCommand:
 
     def test_preset_supplies_budget(self, tmp_path):
         data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.6\n" for i in range(12)))
-        code = main(["run", "--input", data, "--preset", "bottomly-like", "--seed", "2",
+        code = main(["run", "--input", data, *_preset_config(tmp_path, "bottomly-like"), "--seed", "2",
                      "--m", "5", "--out-prefix", str(tmp_path / "pre")])
         assert code == EXIT_OK
         report = json.loads((tmp_path / "pre.report.json").read_text())
@@ -675,6 +676,12 @@ _ORACLE_CASES = (
 )
 
 
+def _preset_config(tmp_path, name):
+    """`run` flags for the oracle's --preset name: a --config file of the preset's values."""
+    cfg = "".join(f"{key}={value}\n" for key, value in cli_oracle.PRESETS[name].items())
+    return ["--config", write(tmp_path / f"{name}.cfg", cfg)]
+
+
 def _leaves(value, path=()):
     if isinstance(value, dict):
         for key, item in value.items():
@@ -729,6 +736,10 @@ class TestRunMatchesOracle:
         argv = ["--input", data, "--method", method, "--seed", "5", *_BUDGETS[budget], *extra]
         old, new = tmp_path / "old", tmp_path / "new"
         old_code = cli_oracle.main(argv + ["--out-prefix", str(old)])
+        # `run` has no --preset: it reads the oracle's preset from a config file
+        if "--preset" in argv:
+            at = argv.index("--preset")
+            argv[at:at + 2] = _preset_config(tmp_path, argv[at + 1])
         assert main(["run", *argv, "--out-prefix", str(new)]) == old_code
         if old_code != EXIT_OK:
             return
@@ -949,8 +960,8 @@ class TestSimulateCommand:
     def test_full_scale(self, tmp_path):
         out = tmp_path / "full"
         # dp-bh, as bh reads no m
-        assert main(["simulate", "--full-scale", "--methods", "dp-bh", "--trials", "1", "--seed", "3",
-                     "--out-dir", str(out)]) == EXIT_OK
+        assert main(["simulate", "--n", "100000", "--t", "100", "--methods", "dp-bh", "--trials", "1",
+                     "--seed", "3", "--out-dir", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"]["total_n"] == 100_000
         assert manifest["methods"][0]["m"] == 5000
@@ -978,6 +989,18 @@ class TestSimulateCommand:
         assert f"usage error: {cfg}: unknown key alhpa" in capsys.readouterr().err
         assert not (tmp_path / "x.report.json").exists()
 
+    def test_explicit_flag_beats_config_file(self, tmp_path):
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 10}\n" for i in range(20)))
+        cfg = write(tmp_path / "both.cfg", "alpha=0.3\nm=12\n")
+        assert main(["run", "--config", cfg, "--input", data, "--method", "dp-bh", "--alpha", "0.2",
+                     "--out-prefix", str(tmp_path / "r")]) == EXIT_OK
+        echo = json.loads((tmp_path / "r.report.json").read_text())["config"]
+        assert (echo["alpha"], echo["m"]) == (0.2, 12)
+        assert main(["simulate", "--config", cfg, "--n", "200", "--t", "5", "--methods", "dp-bh",
+                     "--alpha", "0.2", "--trials", "1", "--seed", "1", "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        echo = json.loads((tmp_path / "s" / "manifest.json").read_text())["methods"][0]
+        assert (echo["alpha"], echo["m"]) == (0.2, 12)
+
     def test_config_key_of_the_other_subcommand_is_allowed(self, tmp_path):
         data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
         cfg = write(tmp_path / "both.cfg", "alpha=0.2\nmethod=bh\ntrials=3\nmethods=bh\n")
@@ -992,3 +1015,32 @@ class TestSimulateCommand:
         cfg.write_bytes(b"trials=2\nmethods=bh\xff\n")
         assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out-dir", str(tmp_path / "o")]) == EXIT_USAGE
         assert f"cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_artifacts_follow_the_umask(self, tmp_path, umask, mode):
+        # the temp file each artifact is renamed from must not impose mkstemp's 0600
+        data = write(tmp_path / "d.csv", "id,p\na,0.01\nb,0.5\n")
+        old = os.umask(umask)
+        try:
+            assert main(["run", "--input", data, "--method", "bh", "--out-prefix", str(tmp_path / "r")]) == EXIT_OK
+            assert main(["simulate", "--n", "200", "--t", "5", "--methods", "bh", "--trials", "1", "--seed", "1",
+                         "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        finally:
+            os.umask(old)
+        written = [tmp_path / "r.report.json", tmp_path / "r.rejections.csv"]
+        written += [tmp_path / "s" / name for name in ("trials.csv", "aggregate.csv", "manifest.json")]
+        assert {f.name: stat.S_IMODE(f.stat().st_mode) for f in written} == {f.name: mode for f in written}
+
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def rows():
+            yield [1]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            io.write_csv_atomic(target, ["a"], rows())
+        assert os.listdir(tmp_path) == ["out.csv"] and target.read_text() == "old\n"

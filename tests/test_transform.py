@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dpadapt.privacy import NoiseSpec
 from dpadapt.transform import (
     P_FLOOR,
+    fold,
     gaussian_kernel,
     kernel_by_name,
     noisy_pvalue,
@@ -62,6 +63,12 @@ class TestKernelProperties:
     def test_quantile_roundtrip(self, spec, p):
         kernel = kernel_by_name(spec)
         assert kernel.G(kernel.quantile(p)) == pytest.approx(p, abs=1e-12)
+
+
+class TestFold:
+    @given(p=st.floats(0.0, 1.0))
+    def test_a_p_value_and_its_mirror_share_one_fold(self, p):
+        assert np.float64(fold(p)).tobytes() == np.float64(fold(1.0 - p)).tobytes()
 
 
 class TestKernelByName:
