@@ -65,16 +65,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"dpadapt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags `run` and `simulate` share: the config file and the method
+    # the budget flags every subcommand takes
+    budget = _Parser(add_help=False)
+    budget.add_argument("--mu", type=float)
+    budget.add_argument("--epsilon", type=float)
+    budget.add_argument("--delta", type=float)
+    budget.add_argument("--delta-g", type=float, dest="delta_g")
+    budget.add_argument("--m", type=int)
+    # and those `run` and `simulate` add: the config file and the method
     # parameters that MethodConfig fills when they are unset
-    method = _Parser(add_help=False)
+    method = _Parser(add_help=False, parents=[budget])
     method.add_argument("--config", help="key=value config file; flags override")
     method.add_argument("--alpha", type=float)
-    method.add_argument("--mu", type=float)
-    method.add_argument("--epsilon", type=float)
-    method.add_argument("--delta", type=float)
-    method.add_argument("--delta-g", type=float, dest="delta_g")
-    method.add_argument("--m", type=int)
     method.add_argument("--s0", type=float)
 
     run = sub.add_parser("run", parents=[method], help="run one method on an ingested CSV")
@@ -103,12 +105,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
     sim.add_argument("--out-dir", default="dpadapt-sim")
 
-    priv = sub.add_parser("privacy", help="budget calculator")
-    priv.add_argument("--mu", type=float)
-    priv.add_argument("--epsilon", type=float)
-    priv.add_argument("--delta", type=float)
-    priv.add_argument("--delta-g", type=float, dest="delta_g")
-    priv.add_argument("--m", type=int)
+    priv = sub.add_parser("privacy", parents=[budget], help="budget calculator")
     priv.add_argument("--compose", help="comma-separated mu values to compose")
     return parser
 

@@ -1,9 +1,9 @@
 """Private selection: the peeling primitive, report-noisy-min and mirror peeling.
 
 Mirror peeling pre-selects the m hypotheses most likely to matter while only
-ever ranking the folded values transform.fold(p), so both tails are captured:
-the small p-values that may be rejected and the large ones that later serve
-as the false-discovery controls. Each round spends budget mu/sqrt(m); the
+ever ranking the folded values min(p, 1-p), so both tails are captured: the
+small p-values that may be rejected and the large ones that later serve as
+the false-discovery controls. Each round spends budget mu/sqrt(m); the
 winner's released value is a freshly noised copy of the ORIGINAL p-value,
 never of the folded one.
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._normal import normal_quantile
 from .privacy import NoiseSpec, peel_noise
-from .transform import TransformKernel, fold, transform_with_shift
+from .transform import TransformKernel, transform_with_shift
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,12 @@ def mirror_peel(
         noise_family, delta_g, m, mu=mu, epsilon=epsilon, delta=delta, zero_noise=zero_noise
     )
 
-    winners = peel(kernel.quantile(fold(p)), noise, m, rng)
+    # The scores are private, so they stay an exact function of p:
+    # min(p, 1 - p) is exact on both halves (1 - p is, for p >= 1/2).
+    # transform.fold rounds a p < 1/2 to the 2^-53 grid: near P_FLOOR two
+    # p-values 2e-19 apart then score 0.013 apart on the G_inv scale, over
+    # 100 times the default delta_g, the score sensitivity the noise is
+    # calibrated to. The engine folds released values only.
+    winners = peel(kernel.quantile(np.minimum(p, 1.0 - p)), noise, m, rng)
     released = transform_with_shift(p[winners], kernel, noise.draw(rng, size=m))
     return SelectionResult(indices=winners, values=released, m=m, private=not zero_noise)

@@ -41,7 +41,9 @@ def fold(p):
     it is exact, and a p and fl(1 - p) share one fold minimum. min(p, 1 - p)
     keeps 1 - p's rounding on one side only, so on rounded p-values (0.01
     and 0.99) the fold minima differ in the last bits and an order by fold
-    minimum sees the side.
+    minimum sees the side. The price is that a p < 1/2 is rounded to the
+    2^-53 grid: harmless on released values, but mirror_peel ranks the
+    private p-values, so it keeps the exact min(p, 1 - p).
     """
     return 1.0 - np.maximum(p, 1.0 - p)
 

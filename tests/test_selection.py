@@ -14,7 +14,7 @@ from dpadapt import baselines, privacy, selection
 from dpadapt.baselines import BHConfig, dp_bh
 from dpadapt.privacy import BudgetAuditError, CalibrationRegimeWarning, NoiseSpec, PrivacyBudget, compose
 from dpadapt.selection import SelectionResult, mirror_peel, peel, report_noisy_min
-from dpadapt.transform import fold, gaussian_kernel
+from dpadapt.transform import gaussian_kernel
 
 from .peel_oracle import dense_peel, lazy_peel_reference
 
@@ -60,7 +60,8 @@ class TestMirrorPeel:
     def test_full_peel_orders_by_fold_min(self):
         p = np.array([0.6, 0.03, 0.95, 0.5, 0.2])
         sel = mirror_peel(p, K, 1e-4, 0.25, 5, rng(), zero_noise=True)
-        expected = np.argsort(fold(p), kind="stable")
+        fold = np.minimum(p, 1 - p)
+        expected = np.argsort(fold, kind="stable")
         assert np.array_equal(sel.indices, expected)
         assert np.allclose(sel.values, p[sel.indices], atol=1e-12)
 
@@ -69,12 +70,12 @@ class TestMirrorPeel:
         assert set(sel.indices) == {0, 2}
 
     def test_sort_oracle_over_random_instances(self):
-        # zero-noise selection must equal the m smallest by the fold
+        # zero-noise selection must equal the m smallest by min(p, 1-p)
         g = rng(123)
         for _ in range(1000):
             p = g.random(50)
             sel = mirror_peel(p, K, 1e-4, 0.25, 10, g, zero_noise=True)
-            oracle = np.argsort(fold(p), kind="stable")[:10]
+            oracle = np.argsort(np.minimum(p, 1 - p), kind="stable")[:10]
             assert np.array_equal(sel.indices, oracle)
 
     def test_no_duplicate_indices(self):
@@ -106,18 +107,14 @@ class TestMirrorPeel:
         b = mirror_peel(1 - p, K, 1e-4, 0.3, 15, g2)
         assert np.array_equal(a.indices, b.indices)
 
-    def test_zero_noise_selection_invariant_under_mirroring_rows_of_rounded_p(self):
-        # p and fl(1 - p) share one fold, so mirroring any rows changes no
-        # score; min(p, 1 - p) took the p = 0.05 row from both pairs below
-        for p in ([0.95, 0.05], [0.05, 0.95]):
-            assert mirror_peel(p, K, 1e-4, 0.3, 1, rng(), zero_noise=True).indices.tolist() == [0]
-        g = rng(43)
-        for _ in range(200):
-            p = np.round(g.random(40), 2)
-            mirrored = np.where(g.random(40) < 0.5, 1.0 - p, p)
-            a = mirror_peel(p, K, 1e-4, 0.3, 40, rng(), zero_noise=True)
-            b = mirror_peel(mirrored, K, 1e-4, 0.3, 40, rng(), zero_noise=True)
-            assert np.array_equal(a.indices, b.indices)
+    def test_zero_noise_peel_ranks_tiny_p_values_exactly(self):
+        # the scores are an exact function of p: p-values far closer than
+        # the 2^-53 grid that 1 - fl(1 - p) rounds to keep their order, at
+        # each decade from just above P_FLOOR to 1e-12
+        steps = 1.0 + np.arange(20, 0, -1) * 1e-5
+        p = np.concatenate([d * steps for d in (1.01e-15, 1e-14, 1e-13, 1e-12)])
+        sel = mirror_peel(p, K, 1e-4, 0.3, p.size, rng(), zero_noise=True)
+        assert np.array_equal(sel.indices, np.argsort(p))
 
     def test_released_values_use_original_not_fold(self):
         # instrument the kernel: record every argument fed into G at release
