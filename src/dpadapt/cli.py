@@ -123,7 +123,12 @@ def _apply_config_file(parser, argv):
         if unknown:
             raise UsageError(f"{known.config}: unknown key {', '.join(unknown)}")
         for action, usable in zip(subparsers, dests):
-            action.set_defaults(**{k: v for k, v in values.items() if k in usable})
+            given = {k: v for k, v in values.items() if k in usable}
+            action.set_defaults(**given)
+            for flag in action._actions:
+                # argparse checks required flags on the command line alone
+                if flag.dest in given:
+                    flag.required = False
 
 
 def cmd_privacy(args) -> int:

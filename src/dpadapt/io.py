@@ -36,7 +36,6 @@ class Dataset:
     ids: tuple[str, ...]
     p: np.ndarray
     x: np.ndarray | None
-    covariate_names: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -191,7 +190,7 @@ def _dataset(path, header: list[str], ids: list[str], blocks: list[np.ndarray]) 
     if x is not None and not np.isfinite(x).all():
         bad_x = [ids[i] for i in np.flatnonzero(~np.isfinite(x).all(axis=1))]
         raise IngestError(f"{path}: non-finite covariates for ids: {', '.join(bad_x)}")
-    return Dataset(ids=tuple(ids), p=p, x=x, covariate_names=tuple(header[2:]))
+    return Dataset(ids=tuple(ids), p=p, x=x)
 
 
 def _fmt(v: float) -> str:

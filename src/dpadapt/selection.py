@@ -30,13 +30,12 @@ class SelectionResult:
 
     indices: np.ndarray
     values: np.ndarray
-    m: int
     private: bool
 
     def __post_init__(self):
-        if len(self.indices) != self.m or len(self.values) != self.m:
-            raise ValueError("selection must contain exactly m indices and m values")
-        if np.unique(self.indices).size != self.m:
+        if len(self.values) != len(self.indices):
+            raise ValueError("selection must contain one value per index")
+        if np.unique(self.indices).size != len(self.indices):
             raise ValueError("selection contains duplicate indices")
 
 
@@ -275,4 +274,4 @@ def mirror_peel(
     # calibrated to. The engine folds released values only.
     winners = peel(kernel.quantile(np.minimum(p, 1.0 - p)), noise, m, rng)
     released = transform_with_shift(p[winners], kernel, noise.draw(rng, size=m))
-    return SelectionResult(indices=winners, values=released, m=m, private=not zero_noise)
+    return SelectionResult(indices=winners, values=released, private=not zero_noise)

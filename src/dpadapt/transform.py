@@ -146,46 +146,33 @@ def two_sided_ratio(t, kernel: TransformKernel):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def two_sided_bound_constant(kernel: TransformKernel, grid_step: float = 1e-3) -> float:
-    """Supremum of two_sided_ratio over t in [-40, 0) for a bounded-support kernel.
+def two_sided_bound_constant(kernel: TransformKernel) -> float:
+    """Supremum C of two_sided_ratio over t < 0 for a bounded-support kernel:
+    its limit 2 phi(0) / g(U) at t -> 0, since the ratio increases on t < 0.
 
-    Grid search at the requested step, golden-section refinement around the
-    grid argmax, then a comparison against the analytic boundary limit
-    2*phi(0)/g(U) reached as t -> 0 from below.
+    Proof. Let y = G_inv(2 Phi(t)), M the kernel's mass and R(s) =
+    Phi(-s) / phi(s). Then r(t) = 2 M phi(t) / phi(y), and d log r / dt =
+    -t + y r, which is positive where y >= 0 (t < 0). Where y < 0, write
+    a = -t and b = -y: from Phi(-b) = Phi(-U) + 2 M Phi(-a), b < a and
+    2 M < Phi(-b) / Phi(-a), so b r < a * b R(b) / (a R(a)) < a. The last
+    step holds because s R(s) increases on s > 0: its derivative is
+    R (1 + s^2) - s, which Gordon's bound R(s) > s / (1 + s^2) makes
+    positive. Raises ValueError where g(U) is too small for C to be finite.
     """
     if not math.isfinite(kernel.support_bound):
         raise ValueError("bound constant requires a kernel with bounded support")
-    ts = np.arange(-40.0, 0.0, grid_step)
-    vals = two_sided_ratio(ts, kernel)
-    k = int(np.argmax(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, ts.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = two_sided_ratio(c, kernel), two_sided_ratio(d, kernel)
-    for _ in range(200):
-        if b - a < 1e-13:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = two_sided_ratio(c, kernel)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = two_sided_ratio(d, kernel)
-    refined = max(float(vals[k]), fc, fd)
-    boundary = 2.0 * normal_pdf(0.0) / kernel.g(kernel.support_bound)
-    return max(refined, boundary)
+    g_u = kernel.g(kernel.support_bound)
+    c = 2.0 * normal_pdf(0.0) / g_u if g_u > 0.0 else math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"bound constant is not finite for support bound {kernel.support_bound!r}")
+    return c
 
 
 def sensitivity_two_sided_mean(bound: float, n: int, C: float) -> float:
     """Two-sided mean test through a bounded-support kernel: 2 * bound * C / sqrt(n).
 
-    C is the supremum computed by two_sided_bound_constant for the kernel in
-    use; callers supply it so the bound stays explicit in configuration.
+    C is the supremum two_sided_bound_constant gives for the kernel in use;
+    callers supply it so the bound stays explicit in configuration.
     """
     check_positive("bound", bound)
     check_count("n", n)

@@ -82,34 +82,28 @@ class FeatureMap:
     def for_covariates(cls, x) -> "FeatureMap":
         if x is None:
             return cls("intercept", np.empty(0), np.empty(0))
-        raw = _raw_block(_as_matrix(x))
+        xm = _as_matrix(x)
+        raw = _raw_block(xm)
         center = raw.mean(axis=0)
         scale = raw.std(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
-        kind = "quadratic2d" if _as_matrix(x).shape[1] == 2 else "linear"
+        kind = "quadratic2d" if xm.shape[1] == 2 else "linear"
         return cls(kind, center, scale)
 
     @property
     def dim(self) -> int:
         return 1 + self.center.size
 
-    def design(self, x, n_rows: int | None = None) -> np.ndarray:
+    def design(self, x) -> np.ndarray:
+        """The rows a predictor is evaluated on: one per row of x, or without
+        covariates one row, broadcast over every hypothesis with the same bits."""
         if self.kind == "intercept":
-            if x is not None:
-                n_rows = _as_matrix(x).shape[0]
-            if n_rows is None:
-                raise ValueError("intercept-only design needs an explicit row count")
-            return np.ones((n_rows, 1))
+            return np.ones((1, 1))
         if x is None:
             raise ValueError(f"feature map {self.kind!r} needs covariates")
         raw = _raw_block(_as_matrix(x))
         block = (raw - self.center) / self.scale
         return np.column_stack([np.ones(block.shape[0]), block])
-
-    def predictor_rows(self, x, n: int) -> np.ndarray:
-        """The rows a predictor for n hypotheses is evaluated on: without
-        covariates one row, broadcast over the n with the same bits."""
-        return np.ones((1, 1)) if self.kind == "intercept" else self.design(x, n_rows=n)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -190,11 +184,16 @@ def f1_density(p, a):
     return a * np.power(p, a - 1.0)
 
 
+def _clip_fold(mm):
+    """Fold minima clipped into [P_FLOOR, 0.5], as every fit and score reads them."""
+    return np.minimum(np.maximum(mm, P_FLOOR), 0.5)
+
+
 def _masked_arrays(masked: MaskedTable):
     """Per-row arrays no EM pass changes, taken once per table: (mm, 1 - mm,
     rev, is_rev, span, log rev, log mm, log1p(-mm)). Hidden rows read rev
     0.5; span is the null density's denominator, 2 tau revealed, tau hidden."""
-    mm = np.clip(masked.masked_min, P_FLOOR, 0.5)
+    mm = _clip_fold(masked.masked_min)
     rev = np.asarray(masked.revealed, dtype=float)
     is_rev = ~np.isnan(rev)
     rev = clamp_unit(np.where(is_rev, rev, 0.5))
@@ -222,7 +221,7 @@ def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
     resp is P(non-null | data) and logp is E[log p] under the alternative.
     The arrays after v are _masked_arrays'; each row's likelihood (revealed
     or fold pair) is picked before the one log and division. design may be
-    one broadcast row (FeatureMap.predictor_rows).
+    one broadcast row (FeatureMap.design without covariates).
     """
     pi = expit(np.minimum(np.maximum(design @ w, -ETA_CAP), ETA_CAP))
     a = _alt_shape(design @ v)
@@ -391,8 +390,7 @@ def em_fit(
         raise ValueError("masked table must be non-empty")
     check_count("k", k)
     fit = init if init is not None else default_fit(x)
-    design = fit.basis.predictor_rows(x, masked.size)
-    return _em_sweeps(design, _masked_arrays(masked), fit, k, stats)[0]
+    return _em_sweeps(fit.basis.design(x), _masked_arrays(masked), fit, k, stats)[0]
 
 
 def _em_sweeps(design, arrays, fit: TwoGroupFit, k: int, stats: NewtonStats | None, estep=None):
@@ -443,8 +441,8 @@ def null_probability(x, p_prime, fit: TwoGroupFit):
     """
     p_prime = np.asarray(p_prime, dtype=float)
     scalar = np.ndim(p_prime) == 0
-    pp = np.minimum(np.maximum(np.atleast_1d(p_prime), P_FLOOR), 0.5)
-    design = fit.basis.predictor_rows(x, pp.size)
+    pp = _clip_fold(np.atleast_1d(p_prime))
+    design = fit.basis.design(x)
     pi = np.minimum(np.maximum(expit(design @ fit.pi_weights), PI_FLOOR), 1.0 - PI_FLOOR)
     a = fit.alt_shape(design)
     f1 = f1_density(pp, a)
@@ -476,7 +474,7 @@ class TwoGroupUpdater:
 
     With covariates that order is removal_order under the new fit. Without
     them it is the sweep that start computes once: the largest fold minimum
-    first, clipped as null_probability clips it, ties to the lowest index.
+    first, clipped by _clip_fold, ties to the lowest index.
     An intercept-only fit has one pi and one a <= A_MAX = 1, so its null
     probability is non-decreasing in the fold minimum and no refit can rank
     the rows otherwise; the loop is the Barber-Candes threshold sweep. The
@@ -515,10 +513,8 @@ class TwoGroupUpdater:
         self._masked_min, self._x, self._window = masked_min, x, window
         window_x = None if x is None else np.asarray(x)[window]
         self._default = default_fit(window_x)
-        self._design = self._default.basis.predictor_rows(window_x, n_fit)
-        self._sweep = None
-        if x is None:
-            self._sweep = stable_argsort(-np.minimum(np.maximum(masked_min, P_FLOOR), 0.5))
+        self._design = self._default.basis.design(window_x)
+        self._sweep = stable_argsort(-_clip_fold(masked_min)) if x is None else None
         self._fit = None
         self._last = None  # (the window's revealed values, their _masked_arrays, the last E-step)
         self._newton = NewtonStats()

@@ -162,7 +162,13 @@ def em_fit(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
     fit = init if init is not None else default_fit(x)
-    return sweeps(masked, fit.basis.design(x, n_rows=masked.size), fit, k, stats, decrement_stop, closed_form)
+    return sweeps(masked, full_design(fit.basis, x, masked.size), fit, k, stats, decrement_stop, closed_form)
+
+
+def full_design(basis, x, n: int) -> np.ndarray:
+    """The basis' design with one row per hypothesis: n intercept rows
+    without covariates, where the package broadcasts one."""
+    return np.ones((n, 1)) if basis.kind == "intercept" else basis.design(x)
 
 
 def sweeps(masked, design, fit, k, stats=None, decrement_stop=True, closed_form=True):
@@ -198,14 +204,14 @@ def sweeps(masked, design, fit, k, stats=None, decrement_stop=True, closed_form=
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:
     """`twogroup`'s log-likelihood of the masked data under the fit, from its
     own posterior pass: the value an EM ascent must not lower."""
-    design = fit.basis.predictor_rows(x, masked.size)
+    design = fit.basis.design(x)
     return twogroup._posterior(design, fit.pi_weights, fit.f1_weights, *twogroup._masked_arrays(masked))[0]
 
 
 def posterior(masked: MaskedTable, x, basis, w, v):
     """The E-step at weights (w, v): (loglik, resp, logp), as em_fit computes
     them, on the basis' full design with one row per hypothesis."""
-    design = basis.design(x, n_rows=masked.size)
+    design = full_design(basis, x, masked.size)
     arrays = _masked_arrays(masked)
     resp, logp = _e_step_arrays(design, w, v, *arrays, *_log_arrays(*arrays))
     return _observed_loglik_arrays(design, w, v, *arrays), resp, logp

@@ -66,9 +66,4 @@ def ingest_csv(path) -> Dataset:
     if xs is not None and not np.isfinite(xs).all():
         bad_x = [ids[i] for i in np.flatnonzero(~np.isfinite(xs).all(axis=1))]
         raise IngestError(f"{path}: non-finite covariates for ids: {', '.join(bad_x)}")
-    return Dataset(
-        ids=tuple(ids),
-        p=np.array(p, dtype=float),
-        x=xs,
-        covariate_names=tuple(header[2:]),
-    )
+    return Dataset(ids=tuple(ids), p=np.array(p, dtype=float), x=xs)

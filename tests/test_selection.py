@@ -145,7 +145,7 @@ class TestMirrorPeel:
             rng(1).random(40), K, 1e-4, None, 12, rng(2),
             noise_family="laplace", epsilon=0.5, delta=0.001,
         )
-        assert sel.m == 12
+        assert sel.indices.size == sel.values.size == 12
         assert np.all((sel.values >= 0) & (sel.values <= 1))
 
     def test_laplace_mode_requires_epsilon_delta(self):
@@ -165,7 +165,7 @@ class TestMirrorPeel:
         b = mirror_peel(p, K, 1e-4, 0.3, 20, rng(10))
         assert np.array_equal(a.indices, b.indices)
         assert a.values.tobytes() == b.values.tobytes()
-        assert (a.m, a.private) == (b.m, b.private)
+        assert a.private == b.private
 
 
 def winner_sequences(peel_fn, scores, noise, m, runs, seed):
@@ -450,10 +450,10 @@ class TestStableArgsort:
 class TestSelectionResult:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
-            SelectionResult(indices=np.array([0, 0]), values=np.array([0.1, 0.2]), m=2, private=True)
+            SelectionResult(indices=np.array([0, 0]), values=np.array([0.1, 0.2]), private=True)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SelectionResult(indices=np.array([0]), values=np.array([0.1]), m=2, private=True)
-        with pytest.raises(ValueError):
-            SelectionResult(indices=np.array([0, 1]), values=np.array([0.1]), m=2, private=True)
+        with pytest.raises(ValueError, match="one value per index"):
+            SelectionResult(indices=np.array([0, 1]), values=np.array([0.1]), private=True)
+        with pytest.raises(ValueError, match="one value per index"):
+            SelectionResult(indices=np.array([0]), values=np.array([0.1, 0.2]), private=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpadapt._normal import normal_pdf
 from dpadapt.privacy import NoiseSpec
 from dpadapt.transform import (
     P_FLOOR,
@@ -200,13 +201,23 @@ class TestSensitivities:
     def test_two_sided_far_tail_vanishes(self):
         assert two_sided_ratio(-40.0, truncated_normal_kernel(1.0)) == pytest.approx(0.0, abs=1e-200)
 
-    def test_two_sided_constant_grid_refinement(self):
-        k = truncated_normal_kernel(1.0)
-        coarse = two_sided_bound_constant(k, grid_step=1e-3)
-        fine = two_sided_bound_constant(k, grid_step=1e-4)
-        assert coarse == pytest.approx(fine, rel=1e-6)
-        d = sensitivity_two_sided_mean(1.0, 100, coarse)
-        assert d == pytest.approx(2 * 1.0 * coarse / 10.0, rel=1e-12)
+    @pytest.mark.parametrize("bound", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 30.0])
+    def test_two_sided_constant_is_the_limit_at_zero(self, bound):
+        # the ratio increases on t < 0, so its supremum is its limit 2 phi(0) / g(U)
+        k = truncated_normal_kernel(bound)
+        c = two_sided_bound_constant(k)
+        assert np.float64(c).tobytes() == np.float64(2 * normal_pdf(0.0) / k.g(bound)).tobytes()
+        ratio = two_sided_ratio(np.linspace(-40.0, 0.0, 400_001)[:-1], k)
+        assert np.all(ratio <= c)
+        assert np.all(np.diff(ratio) >= 0)
+        assert sensitivity_two_sided_mean(1.0, 100, c) == pytest.approx(2 * 1.0 * c / 10.0, rel=1e-12)
+
+    def test_two_sided_constant_refuses_a_non_finite_value(self):
+        # the constant overflows at 38, and g(U) underflows to 0 at 40
+        assert math.isfinite(two_sided_bound_constant(truncated_normal_kernel(37.0)))
+        for bound in (38.0, 40.0):
+            with pytest.raises(ValueError, match=f"support bound {bound!r}"):
+                two_sided_bound_constant(truncated_normal_kernel(bound))
 
     def test_two_sided_requires_bounded_kernel(self):
         with pytest.raises(ValueError):

@@ -171,7 +171,7 @@ class TestEmFit:
             p = rng.random(60)
             tbl = table_with_threshold(p, float(rng.uniform(0.1, 0.45)))
             fit = em_fit(tbl, None, k=3)
-            d = fit.basis.design(None, n_rows=60)
+            d = fit.basis.design(None)
             pi = expit(np.clip(d @ fit.pi_weights, -ETA_CAP, ETA_CAP))
             assert np.all((pi > 0) & (pi < 1))
             assert np.all((fit.alt_shape(d) >= A_MIN) & (fit.alt_shape(d) <= A_MAX))
@@ -336,7 +336,7 @@ class TestPosteriorMatchesOracle:
         basis = FeatureMap.for_covariates(x)
         w = rng.uniform(-spread, spread, basis.dim)
         v = rng.uniform(-spread, spread, basis.dim)
-        rows = basis.predictor_rows(x, n) if design == "intercept-row" else basis.design(x, n_rows=n)
+        rows = basis.design(x) if design == "intercept-row" else em_oracle.full_design(basis, x, n)
         got = twogroup._posterior(rows, w, v, *twogroup._masked_arrays(tbl))
         want = em_oracle.posterior(tbl, x, basis, w, v)
         assert same_bits(got[0], want[0])
@@ -387,7 +387,7 @@ def fitted_objectives(design_kind, seed, n=2000):
     p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
     tbl = table_with_threshold(p, 0.3)
     fit = em_fit(tbl, x, k=3)
-    design = fit.basis.design(x, n_rows=n)
+    design = em_oracle.full_design(fit.basis, x, n)
     _, resp, logp = twogroup._posterior(
         design, fit.pi_weights, fit.f1_weights, *twogroup._masked_arrays(tbl)
     )
@@ -932,14 +932,10 @@ def test_runaway_shape_weights_do_not_overflow():
 
 class TestFeatureMap:
     def test_intercept_only(self):
+        # one row, broadcast over every hypothesis
         fm = FeatureMap.for_covariates(None)
-        assert fm.design(None, n_rows=4).shape == (4, 1)
-        assert fm.predictor_rows(None, 4).shape == (1, 1)
-
-    def test_predictor_rows_with_covariates_are_the_design(self):
-        x = np.random.default_rng(2).normal(size=(30, 2))
-        fm = FeatureMap.for_covariates(x)
-        assert same_bits(fm.predictor_rows(x, 30), fm.design(x))
+        assert same_bits(fm.design(None), np.ones((1, 1)))
+        assert same_bits(fm.design(np.arange(4.0)), np.ones((1, 1)))
 
     def test_scalar_covariates_linear(self):
         fm = FeatureMap.for_covariates(np.arange(10.0))
