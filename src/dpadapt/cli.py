@@ -122,13 +122,27 @@ def _apply_config_file(parser, argv):
         unknown = sorted(set(values).difference(*dests))
         if unknown:
             raise UsageError(f"{known.config}: unknown key {', '.join(unknown)}")
-        for action, usable in zip(subparsers, dests):
-            given = {k: v for k, v in values.items() if k in usable}
-            action.set_defaults(**given)
+        for action in subparsers:
+            given = {}
             for flag in action._actions:
-                # argparse checks required flags on the command line alone
-                if flag.dest in given:
+                if flag.dest in values:
+                    given[flag.dest] = _config_value(known.config, flag, values[flag.dest])
+                    # argparse checks required flags on the command line alone
                     flag.required = False
+            action.set_defaults(**given)
+
+
+def _config_value(path, flag, text):
+    """A config file's text for flag, converted and checked as on the command line: argparse
+    converts a default with the flag's type but never checks it against the flag's choices."""
+    try:
+        value = text if flag.type is None else flag.type(text)
+    except ValueError:
+        raise UsageError(f"{path}: {flag.dest}={text!r} is not a valid {flag.type.__name__}") from None
+    if flag.choices is not None and value not in flag.choices:
+        allowed = ", ".join(map(str, flag.choices))
+        raise UsageError(f"{path}: {flag.dest}={text!r} is not one of {allowed}")
+    return value
 
 
 def cmd_privacy(args) -> int:

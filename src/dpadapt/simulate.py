@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -398,6 +397,9 @@ def run_campaign(
         raise ValueError("methods must name at least one arm")
     jobs = (repeat(scenario), repeat(methods), repeat(base_seed), range(trials))
     if workers > 1:
+        # imported here: the process pool loads multiprocessing, which no other run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, *jobs))
     else:

@@ -466,7 +466,8 @@ def removal_order(masked: MaskedTable, x, fit: TwoGroupFit, limit: int | None = 
 class TwoGroupUpdater:
     """Threshold updater: cadenced EM refits plus greedy local-null removal.
 
-    Each propose call refits the working model and returns the next
+    Each propose call refits the working model (without covariates, only
+    when the fit window shows new values) and returns the next
     refit_every hidden rows, most likely null first (default
     max(1, m // 20), since the fit is the expensive part). The loop removes
     them one per step, which is exactly the greedy most-likely-null removal
@@ -477,10 +478,10 @@ class TwoGroupUpdater:
     first, clipped by _clip_fold, ties to the lowest index.
     An intercept-only fit has one pi and one a <= A_MAX = 1, so its null
     probability is non-decreasing in the fold minimum and no refit can rank
-    the rows otherwise; the loop is the Barber-Candes threshold sweep. The
-    refits still run at the same cadence, so diagnostics() still reports the
-    run's last fit, but without covariates that fit no longer orders
-    removals.
+    the rows otherwise; the loop is the Barber-Candes threshold sweep. So
+    without covariates a refit runs only when the window's revealed values
+    differ, byte for byte, from those the last refit saw, and diagnostics()
+    reports the fit after the last window state the run showed.
 
     The fit window is the max(200, 20% of the table) most extreme fold
     minima, so small pre-selected tables are fitted whole. start computes it
@@ -491,13 +492,13 @@ class TwoGroupUpdater:
     calibrated there; with covariates, scores are still computed for every
     hypothesis. Each refit is em_fit's sweeps (_em_sweeps) from the last
     fit, with both of their exact shortcuts: a sweep at a bitwise fixed
-    point ends the fit, and while the window's revealed values keep their
-    bytes from one refit to the next, the refit starts from the last
-    E-step, which is the pass at the last fit's weights on the same arrays
-    that em_fit would recompute. diagnostics() reports the run's last fit
-    and, under "newton", the NewtonStats of every ascent in the run; without
-    covariates the M-step is closed-form, so those totals read 0. Satisfies
-    the engine's ThresholdUpdater contract.
+    point ends the fit, and with covariates, while the window's revealed
+    values keep their bytes from one refit to the next, the refit starts
+    from the last E-step, which is the pass at the last fit's weights on the
+    same arrays that em_fit would recompute. diagnostics() reports the
+    run's last fit and, under "newton", the NewtonStats of every ascent in
+    the run; without covariates the M-step is closed-form, so those totals
+    read 0. Satisfies the engine's ThresholdUpdater contract.
     """
 
     def __init__(self, em_iters: int = 5, refit_every: int | None = None):
@@ -525,13 +526,17 @@ class TwoGroupUpdater:
             raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, revealed.size // 20)
         shown = revealed[self._window]
-        if self._last is not None and shown.tobytes() == self._last[0].tobytes():
-            _, arrays, estep = self._last
-        else:
-            arrays, estep = _masked_arrays(MaskedTable(self._masked_min[self._window], shown)), None
-        fit = self._default if self._fit is None else self._fit
-        self._fit, estep = _em_sweeps(self._design, arrays, fit, self.em_iters, self._newton, estep)
-        self._last = shown, arrays, estep
+        unchanged = self._last is not None and shown.tobytes() == self._last[0].tobytes()
+        # without covariates the sweep orders the removals, so a refit on a
+        # window that shows nothing new would change no decision
+        if not unchanged or self._sweep is None:
+            if unchanged:
+                _, arrays, estep = self._last
+            else:
+                arrays, estep = _masked_arrays(MaskedTable(self._masked_min[self._window], shown)), None
+            fit = self._default if self._fit is None else self._fit
+            self._fit, estep = _em_sweeps(self._design, arrays, fit, self.em_iters, self._newton, estep)
+            self._last = shown, arrays, estep
         if self._sweep is None:
             return removal_order(MaskedTable(self._masked_min, revealed), self._x, self._fit, cadence)
         return self._sweep[np.isnan(revealed[self._sweep])][:cadence]

@@ -2,7 +2,8 @@
 
 This is the original whole-vector implementation: the updater returns a new
 threshold vector each step (one greedy removal from cached scores, refitting
-every refit_every steps), and the loop recomputes every count from scratch
+every refit_every steps, or without covariates only when the fit window
+shows new values), and the loop recomputes every count from scratch
 and checks the proposal against the current thresholds. A row counts in R_t
 (p < 1/2) or A_t exactly while it is a candidate, masked_min <= s. It is
 slow (O(m) per step) but simple; the incremental loop in dpadapt.engine must
@@ -41,7 +42,9 @@ def greedy_step(s, masked_min, scores):
 
 
 class ReferenceGreedyUpdater:
-    """Threshold-vector updater: cached scores, refit every refit_every steps."""
+    """Threshold-vector updater: cached scores, refit every refit_every steps;
+    without covariates, only when the fit window's revealed values changed
+    since the last refit."""
 
     def __init__(self, em_iters=5, refit_every=None, fit_count=None):
         self.em_iters = em_iters
@@ -50,6 +53,7 @@ class ReferenceGreedyUpdater:
         self._fit = None
         self._scores = None
         self._steps_since_fit = 0
+        self._shown = None  # the window's revealed values at the last refit
         self._newton = NewtonStats()
 
     def propose(self, masked, x, a_t, r_t, s):
@@ -62,9 +66,14 @@ class ReferenceGreedyUpdater:
                 masked_min=masked.masked_min[window],
                 revealed=masked.revealed[window],
             )
-            sub_x = None if x is None else np.asarray(x)[window]
-            self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
-            self._scores = null_probability(x, masked.masked_min, self._fit)
+            # without covariates, a window that shows nothing new is not refitted
+            if x is not None or self._shown is None or not np.array_equal(
+                sub.revealed, self._shown, equal_nan=True
+            ):
+                sub_x = None if x is None else np.asarray(x)[window]
+                self._fit = em_fit(sub, sub_x, init=self._fit, k=self.em_iters, stats=self._newton)
+                self._scores = null_probability(x, masked.masked_min, self._fit)
+                self._shown = sub.revealed
             self._steps_since_fit = 0
         s_new = greedy_step(np.asarray(s, dtype=float), masked.masked_min, self._scores)
         self._steps_since_fit += 1

@@ -1033,6 +1033,33 @@ class TestSimulateCommand:
                      "--out-dir", str(tmp_path / "s")]) == EXIT_OK
         assert json.loads((tmp_path / "s" / "manifest.json").read_text())["trials"] == 3
 
+    @pytest.mark.parametrize("line, allowed", [
+        ("method=nope", "dp-adapt, adapt, dp-bh, dp-bonf, bh"),
+        ("noise-family=cauchy", "gaussian, laplace"),
+        ("scenario=lattice", "no-side-info, grid"),
+        ("null=cauchy", "uniform, beta22, pow-cubic"),
+        ("pattern=4", "1, 2, 3"),
+    ])
+    def test_config_value_outside_its_choices_is_usage_error(self, tmp_path, capsys, line, allowed):
+        # argparse checks choices on the command line alone: a bad `method`
+        # from a file used to end in a KeyError traceback, a bad `pattern`
+        # in a campaign on a pattern that does not exist
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        cfg = write(tmp_path / "bad.cfg", line + "\n")
+        key, _, value = line.partition("=")
+        assert main(["run", "--config", cfg, "--input", data, "--out-prefix", str(tmp_path / "r")]) == EXIT_USAGE
+        assert main(["simulate", "--config", cfg, "--n", "200", "--t", "5", "--methods", "bh", "--trials", "1",
+                     "--seed", "1", "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+        message = f"usage error: {cfg}: {key.replace('-', '_')}={value!r} is not one of {allowed}\n"
+        assert capsys.readouterr().err == 2 * message
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "d.csv"]
+
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "bad.cfg", "pattern=two\n")
+        assert main(["simulate", "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+        assert f"usage error: {cfg}: pattern='two' is not a valid int" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_undecodable_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_bytes(b"trials=2\nmethods=bh\xff\n")

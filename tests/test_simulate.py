@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import dpadapt
 from dpadapt._normal import normal_cdf
 from dpadapt.cli import main
 from dpadapt.engine import RunResult
@@ -162,6 +166,17 @@ class TestCampaign:
         assert [(r.method, r.trial, r.fdp) for r in a.trials] == [
             (r.method, r.trial, r.fdp) for r in b.trials
         ]
+
+    def test_import_loads_no_process_pool(self):
+        # only a campaign with more than one worker needs the pool
+        src = os.path.dirname(os.path.dirname(dpadapt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys; import dpadapt, dpadapt.cli; "
+            "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]; "
+            "assert not loaded, loaded"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_failures_excluded_with_count(self):
         bad = MethodConfig(name="dp-adapt", m=50, alpha=0.1, s0=0.45, delta_g=-1.0)

@@ -54,6 +54,21 @@ def table_all_hidden(p):
     return MaskedTable(np.minimum(p, 1 - p), np.full(p.size, np.nan))
 
 
+def count_calls(monkeypatch, *targets):
+    """Count the calls to each (owner, name) attribute, keyed by name."""
+    calls = {}
+    for owner, name in targets:
+        real = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def propose_once(updater, tbl, x):
     """The first proposal of a run on the table's fold minima."""
     updater.start(tbl.masked_min, x)
@@ -890,23 +905,21 @@ class TestSweepWithoutCovariates:
             assert_same_result(replace(got, model=None), want)
 
     @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
-    def test_no_scores_and_one_refit_per_batch(self, monkeypatch, arm):
-        # the sweep scores no row, and the run refits as often as the
-        # whole-vector reference, which refits every cadence steps
-        calls = dict.fromkeys(["_em_sweeps", "null_probability", "removal_order", "reference em_fit"], 0)
+    def test_no_scores_and_one_refit_per_window_state(self, monkeypatch, arm):
+        # the sweep scores no row, and the run refits once per window state
+        # it shows, as the whole-vector reference does
+        calls = count_calls(
+            monkeypatch, (twogroup, "_em_sweeps"), (twogroup, "null_probability"),
+            (twogroup, "removal_order"), (adapt_oracle, "em_fit"),
+        )
+        states = []
+        real_propose = TwoGroupUpdater.propose
 
-        def counting(module, name, key):
-            real = getattr(module, name)
+        def recording_propose(self, revealed, a_t, r_t):
+            states.append(revealed[self._window].tobytes())
+            return real_propose(self, revealed, a_t, r_t)
 
-            def counted(*args, **kwargs):
-                calls[key] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("_em_sweeps", "null_probability", "removal_order"):
-            counting(twogroup, name, name)
-        counting(adapt_oracle, "em_fit", "reference em_fit")
+        monkeypatch.setattr(TwoGroupUpdater, "propose", recording_propose)
         x, p, _ = gen_no_side_info(Scenario(n=2000), data_rng(1, 0))
         cfg = MethodConfig(arm)
         got = run_arm(cfg, x, p, method_rng(1, 0, 0))
@@ -916,7 +929,26 @@ class TestSweepWithoutCovariates:
             want = run_arm(cfg, x, p, method_rng(1, 0, 0))
         assert_same_result(got, want)
         assert calls["null_probability"] == calls["removal_order"] == 0
-        assert calls["_em_sweeps"] == calls["reference em_fit"] > 1
+        assert calls["_em_sweeps"] == calls["em_fit"] == len(set(states)) > 1
+
+    def test_refits_once_per_propose_when_the_window_changes_each_batch(self, monkeypatch):
+        # a table of at most 200 rows is fitted whole, so every batch reveals
+        # a window row
+        calls = count_calls(monkeypatch, (twogroup, "_em_sweeps"), (TwoGroupUpdater, "propose"))
+        _, p, _ = gen_no_side_info(Scenario(n=150, t=30), data_rng(0, 0))
+        result = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(refit_every=7))
+        assert result.stop_t > 7
+        assert calls["_em_sweeps"] == calls["propose"] > 1
+
+
+@pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
+def test_refits_once_per_propose_with_covariates(monkeypatch, arm):
+    # with covariates the fit orders the removals, so every batch refits
+    calls = count_calls(monkeypatch, (twogroup, "_em_sweeps"), (TwoGroupUpdater, "propose"))
+    x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(2, 0))
+    got = run_arm(MethodConfig(arm), x, p, method_rng(2, 0, 0))
+    assert got.stop_t > 0
+    assert calls["_em_sweeps"] == calls["propose"] > 1
 
 
 def test_runaway_shape_weights_do_not_overflow():
