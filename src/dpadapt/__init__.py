@@ -41,7 +41,6 @@ from .transform import (
     TransformKernel,
     gaussian_kernel,
     kernel_by_name,
-    noisy_pvalue,
     sensitivity_one_sided_mean,
     sensitivity_two_sided_mean,
     transform_with_shift,
@@ -92,7 +91,6 @@ __all__ = [
     "gen_no_side_info",
     "kernel_by_name",
     "mirror_peel",
-    "noisy_pvalue",
     "null_probability",
     "peel_noise",
     "removal_order",

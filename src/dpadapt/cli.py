@@ -111,12 +111,16 @@ def build_parser() -> _Parser:
 
 
 def _apply_config_file(parser, argv):
-    """Install the --config file's values as parser defaults; refuse a key no subcommand defines."""
+    """Install the --config file's values as parser defaults; refuse a key no subcommand defines,
+    and the keys help and config, which every subcommand defines but a file cannot act on."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if known.config:
         values = _read_config_file(known.config)
+        for key in ("help", "config"):
+            if key in values:
+                raise UsageError(f"{known.config}: key {key} cannot be set in a config file")
         subparsers = parser._subparsers._group_actions[0].choices.values()
         dests = [{a.dest for a in action._actions} for action in subparsers]
         unknown = sorted(set(values).difference(*dests))

@@ -1,4 +1,4 @@
-"""Symmetric transform kernels, the noisy p-value mechanism, and sensitivity bounds.
+"""Symmetric transform kernels, the noisy p-value transform, and sensitivity bounds.
 
 A kernel is a symmetric density g on (-U, U) with CDF G and quantile G_inv.
 The privatizing transform moves a p-value to the real line, perturbs it,
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._normal import normal_cdf, normal_pdf, normal_quantile
-from .privacy import NoiseSpec, check_count, check_positive
+from .privacy import check_count, check_positive
 
 # Quantile clamp: p is pulled into [P_FLOOR, 1 - P_FLOOR] before G_inv so the
 # endpoints stay finite, and transform outputs are kept inside the same band
@@ -123,13 +123,6 @@ def transform_with_shift(p, kernel: TransformKernel, z):
         raise ValueError("the shift must be finite")
     out = clamp_unit(kernel.G(kernel.quantile(p) + z))
     return float(out) if np.ndim(p) == 0 and np.ndim(z) == 0 else out
-
-
-def noisy_pvalue(p, kernel: TransformKernel, noise: NoiseSpec, rng: np.random.Generator):
-    """Privatized p-value G(G_inv(p) + Z) with Z drawn from the noise spec."""
-    p = np.asarray(p, dtype=float)
-    z = noise.draw(rng, size=None if np.ndim(p) == 0 else p.shape)
-    return transform_with_shift(p, kernel, z)
 
 
 def sensitivity_one_sided_mean(bound: float, n: int) -> float:

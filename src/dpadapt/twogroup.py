@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._normal import expit
 from .privacy import check_count
@@ -38,6 +39,9 @@ _NEWTON_MAX_ITER = 25
 _NEWTON_GRAD_TOL = 1e-8
 _NEWTON_DECREMENT_TOL = 1e-12
 _NEWTON_RIDGE = 1e-6
+# the line search's step scales after a failed full step: the exact powers of
+# two that halving 1.0 twenty-nine times gives
+_HALVINGS = 0.5 ** np.arange(1, 30)
 
 NEWTON_STOPS = ("gradient", "decrement", "max_iter", "line_search", "singular")
 
@@ -234,6 +238,26 @@ def _posterior(design, w, v, mm, c, rev, is_rev, span, log_rev, log_m, log_c):
     return float(np.add.reduce(np.log(lik))), num / lik, logp
 
 
+def _row_sums(terms):
+    """The objective's sum over rows: a float for one eta, an array with one
+    sum per eta for a stack. Each row is reduced along the last axis as a
+    1-D eta is, so every row sum has the bits of its own evaluation."""
+    sums = np.add.reduce(terms, axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a, b):
+    """np.linalg.solve(a, b) for a float square a and vector b, with its bits:
+    LAPACK's gufunc, called under the error state solve sets, without the
+    wrapper's type and shape checks. A singular a raises LinAlgError."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _logistic_objective(resp):
     """Expected complete log-likelihood of the pi model, as (value, slopes) in eta.
 
@@ -241,7 +265,8 @@ def _logistic_objective(resp):
     evaluated last, and slopes at that point (the ascent's accepted one)
     reuses them: expit and log_expit are both written in that exp
     (_normal), and exp(min(eta, 0)) is e below 0 and 1 elsewhere, so the
-    slopes keep the bits of a fresh evaluation.
+    slopes keep the bits of a fresh evaluation. value takes one eta or a
+    stack of them (_row_sums).
     """
     last = [None, None, None]
 
@@ -254,7 +279,7 @@ def _logistic_objective(resp):
         # log_expit: log_expit(eta) = eta + log_expit(-eta)
         ec, e = clipped(eta)
         last[:] = eta, ec, e
-        return float(np.add.reduce(resp * ec + (np.minimum(-ec, 0.0) - np.log1p(e))))
+        return _row_sums(resp * ec + (np.minimum(-ec, 0.0) - np.log1p(e)))
 
     def slopes(eta):
         ec, e = last[1:] if eta is last[0] else clipped(eta)
@@ -266,11 +291,14 @@ def _logistic_objective(resp):
 
 
 def _shape_objective(resp, logp):
-    """Expected complete log-likelihood of the f1 model, as (value, slopes) in eta."""
+    """Expected complete log-likelihood of the f1 model, as (value, slopes) in eta.
+
+    value takes one eta or a stack of them (_row_sums).
+    """
 
     def value(eta):
         a = _alt_shape(eta)
-        return float(np.add.reduce(resp * (np.log(a) + (a - 1.0) * logp)))
+        return _row_sums(resp * (np.log(a) + (a - 1.0) * logp))
 
     def slopes(eta):
         # Slopes of the unclamped objective; the line search evaluates the
@@ -284,16 +312,25 @@ def _shape_objective(resp, logp):
 def _ascend(design, theta, objective, stats: NewtonStats | None = None):
     """Newton ascent on eta = design @ theta with halving line search.
 
-    objective is (value, slopes): value(eta) sums over rows and slopes(eta)
-    gives the per-row first and second eta-derivatives (d1, d2). slopes is
-    only called at the point value evaluated last, so it may reuse that
-    evaluation (_logistic_objective does). Never decreases the value.
+    objective is (value, slopes): value(eta) sums over rows, one sum per
+    eta on a stack of them (a 2-D array), and slopes(eta) gives the per-row
+    first and second eta-derivatives (d1, d2). slopes is only called at the
+    point value evaluated last, so it may reuse that evaluation
+    (_logistic_objective does). Never decreases the value.
+    The line search accepts the first of the full step and its halvings
+    (scales 1/2 down to 2^-29) that does not lower the value. The halvings,
+    tried only when the full step fails, are evaluated in one stacked pass:
+    one matmul with the candidates as column vectors gives the bits of
+    design @ cand row by row, and the evaluations are counted as the
+    sequential search counts them. The accepted point is evaluated once more
+    on its own, so slopes still reads the point value evaluated last.
     The ascent stops when the gradient vanishes, or when 0.5 * grad @
     step, the gain the quadratic model predicts for the Newton step (half
     the squared Newton decrement), is at most 1e-12 * max(1, |value|): a
     smaller gain is below what the value resolves, and the line search
     would only halve on rounding. A non-positive gain stops it too, since
-    the step is then no ascent direction. Singular solves fall back to a 1e-6 ridge; when that is
+    the step is then no ascent direction. Each solve calls LAPACK's gufunc
+    directly (_solve). Singular solves fall back to a 1e-6 ridge; when that is
     singular too, the ascent stops and keeps theta. stats, when given,
     records the iterations, the value evaluations and the stop reason.
     """
@@ -310,31 +347,33 @@ def _ascend(design, theta, objective, stats: NewtonStats | None = None):
             break
         hess = (design.T * d2) @ design
         try:
-            step = np.linalg.solve(-hess, grad)
+            step = _solve(-hess, grad)
         except np.linalg.LinAlgError:
             try:
-                step = np.linalg.solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
+                step = _solve(-hess + _NEWTON_RIDGE * np.eye(len(theta)), grad)
             except np.linalg.LinAlgError:
                 stop = "singular"
                 break
         if 0.5 * (grad @ step) <= _NEWTON_DECREMENT_TOL * max(1.0, abs(f0)):
             stop = "decrement"
             break
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            # 1.0 * step is step: the full step skips the multiply
-            cand = theta + step if scale == 1.0 else theta + scale * step
+        cand = theta + step
+        eta_c = design @ cand
+        fc = value(eta_c)
+        evaluations += 1
+        if not fc >= f0:  # not fc < f0: a NaN value fails
+            cands = theta + _HALVINGS[:, None] * step
+            accepted = np.flatnonzero(value(np.matmul(design, cands[:, :, None])[:, :, 0]) >= f0)
+            if accepted.size == 0:
+                evaluations += _HALVINGS.size
+                stop = "line_search"
+                break
+            j = int(accepted[0])
+            evaluations += j + 1
+            cand = cands[j]
             eta_c = design @ cand
             fc = value(eta_c)
-            evaluations += 1
-            if fc >= f0:
-                theta, eta, f0, improved = cand, eta_c, fc, True
-                break
-            scale *= 0.5
-        if not improved:
-            stop = "line_search"
-            break
+        theta, eta, f0 = cand, eta_c, fc
     if stats is not None:
         stats.record(iterations, evaluations, stop)
     return theta

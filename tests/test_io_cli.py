@@ -988,6 +988,20 @@ class TestSimulateCommand:
         assert f"usage error: {cfg}: unknown key alhpa" in capsys.readouterr().err
         assert not (tmp_path / "x.report.json").exists()
 
+    @pytest.mark.parametrize("line", ["help=yes", "config=other.cfg"])
+    def test_help_and_config_keys_are_usage_errors(self, tmp_path, capsys, line):
+        # both are dests of every subcommand, so the unknown-key check passed
+        # them, and the run went ahead without reading other.cfg
+        data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 1}\n" for i in range(9)))
+        write(tmp_path / "other.cfg", "alpha=0.5\n")
+        cfg = write(tmp_path / "k.cfg", f"method=bh\n{line}\n")
+        key = line.partition("=")[0]
+        assert main(["run", "--config", cfg, "--input", data, "--out-prefix", str(tmp_path / "r")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {cfg}: key {key} cannot be set in a config file\n"
+        assert main(["simulate", "--config", cfg, "--n", "200", "--t", "5", "--methods", "bh", "--trials", "1",
+                     "--seed", "1", "--out-dir", str(tmp_path / "s")]) == EXIT_USAGE
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "k.cfg", "other.cfg"]
+
     def test_explicit_flag_beats_config_file(self, tmp_path):
         data = write(tmp_path / "d.csv", "id,p\n" + "".join(f"g{i},0.{i + 10}\n" for i in range(20)))
         cfg = write(tmp_path / "both.cfg", "alpha=0.3\nm=12\n")

@@ -12,7 +12,6 @@ from dpadapt.transform import (
     fold,
     gaussian_kernel,
     kernel_by_name,
-    noisy_pvalue,
     sensitivity_one_sided_mean,
     sensitivity_two_sided_mean,
     transform_with_shift,
@@ -126,17 +125,18 @@ class TestNoisyPValue:
 
     def test_noisy_pvalue_rejects_nan(self):
         rng = np.random.default_rng(0)
+        p = np.array([0.2, math.nan])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            noisy_pvalue(np.array([0.2, math.nan]), gaussian_kernel(), NoiseSpec("gaussian", 0.5), rng)
+            transform_with_shift(p, gaussian_kernel(), NoiseSpec("gaussian", 0.5).draw(rng, size=p.shape))
 
     def test_zero_scale_noise_is_identity_at_half(self):
         rng = np.random.default_rng(0)
-        out = noisy_pvalue(0.5, gaussian_kernel(), NoiseSpec("gaussian", 0.0), rng)
+        out = transform_with_shift(0.5, gaussian_kernel(), NoiseSpec("gaussian", 0.0).draw(rng))
         assert out == pytest.approx(0.5, abs=1e-15)
 
     def test_laplace_noise_supported(self):
         rng = np.random.default_rng(0)
-        out = noisy_pvalue(0.2, gaussian_kernel(), NoiseSpec("laplace", 0.5), rng)
+        out = transform_with_shift(0.2, gaussian_kernel(), NoiseSpec("laplace", 0.5).draw(rng))
         assert 0.0 <= out <= 1.0
 
 

@@ -395,11 +395,17 @@ def check_closed_form_sweeps(tbl, init, fit):
 
 def fitted_objectives(design_kind, seed, n=2000):
     """Design and the two M-step objectives at the E-step of a 3-sweep fit,
-    each paired with the weights it starts from."""
+    each paired with the weights it starts from. design_kind "grid" takes n
+    rows of a 50x50 grid."""
     rng = np.random.default_rng(seed)
-    x = None if design_kind == "intercept" else rng.uniform(-3.0, 3.0, size=(n, 2))
-    prior = 0.2 if x is None else expit(x[:, 0] - 1.0)
-    p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
+    if design_kind == "grid":
+        x, p, _ = gen_grid(Scenario(kind="grid", grid_side=50, beta=3.5), data_rng(seed, 0))
+        rows = rng.choice(p.size, n, replace=False)
+        x, p = x[rows], p[rows]
+    else:
+        x = None if design_kind == "intercept" else rng.uniform(-3.0, 3.0, size=(n, 2))
+        prior = 0.2 if x is None else expit(x[:, 0] - 1.0)
+        p = np.where(rng.random(n) < prior, rng.beta(0.2, 1.0, n), rng.random(n))
     tbl = table_with_threshold(p, 0.3)
     fit = em_fit(tbl, x, k=3)
     design = em_oracle.full_design(fit.basis, x, n)
@@ -544,6 +550,112 @@ class TestNewtonStop:
         assert np.array_equal(new.trajectory, old.trajectory)
         if kind == "null_only" and method == "adapt":
             assert A_MAX in shapes
+
+
+def oracle_ascent(design, theta, objective, stats):
+    """em_oracle's sequential ascent on the objective _ascend reads in eta."""
+    value, slopes = objective
+
+    def grad_hess(th):
+        d1, d2 = slopes(design @ th)
+        return design.T @ d1, (design.T * d2) @ design
+
+    return em_oracle._ascend(lambda th: value(design @ th), grad_hess, theta, stats=stats)
+
+
+class TestNewtonKernelBits:
+    """The stacked halvings and the direct solve keep the sequential ascent's bits."""
+
+    # eta values past +-ETA_CAP, past the shape cap at 0, and both zeros
+    SPECIAL = [ETA_CAP, -ETA_CAP, 8.5, -8.5, 700.0, -700.0, 1e-300, -1e-300, 0.0, -0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        k=st.integers(1, 29),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=20),
+    )
+    def test_stacked_value_matches_each_row(self, n, k, seed, special):
+        rng = np.random.default_rng(seed)
+        etas = rng.normal(0.0, 12.0, (k, n))
+        spots = rng.integers(0, etas.size, len(special))
+        etas.flat[spots] = special
+        resp, logp = rng.random(n), np.log(rng.random(n))
+        for value, _ in (twogroup._logistic_objective(resp), twogroup._shape_objective(resp, logp)):
+            stacked = value(etas)
+            assert stacked.shape == (k,)
+            for row, total in zip(etas, stacked):
+                single = value(row.copy())
+                assert isinstance(single, float)
+                assert np.float64(single).tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [125, 500])
+    def test_solve_matches_numpy(self, seed, n):
+        design, objectives = fitted_objectives("grid", seed, n)
+        for (value, slopes), theta in objectives:
+            eta = design @ theta
+            value(eta)
+            d1, d2 = slopes(eta)
+            grad, hess = design.T @ d1, (design.T * d2) @ design
+            for a in (-hess, -hess + 1e-6 * np.eye(theta.size)):
+                assert twogroup._solve(a, grad).tobytes() == np.linalg.solve(a, grad).tobytes()
+
+    def test_solve_raises_on_a_singular_system(self):
+        # the Hessian of test_singular_ridged_solve_keeps_theta, ridge and all
+        a = 1e20 * np.ones((2, 2)) + 1e-6 * np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            twogroup._solve(a, np.ones(2))
+
+    @pytest.mark.parametrize("max_iter", [1, 25])
+    @pytest.mark.parametrize("halving", [1, 2, 15, 29, None])
+    def test_ascent_matches_sequential_search(self, monkeypatch, halving, max_iter):
+        # value is 1 within an eta-distance r of the start and -1 beyond it, and
+        # the slopes claim a curvature far too flat, so every Newton step
+        # overshoots; r lets the first line search accept the given halving
+        # (or none) with room to spare on either side
+        monkeypatch.setattr(twogroup, "_NEWTON_MAX_ITER", max_iter)
+        monkeypatch.setattr(em_oracle, "_NEWTON_MAX_ITER", max_iter)
+        design, objectives = fitted_objectives("grid", 0, 125)
+        theta = objectives[0][1]
+        eta0 = design @ theta
+        rng = np.random.default_rng(1)
+        d1, d2 = rng.normal(size=eta0.size), np.full(eta0.size, -1e-3)
+        step = np.linalg.solve(-(design.T * d2) @ design, design.T @ d1)
+        reach = float(np.max(np.abs(design @ step)))
+        r = 0.25 * reach * 0.5**29 if halving is None else 1.5 * reach * 0.5**halving
+
+        def value(eta):
+            inside = np.max(np.abs(eta - eta0), axis=-1) <= r
+            out = np.where(inside, 1.0, -1.0)
+            return float(out) if out.ndim == 0 else out
+
+        objective = (value, lambda eta: (d1, d2))
+        stats, ref_stats = NewtonStats(), NewtonStats()
+        out = twogroup._ascend(design, theta, objective, stats)
+        ref = oracle_ascent(design, theta, objective, ref_stats)
+        assert out.tobytes() == ref.tobytes()
+        assert stats == ref_stats
+        if max_iter == 1:
+            first = 30 if halving is None else 1 + halving
+            assert stats.evaluations == 1 + first
+            expected = theta if halving is None else theta + 0.5**halving * step
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fitted_ascents_match_sequential_search(self, seed):
+        # from far-off starts, so that the line search halves on real objectives
+        design, objectives = fitted_objectives("grid", seed, 125)
+        rng = np.random.default_rng(seed)
+        for objective, theta in objectives:
+            for start in (theta * 3.0, theta + rng.normal(0.0, 5.0, theta.size)):
+                stats, ref_stats = NewtonStats(), NewtonStats()
+                out = twogroup._ascend(design, start, objective, stats)
+                assert out.tobytes() == oracle_ascent(design, start, objective, ref_stats).tobytes()
+                assert stats == ref_stats
 
 
 class TestNullProbability:
