@@ -1,8 +1,37 @@
 """Command-line surface: run on a CSV, drive simulation campaigns, budget calculator.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation. A flat key=value config file can seed any flag; explicit flags
-win. Every artifact echoes what each arm read, MethodConfig.resolved(n): a
+Exit codes: 0 success; 1 usage error (a bad flag, config key or value, a
+setting the data cannot meet, such as an --m above the row count, or an
+unusable output location), and nothing is written; 2 data error (an input
+io.ingest_csv refuses); 3 internal error (an invariant violation, or a
+linear solve that failed).
+
+--config names a flat key=value file (UTF-8, # comments) whose values
+become flag defaults, so an explicit flag wins. It may supply the flags a
+subcommand requires, input for run and seed for simulate. A key no
+subcommand defines, or help or config, is a usage error; a key of another
+subcommand is allowed, so one file serves run and simulate. Each value is
+converted and checked as its flag's would be, whichever subcommand runs.
+
+The two commands turn a budget into a GDP mu by different rules. run needs
+--mu or the --epsilon/--delta pair for dp-adapt and dp-bonf, and converts
+the pair by the exact duality mu = ed_to_gdp(epsilon, delta); both at once
+is an error, as is --noise-family laplace with --mu. simulate without --mu
+takes MethodConfig.budget()'s campaign convention. dp-bh spends its
+(epsilon, delta) pair either way.
+
+run writes <prefix>.rejections.csv, with columns id, noisy_p, threshold
+(RunResult says what a baseline lists), and <prefix>.report.json, whose
+keys every method shares: rejected (row indices), rejected_ids,
+n_rejected, private, trajectory ({t, a, r, fdr_hat} per step), stop_t,
+model (the updater's diagnostics), config, input, seed and versions.
+simulate writes trials.csv (a row per arm and trial) and aggregate.csv (a
+row per arm, with Monte Carlo standard errors), keyed by the arm's
+position in --methods, and manifest.json. run checks its --out-prefix
+directory before it reads the input, and simulate its --out-dir and every
+arm before the first trial.
+
+Every artifact echoes what each arm read, MethodConfig.resolved(n): a
 report's config (with the input and seed) and a manifest's methods entries.
 An arm echoes only the fields it reads, so a budget appears only where one
 was spent, and the echo alone replays the run.

@@ -76,12 +76,13 @@ class ThresholdUpdater(Protocol):
     updater kept from an earlier run.
 
     propose receives only the revealed values (NaN wherever a row is still
-    hidden) and the counters. It returns an ordered batch of row indices to
-    remove from the candidate set, each a still-hidden row listed once. The
-    loop removes them in order, one per step, stopping early if fdr_hat
-    reaches alpha, and calls propose again once the batch is used up; a batch
-    is valid only until that next call. An invalid row raises StallError only
-    if the loop reaches it before stopping.
+    hidden) and the counters, and is called only while some row is hidden.
+    It returns an ordered batch of row indices to remove from the candidate
+    set, each a still-hidden row listed once. The loop removes them in order,
+    one per step, stopping early if fdr_hat reaches alpha, and calls propose
+    again once the batch is used up; a batch is valid only until that next
+    call. An empty batch, or an invalid row the loop reaches before
+    stopping, raises StallError.
     """
 
     def start(self, masked_min: np.ndarray, x: np.ndarray | None) -> None: ...

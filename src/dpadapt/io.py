@@ -12,6 +12,7 @@ artifact.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import itertools
@@ -84,11 +85,18 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _batches(path, fh):
-    """The binary handle's lines, decoded in batches; a decode error names its byte's position in the file."""
+    """The binary handle's lines, decoded in batches; a decode error names its byte's position in the file.
+
+    A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is
+    dropped; the positions still count it.
+    """
     offset = 0
     while data := fh.read(_BATCH_BYTES):
         if not data.endswith(b"\n"):
             data += fh.readline()
+        if offset == 0 and data.startswith(codecs.BOM_UTF8):
+            offset = len(codecs.BOM_UTF8)
+            data = data[offset:]
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:  # worded as decoding the whole file words it
@@ -97,7 +105,8 @@ def _batches(path, fh):
             raise IngestError(f"cannot read {path}: 'utf-8' codec can't decode {what}: {exc.reason}") from exc
         offset += len(data)
         del data  # the batch is parsed from its text alone
-        yield text
+        if text:  # a file holding only the mark is empty
+            yield text
 
 
 def _parse_regular(text: str, header: list[str] | None, ids: list[str], blocks: list[np.ndarray]) -> list[str] | None:

@@ -56,6 +56,8 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.null_dist not in ("uniform", "beta22", "pow_cubic"):
             raise ValueError(f"unknown null distribution {self.null_dist!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.kind == "no_side_info":
             if not 0 <= self.t <= self.n or self.n < 1:
                 raise ValueError("need n >= 1 and 0 <= t <= n")

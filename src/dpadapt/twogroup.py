@@ -46,10 +46,6 @@ _HALVINGS = 0.5 ** np.arange(1, 30)
 NEWTON_STOPS = ("gradient", "decrement", "max_iter", "line_search", "singular")
 
 
-class CandidatesExhausted(RuntimeError):
-    """No hypothesis remains in the rejection candidate region."""
-
-
 @dataclass(frozen=True)
 class MaskedTable:
     """Masked view of a table: the fold minima and the revealed values.
@@ -561,8 +557,6 @@ class TwoGroupUpdater:
 
     def propose(self, revealed: np.ndarray, a_t: int, r_t: int) -> np.ndarray:
         del a_t, r_t
-        if not np.isnan(revealed).any():
-            raise CandidatesExhausted("no masked hypotheses remain under the thresholds")
         cadence = self.refit_every or max(1, revealed.size // 20)
         shown = revealed[self._window]
         unchanged = self._last is not None and shown.tobytes() == self._last[0].tobytes()

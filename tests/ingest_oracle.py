@@ -4,9 +4,9 @@ This is the ingest that `dpadapt run` used before the columnar path: csv.reader
 over the file, one float() per field, the checks row by row. The only changes
 since then are that an undecodable file and a field over csv's size limit
 raise IngestError naming the path, and that the file is read as UTF-8 whatever
-the locale, as `ingest_csv` reads it. The whole byte string is decoded at
-once, so a decode error names its byte's position in the file, not in a
-text reader's decode chunk. `ingest_csv` must return an equal
+the locale, less a leading byte-order mark, as `ingest_csv` reads it. The
+whole byte string is decoded at once, so a decode error names its byte's
+position in the file, not in a text reader's decode chunk. `ingest_csv` must return an equal
 `Dataset`, or raise the same exception with the same message, on every file.
 """
 
@@ -24,7 +24,7 @@ from dpadapt.io import Dataset, IngestError
 def ingest_csv(path) -> Dataset:
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc

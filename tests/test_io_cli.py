@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -268,6 +269,37 @@ class TestIngestMatchesOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_BATCH_BYTES", batch)
             assert (_outcome(columnar, path) is not None) == whole
+            assert_same_ingest(path)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["numpy-batches", "row-loop"])
+    def test_leading_byte_order_mark_reads_as_the_plain_file(self, tmp_path, quoted):
+        # Excel's "CSV UTF-8" writes one; it used to fail the header check with
+        # a message whose difference could not be seen
+        lines = ["id,p,x1"] + [f"g{i},{(i + 0.5) / 40 * (1e-3 if i % 4 == 0 else 1)!r},{i}" for i in range(40)]
+        if quoted:
+            lines = [",".join(f'"{field}"' for field in line.split(",")) for line in lines]
+        text = "".join(f"{line}\n" for line in lines).encode("utf-8")
+        for name, data in (("plain", text), ("bom", codecs.BOM_UTF8 + text)):
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            assert main(["run", "--input", str(tmp_path / f"{name}.csv"), "--method", "dp-adapt", "--mu", "0.5",
+                         "--seed", "1", "--out-prefix", str(tmp_path / name)]) == EXIT_OK
+        assert (columnar(tmp_path / "bom.csv") is None) == quoted
+        assert_same_ingest(tmp_path / "bom.csv")
+        plain = (tmp_path / "plain.rejections.csv").read_bytes()
+        assert len(plain.splitlines()) > 1
+        assert (tmp_path / "bom.rejections.csv").read_bytes() == plain
+
+    @pytest.mark.parametrize("rows", [0, io._BATCH_BYTES // 10], ids=["first-batch", "later-batch"])
+    def test_byte_order_mark_counts_in_a_decode_error_position(self, tmp_path, rows):
+        data = codecs.BOM_UTF8 + ("id,p\n" + "".join(f"h{i:06d},0.5\n" for i in range(rows))).encode("utf-8")
+        data += b"b\xff,0.2\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError, match=f"position {data.index(0xFF)}:"):
+            ingest_csv(path)
+        assert_same_ingest(path)
+        for only_the_mark in (codecs.BOM_UTF8, codecs.BOM_UTF8 + b"\n"):
+            path.write_bytes(only_the_mark)
             assert_same_ingest(path)
 
     def test_undecodable_byte_after_the_first_batch_names_its_file_position(self, tmp_path):
@@ -923,10 +955,12 @@ class TestSimulateCommand:
         (["--methods", " , "], "methods must name at least one arm"),
         (["--workers", "0"], "workers must be a positive integer, got 0"),
         (["--workers", "-2"], "workers must be a positive integer, got -2"),
-    ], ids=["no-methods", "blank-methods", "workers-0", "workers-negative"])
+        (["--beta", "nan"], "beta must be finite, got nan"),
+        (["--scenario", "grid", "--beta=inf"], "beta must be finite, got inf"),
+    ], ids=["no-methods", "blank-methods", "workers-0", "workers-negative", "beta-nan", "grid-beta-inf"])
     def test_campaign_without_an_arm_or_a_worker_is_usage_error(self, tmp_path, capsys, flags, message):
-        # these used to exit 0: no arm wrote empty artifacts, and a worker
-        # count below 1 ran serially
+        # these used to exit 0: no arm wrote empty artifacts, a worker count
+        # below 1 ran serially, and a non-finite beta failed every trial
         out = tmp_path / "bad"
         assert main(["simulate", "--n", "400", "--t", "10", *flags, "--trials", "2", "--seed", "1",
                      "--out-dir", str(out)]) == EXIT_USAGE

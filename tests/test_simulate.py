@@ -51,6 +51,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="need n >= 1"):
             Scenario(kind="no_side_info", n=0, t=0)
 
+    @pytest.mark.parametrize("kind", ["no_side_info", "grid"])
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_beta_refused(self, kind, beta):
+        # a NaN beta made every p-value NaN, and an infinite one every null
+        # grid cell's (inf * False), so every trial of every arm failed
+        with pytest.raises(ValueError, match="beta must be finite"):
+            Scenario(kind=kind, beta=beta)
+
     def test_total_n_for_grid(self):
         assert Scenario(kind="grid", grid_side=50).total_n == 2500
 

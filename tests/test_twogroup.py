@@ -19,7 +19,6 @@ from dpadapt.twogroup import (
     A_MIN,
     ETA_CAP,
     NEWTON_STOPS,
-    CandidatesExhausted,
     FeatureMap,
     MaskedTable,
     NewtonStats,
@@ -785,11 +784,13 @@ class TestGreedyUpdate:
         assert np.all(np.asarray(rep.final_thresholds)[changed] < mm[changed])
 
     def test_exhaustion_signalled(self):
+        # with no row hidden the batch is empty, which the loop refuses with
+        # StallError; the loop itself proposes only while a row is hidden
         p = np.array([0.49, 0.51])
         tbl = table_with_threshold(p, 0.3)
         assert removal_order(tbl, None, self.fit).size == 0
-        with pytest.raises(CandidatesExhausted):
-            propose_once(TwoGroupUpdater(), tbl, None)
+        assert propose_once(TwoGroupUpdater(), tbl, None).size == 0
+        assert propose_once(TwoGroupUpdater(), tbl, np.array([[0.0], [1.0]])).size == 0
 
     def test_removal_order_matches_full_recompute_oracle(self):
         # the updater's batch must replay an independent from-scratch
