@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, PrivacyBudget, check_count, check_level, check_positive, peel_noise
+from .privacy import PrivacyBudget, bonferroni_noise, check_count, check_level, check_positive, peel_noise, release
 from .selection import check_rounds, peel, validate_inputs
 from .transform import TransformKernel
 
@@ -71,7 +71,7 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     (CalibrationRegimeWarning) outside its certified regime epsilon <= 0.5,
     delta <= 0.1, m >= 10. With zero_noise the Laplace scale and with it the
     threshold correction vanish, and the procedure reduces to step-up BH
-    restricted to the m smallest p-values.
+    restricted to the m smallest p-values. rng must be seeded secretly.
     """
     p, _ = validate_inputs(pvalues)
     n = p.size
@@ -83,7 +83,7 @@ def dp_bh(pvalues, config: BHConfig, rng: np.random.Generator, *, zero_noise: bo
     f = np.log(np.maximum(config.nu, p))
 
     sel_idx = peel(f, noise, config.m, rng)
-    sel_val = f[sel_idx] + noise.draw(rng, size=config.m)
+    sel_val = release(f[sel_idx], noise, rng)
 
     correction = noise.scale * math.log(6.0 * config.m / config.alpha)
     values = sel_val.tolist()
@@ -107,22 +107,21 @@ def dp_bonf(
     """Reconstructed private Bonferroni baseline (no pseudocode exists for it).
 
     Deliberately naive: the budget is split linearly across all n releases
-    (mu/n each, conservative under quadratic composition), each transformed
-    p-value gets Gaussian noise at scale delta_g * n / mu, and the alpha/n
+    (mu/n each), so each transformed p-value gets Gaussian noise at scale
+    delta_g * n / mu (privacy.bonferroni_noise), and the alpha/n
     threshold is tightened by a simultaneous noise allowance at level alpha/2
     so noise alone cannot manufacture family-wise rejections. The allowance
     scales with the noise, so the zero-noise mode is exactly plain Bonferroni;
     it is the only noise-free mode, since delta_g must be positive.
     As expected from that construction, its power is near zero whenever the
-    noise is non-trivial.
+    noise is non-trivial. rng must be seeded secretly.
     """
     check_positive("delta_g", delta_g)
     check_level("alpha", alpha)
     p, _ = validate_inputs(pvalues)
     n = p.size
-    noise = NoiseSpec("gaussian", 0.0 if zero_noise else delta_g * n / budget.mu)
-    q = kernel.quantile(p)
-    z = q + noise.draw(rng, size=n)
+    noise = bonferroni_noise(delta_g, n, budget.mu, zero_noise=zero_noise)
+    z = release(kernel.quantile(p), noise, rng)
     # P(any of the n centered Gaussian noises below -guard) <= alpha/2.
     guard = -noise.scale * normal_quantile(alpha / (2.0 * n))
     threshold = kernel.quantile(alpha / n) - guard

@@ -89,6 +89,16 @@ def _read_config_file(path) -> dict:
     return values
 
 
+def _seed(text: str) -> int:
+    """--seed's type: a non-negative integer, as SeedSequence takes, checked as the flags are read."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dpadapt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dpadapt {__version__}")
@@ -117,7 +127,7 @@ def build_parser() -> _Parser:
     run.add_argument("--refit-every", type=int)
     run.add_argument("--eta", type=float)
     run.add_argument("--nu", type=float)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--out-prefix", default="dpadapt-run")
 
     sim = sub.add_parser("simulate", parents=[method], help="run a Monte Carlo campaign")
@@ -131,7 +141,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--methods", default="dp-adapt,dp-bh", help="comma-separated arms")
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--seed", type=int, required=True, help="base seed (mandatory)")
+    sim.add_argument("--seed", type=_seed, required=True, help="base seed (mandatory)")
     sim.add_argument("--out-dir", default="dpadapt-sim")
 
     priv = sub.add_parser("privacy", parents=[budget], help="budget calculator")
@@ -170,6 +180,8 @@ def _config_value(path, flag, text):
     converts a default with the flag's type but never checks it against the flag's choices."""
     try:
         value = text if flag.type is None else flag.type(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{path}: {flag.dest}={text!r}: {flag.option_strings[0]} {exc}") from None
     except ValueError:
         raise UsageError(f"{path}: {flag.dest}={text!r} is not a valid {flag.type.__name__}") from None
     if flag.choices is not None and value not in flag.choices:

@@ -192,20 +192,13 @@ def run_dp_adapt(
 
     noise_family "gaussian" draws on the budget's mu; "laplace" requires the
     budget to carry its (epsilon, delta) pair. zero_noise disables all
-    perturbation for oracle tests and marks the run non-private.
+    perturbation for oracle tests and marks the run non-private. rng must
+    be seeded secretly.
     """
     p, xs = validate_inputs(pvalues, x)
     selection = mirror_peel(
-        p,
-        kernel,
-        delta_g,
-        budget.mu,
-        m,
-        rng,
-        noise_family=noise_family,
-        epsilon=budget.epsilon,
-        delta=budget.delta,
-        zero_noise=zero_noise,
+        p, kernel, delta_g, budget.mu, m, rng,
+        noise_family=noise_family, epsilon=budget.epsilon, delta=budget.delta, zero_noise=zero_noise,
     )
     sel_x = xs[selection.indices] if xs is not None else None
     return _adapt_loop(selection.indices, selection.values, sel_x, alpha, s0, updater, selection.private)

@@ -1,4 +1,4 @@
-"""Privacy budgets, noise calibration, composition, and GDP/(epsilon, delta) conversion.
+"""Privacy budgets, noise calibration and release, composition, and GDP/(epsilon, delta) conversion.
 
 A budget is expressed as the mean-shift parameter mu of Gaussian differential
 privacy. Budgets given as a classic (epsilon, delta) pair are converted
@@ -230,12 +230,13 @@ def peel_noise(
 ) -> NoiseSpec:
     """Per-round noise for m peeling rounds of the given sensitivity.
 
-    The only map from a budget to peel noise. Gaussian noise splits mu
-    evenly across the rounds, calibrating each at mu/sqrt(m) and checking
-    that the rounds compose back to mu (BudgetAuditError otherwise); laplace
-    noise is calibrate_laplace(sensitivity, m, epsilon, delta), which warns
-    outside its certified regime. zero_noise gives the family's zero-scale
-    spec and needs no budget.
+    The map from a budget to peel noise, and with bonferroni_noise the only
+    map from a budget to noise. Gaussian noise splits mu evenly across the
+    rounds, calibrating each at mu/sqrt(m) and checking that the rounds
+    compose back to mu (BudgetAuditError otherwise); laplace noise is
+    calibrate_laplace(sensitivity, m, epsilon, delta), which warns outside
+    its certified regime. zero_noise gives the family's zero-scale spec and
+    needs no budget.
     """
     zero = NoiseSpec(family, 0.0)  # checks the family
     check_count("m", m)
@@ -253,3 +254,19 @@ def peel_noise(
     if not abs(total - mu) <= 1e-12 * max(1.0, mu):
         raise BudgetAuditError(f"{m} rounds at mu={per_round!r} compose to {total!r}, not {mu!r}")
     return noise
+
+
+def bonferroni_noise(sensitivity: float, n: int, mu: float, *, zero_noise: bool = False) -> NoiseSpec:
+    """Gaussian noise for n releases that split mu linearly: scale sensitivity * n / mu, in
+    that order (sensitivity / (mu / n) rounds differently). zero_noise gives scale 0."""
+    check_positive("delta_g", sensitivity)
+    check_count("n", n)
+    check_positive("mu", mu)
+    return NoiseSpec("gaussian", 0.0 if zero_noise else sensitivity * n / mu)
+
+
+def release(values, noise: NoiseSpec, rng: np.random.Generator):
+    """values plus noise of their shape, the one place a private value is noised. values are
+    on the noise's scale (kernel quantiles, or dp_bh's log-truncated p-values). rng must be
+    seeded secretly: anyone who knows the seed can subtract the noise."""
+    return values + noise.draw(rng, size=np.shape(values))

@@ -9,7 +9,7 @@ never of the folded one.
 
 Every peel in the package (these two and the private BH in baselines) runs
 through `peel`, one exact but lazy noisy-argmin loop, with its per-round noise
-from `privacy.peel_noise`.
+from `privacy.peel_noise`; every released value comes from `privacy.release`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import normal_quantile
-from .privacy import NoiseSpec, peel_noise
-from .transform import TransformKernel, transform_with_shift
+from .privacy import NoiseSpec, peel_noise, release
+from .transform import TransformKernel
 
 
 @dataclass(frozen=True)
@@ -218,14 +218,14 @@ def report_noisy_min(
     Every entry is perturbed as G(G_inv(p_j) + Z_j) with Z_j drawn at scale
     sqrt(8)*delta_g/mu; the argmin index wins and its value is re-released
     with an independent draw at the same scale. Ties break to the lowest
-    index (relevant only in zero-noise test mode).
+    index (relevant only in zero-noise test mode). rng must be seeded secretly.
     """
     p, _ = validate_inputs(pvalues)
     noise = peel_noise("gaussian", delta_g, 1, mu=mu, zero_noise=zero_noise)
     q = kernel.quantile(p)
     # G is monotone, so the argmin of G(q + Z) is the argmin of q + Z.
     winner = int(peel(q, noise, 1, rng)[0])
-    return winner, transform_with_shift(p[winner], kernel, noise.draw(rng))
+    return winner, float(kernel.pvalue(release(kernel.quantile(p[winner]), noise, rng)))
 
 
 def mirror_peel(
@@ -258,7 +258,7 @@ def mirror_peel(
     the whole pool every round, but not its random stream. The work done
     therefore depends on the data (how many scores sit near the minimum, how
     often the bound fails); the privacy guarantee covers the released
-    outputs, not the running time.
+    outputs, not the running time. rng must be seeded secretly.
     """
     p, _ = validate_inputs(pvalues)
     m = check_rounds(m, p.size)
@@ -273,5 +273,5 @@ def mirror_peel(
     # 100 times the default delta_g, the score sensitivity the noise is
     # calibrated to. The engine folds released values only.
     winners = peel(kernel.quantile(np.minimum(p, 1.0 - p)), noise, m, rng)
-    released = transform_with_shift(p[winners], kernel, noise.draw(rng, size=m))
+    released = kernel.pvalue(release(kernel.quantile(p[winners]), noise, rng))
     return SelectionResult(indices=winners, values=released, private=not zero_noise)

@@ -295,13 +295,8 @@ def generate(scenario: Scenario, rng: np.random.Generator):
 
 def fdp_and_power(rejected, labels: np.ndarray) -> tuple[float, float]:
     rejected = np.asarray(rejected, dtype=int)
-    n_reject = rejected.size
-    false_rej = int(np.count_nonzero(~labels[rejected])) if n_reject else 0
-    true_rej = n_reject - false_rej
-    n_alt = int(labels.sum())
-    fdp = false_rej / max(n_reject, 1)
-    power = true_rej / max(n_alt, 1)
-    return fdp, power
+    false_rej = int(np.count_nonzero(~labels[rejected]))
+    return false_rej / max(rejected.size, 1), (rejected.size - false_rej) / max(int(labels.sum()), 1)
 
 
 def _fixed_rejections(p: np.ndarray, rejected: np.ndarray, private: bool) -> RunResult:
@@ -379,6 +374,12 @@ def run_trial(scenario: Scenario, methods, base_seed: int, trial: int):
     return reports, failures
 
 
+def _mean_se(values) -> tuple[float, float]:
+    """The mean of values and its Monte Carlo standard error (0.0 for one value)."""
+    v = np.array(values)
+    return float(v.mean()), (float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0)
+
+
 def run_campaign(
     scenario: Scenario,
     methods,
@@ -406,44 +407,17 @@ def run_campaign(
             results = list(pool.map(run_trial, *jobs))
     else:
         results = list(map(run_trial, *jobs))
-    all_reports: list[TrialReport] = []
-    all_failures: list[TrialFailure] = []
-    for reports, failures in results:
-        all_reports.extend(reports)
-        all_failures.extend(failures)
-    all_reports.sort(key=lambda r: (r.arm, r.trial))
-    all_failures.sort(key=lambda f: (f.arm, f.trial))
+    all_reports = sorted((r for reports, _ in results for r in reports), key=lambda r: (r.arm, r.trial))
+    all_failures = sorted((f for _, failures in results for f in failures), key=lambda f: (f.arm, f.trial))
     aggregates = []
     for arm, cfg in enumerate(methods):
         rows = [r for r in all_reports if r.arm == arm]
         failed = sum(1 for f in all_failures if f.arm == arm)
         if rows:
-            fdps = np.array([r.fdp for r in rows])
-            powers = np.array([r.power for r in rows])
-            k = len(rows)
-            fdr_se = float(fdps.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-            power_se = float(powers.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-            aggregates.append(
-                AggregateRow(
-                    method=cfg.name,
-                    trials_ok=k,
-                    n_failed=failed,
-                    fdr=float(fdps.mean()),
-                    fdr_se=fdr_se,
-                    power=float(powers.mean()),
-                    power_se=power_se,
-                    mean_n_reject=float(np.mean([r.n_reject for r in rows])),
-                    mean_wall_time_ms=float(np.mean([r.wall_time_ms for r in rows])),
-                    arm=arm,
-                )
-            )
+            aggregates.append(AggregateRow(
+                cfg.name, len(rows), failed, *_mean_se([r.fdp for r in rows]), *_mean_se([r.power for r in rows]),
+                float(np.mean([r.n_reject for r in rows])), float(np.mean([r.wall_time_ms for r in rows])), arm,
+            ))
         else:
             aggregates.append(AggregateRow(cfg.name, 0, failed, *[math.nan] * 6, arm))
-    return CampaignResult(
-        scenario=scenario,
-        methods=methods,
-        base_seed=base_seed,
-        trials=tuple(all_reports),
-        aggregates=tuple(aggregates),
-        failures=tuple(all_failures),
-    )
+    return CampaignResult(scenario, methods, base_seed, tuple(all_reports), tuple(aggregates), tuple(all_failures))

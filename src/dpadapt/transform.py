@@ -62,6 +62,10 @@ class TransformKernel:
         """G_inv evaluated on clamped p (finite even at p in {0, 1})."""
         return self.G_inv(clamp_unit(np.asarray(p, dtype=float)))
 
+    def pvalue(self, y):
+        """G(y) clamped off {0, 1}: the p-value a released quantile maps back to."""
+        return clamp_unit(self.G(y))
+
 
 def gaussian_kernel() -> TransformKernel:
     """Standard normal kernel, the default for every experiment here."""
@@ -113,15 +117,15 @@ def kernel_by_name(spec: str) -> TransformKernel:
 def transform_with_shift(p, kernel: TransformKernel, z):
     """Deterministic core of the mechanism: G(G_inv(p) + z), clamped off {0, 1}.
 
-    Every noisy p-value the package releases comes from here. p must lie in
-    [0, 1] and the shift z must be finite, so no release is NaN.
+    The selection procedures map their privacy.release outputs back by kernel.pvalue too.
+    p must lie in [0, 1] and the shift z must be finite, so no release is NaN.
     """
     p = np.asarray(p, dtype=float)
     if not ((p >= 0) & (p <= 1)).all():
         raise ValueError("p-values must lie in [0, 1]")
     if not np.isfinite(z).all():
         raise ValueError("the shift must be finite")
-    out = clamp_unit(kernel.G(kernel.quantile(p) + z))
+    out = kernel.pvalue(kernel.quantile(p) + z)
     return float(out) if np.ndim(p) == 0 and np.ndim(z) == 0 else out
 
 

@@ -199,6 +199,38 @@ class TestDpBonf:
             with pytest.raises(ValueError, match="delta_g must be positive"):
                 dp_bonf(p, bad, K, PrivacyBudget.from_mu(0.24), 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mu,rejects", [(0.3, False), (40.0, True)])
+    def test_noise_is_one_draw_at_the_linear_split_scale(self, mu, rejects):
+        # the scale is delta_g * n / mu, whose last bit the reordered
+        # delta_g / (mu / n) would move (3.333333333333334 at mu 0.3)
+        from dpadapt._normal import normal_quantile
+
+        class Recording:
+            """A generator that notes the scale of every normal draw."""
+
+            def __init__(self, seed):
+                self.gen, self.scales = np.random.default_rng(seed), []
+
+            def normal(self, loc, scale, size=None):
+                self.scales.append(scale)
+                return self.gen.normal(loc, scale, size)
+
+        n, alpha = 10_000, 0.1
+        p = np.random.default_rng(6).random(n)
+        p[:50] = 1e-15
+        rng = Recording(9)
+        got = dp_bonf(p, 1e-4, K, PrivacyBudget.from_mu(mu), alpha, rng)
+        scale = 1e-4 * n / mu
+        assert rng.scales == [scale]
+        if mu == 0.3:
+            assert scale == 3.3333333333333335
+        ref = np.random.default_rng(9)
+        z = K.quantile(p) + ref.normal(0.0, scale, n)
+        expected = np.flatnonzero(z <= K.quantile(alpha / n) + scale * normal_quantile(alpha / (2 * n)))
+        assert got.tolist() == expected.tolist()
+        assert bool(got.size) == rejects
+        assert rng.gen.bit_generator.state == ref.bit_generator.state
+
     def test_benchmark_regime_power_near_zero(self):
         # strong signals, but the family-wise noise allowance forecloses detection
         from dpadapt._normal import normal_cdf

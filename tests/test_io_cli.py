@@ -1115,6 +1115,36 @@ class TestSimulateCommand:
         assert f"cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    """A negative --seed is refused as the flags are read: a usage error that
+    names the flag and the value, before any input is read or file written."""
+
+    def _refused(self, tmp_path, capsys, argv):
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--seed" in err and "-1" in err, err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def _seed(self, tmp_path, source):
+        return ["--seed", "-1"] if source == "flag" else ["--config", write(tmp_path / "s.cfg", "seed=-1\n")]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("present", [True, False], ids=["input", "missing-input"])
+    def test_run(self, tmp_path, capsys, source, present):
+        # a missing input still gives the seed's error: ingest never runs
+        data = tmp_path / "d.csv"
+        if present:
+            write(data, "id,p,x1\na,0.5,1\nb,0.01,2\n")
+        self._refused(tmp_path, capsys, ["run", "--input", str(data), "--method", "bh",
+                                         *self._seed(tmp_path, source), "--out-prefix", str(tmp_path / "r")])
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_simulate(self, tmp_path, capsys, source):
+        self._refused(tmp_path, capsys, ["simulate", "--n", "200", "--t", "5", "--methods", "bh", "--trials", "1",
+                                         *self._seed(tmp_path, source), "--out-dir", str(tmp_path / "s")])
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
     def test_artifacts_follow_the_umask(self, tmp_path, umask, mode):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import dpadapt
 from dpadapt.baselines import BHConfig, bh, dp_bh, dp_bonf
 from dpadapt.engine import run_adapt_nonprivate, run_dp_adapt
 from dpadapt.privacy import (
@@ -14,12 +17,14 @@ from dpadapt.privacy import (
     NoiseSpec,
     NoSolutionError,
     PrivacyBudget,
+    bonferroni_noise,
     calibrate_gaussian,
     calibrate_laplace,
     compose,
     ed_to_gdp,
     gdp_to_ed,
     peel_noise,
+    release,
 )
 from dpadapt.selection import mirror_peel, report_noisy_min
 from dpadapt.simulate import MethodConfig, Scenario, run_campaign
@@ -237,6 +242,80 @@ class TestPeelNoise:
             peel_noise(**kwargs)
 
 
+class TestReleaseSeam:
+    """privacy.release adds every published noise, and bonferroni_noise is
+    the budget-to-noise rule beside peel_noise."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("values", [np.linspace(-2.0, 3.0, 7), 0.25], ids=["array", "scalar"])
+    def test_release_adds_one_draw_of_the_values_shape(self, family, values):
+        noise = NoiseSpec(family, 0.3)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        out = release(values, noise, rng)
+        assert np.shape(out) == np.shape(values)
+        assert np.array_equal(out, values + noise.draw(ref, size=np.shape(values)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_noise_release_is_the_values_and_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        values = np.linspace(-2.0, 3.0, 7)
+        assert np.array_equal(release(values, NoiseSpec("gaussian", 0.0), rng), values)
+        assert rng.bit_generator.state == state
+
+    def test_bonferroni_scale_keeps_its_rounding(self):
+        # sensitivity * n / mu; the reordered sensitivity / (mu / n) ends one ulp higher
+        assert bonferroni_noise(1e-4, 10_000, 0.3) == NoiseSpec("gaussian", 3.3333333333333335)
+        assert 1e-4 / (0.3 / 10_000) == 3.333333333333334
+        assert bonferroni_noise(1e-4, 10_000, 0.3, zero_noise=True) == NoiseSpec("gaussian", 0.0)
+
+    def test_only_privacy_and_peel_draw_noise(self):
+        src = Path(dpadapt.__file__).parent
+        breaches = [b for path in sorted(src.glob("*.py")) for b in _seam_breaches(path.stem, path.read_text())]
+        assert breaches == []
+
+    def test_the_guard_sees_a_mechanism_drawing_its_own_noise(self):
+        inline = (
+            "def dp_bonf(p, delta_g, n, mu, rng):\n"
+            "    noise = NoiseSpec('gaussian', delta_g * n / mu)\n"
+            "    return p + noise.draw(rng, size=n)\n"
+        )
+        assert [b.split(":")[0] for b in _seam_breaches("baselines", inline)] == ["baselines.dp_bonf"] * 2
+        assert _seam_breaches("simulate", "def family(cfg):\n    return NoiseSpec(cfg.family, 0.0).family\n") == []
+        assert _seam_breaches("simulate", "NoiseSpec(family, scale=0)\n") != []
+        assert _seam_breaches("selection", "def peel(noise, rng):\n    noise.draw(rng, 3)\n") == []
+
+
+def _seam_breaches(module: str, source: str) -> list[str]:
+    """Where source, the module `module` of dpadapt, gets round the release seam.
+
+    Outside privacy, only selection.peel's argmin rounds may call .draw(, and
+    a NoiseSpec may be built only with the literal scale 0.0 (a family check).
+    """
+    if module == "privacy":
+        return []
+    breaches = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "draw" and isinstance(func, ast.Attribute) and scope != "selection.peel":
+                breaches.append(f"{scope}:{node.lineno} calls .draw(")
+            if name == "NoiseSpec":
+                scale = node.args[1] if len(node.args) > 1 else None
+                scale = next((k.value for k in node.keywords if k.arg == "scale"), scale)
+                if not (isinstance(scale, ast.Constant) and type(scale.value) is float and scale.value == 0.0):
+                    breaches.append(f"{scope}:{node.lineno} builds a NoiseSpec not of scale 0.0")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return breaches
+
+
 class TestBudgetAndNoiseTypes:
     def test_from_epsilon_delta_consistent(self):
         b = PrivacyBudget.from_epsilon_delta(0.5, 0.001)
@@ -333,6 +412,9 @@ _ENTRY_POINTS = [
     ("calibrate_laplace", "epsilon", "positive", lambda v: calibrate_laplace(1e-4, 10, v, 1e-3)),
     ("calibrate_laplace", "delta", "level", lambda v: calibrate_laplace(1e-4, 10, 0.5, v)),
     ("peel_noise", "m", "count", lambda v: peel_noise("gaussian", 1e-4, v, mu=0.5)),
+    ("bonferroni_noise", "delta_g", "positive", lambda v: bonferroni_noise(v, 10, 0.5)),
+    ("bonferroni_noise", "n", "count", lambda v: bonferroni_noise(1e-4, v, 0.5)),
+    ("bonferroni_noise", "mu", "positive", lambda v: bonferroni_noise(1e-4, 10, v)),
     ("peel_noise", "delta_g", "positive", lambda v: peel_noise("gaussian", v, 10, mu=0.5)),
     ("peel_noise", "mu", "positive", lambda v: peel_noise("gaussian", 1e-4, 10, mu=v)),
     ("mirror_peel", "m", "count", lambda v: _mirror_peel(m=v)),
