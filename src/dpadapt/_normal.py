@@ -164,16 +164,12 @@ def _logcdf_series(x: float) -> float:
 
 
 def normal_logcdf(x):
-    """log P(Z <= x), accurate deep in the lower tail; -inf at -inf."""
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x > 0.0:
-            return math.log1p(-normal_cdf(-x))
-        if x < _LOGCDF_SERIES:
-            return _logcdf_series(x)
-        return math.log(normal_cdf(x))
-    xv = np.asarray(x, dtype=float)
-    return np.array([normal_logcdf(v) for v in xv.ravel()]).reshape(xv.shape)
+    """log P(Z <= x) for a float x, accurate deep in the lower tail; -inf at -inf."""
+    if x > 0.0:
+        return math.log1p(-normal_cdf(-x))
+    if x < _LOGCDF_SERIES:
+        return _logcdf_series(x)
+    return math.log(normal_cdf(x))
 
 
 def expit(x):

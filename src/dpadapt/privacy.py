@@ -180,8 +180,10 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_count(name: str, value, *, optional: bool = False):
-    """value, if it is an integer >= 1 (or None, when optional); refused otherwise."""
-    if not (optional and value is None or isinstance(value, (int, np.integer)) and value >= 1):
+    """value, if it is an integer >= 1 (or None, when optional); refused otherwise.
+    A bool is refused: True is not the count 1."""
+    is_count = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    if not (optional and value is None or is_count):
         rule = "None or an integer >= 1" if optional else "a positive integer"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value

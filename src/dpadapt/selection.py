@@ -127,7 +127,7 @@ def stable_argsort(s: np.ndarray) -> np.ndarray:
 
 def check_rounds(m, n: int) -> int:
     """m as an int, if it is a number of peeling rounds n hypotheses allow."""
-    if not (isinstance(m, (int, np.integer)) and 0 < m <= n):
+    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and 0 < m <= n):
         raise ValueError(f"m must be an integer in [1, n={n}], got {m!r}")
     return int(m)
 

@@ -8,12 +8,10 @@ and checks the proposal against the current thresholds. A row counts in R_t
 (p < 1/2) or A_t exactly while it is a candidate, masked_min <= s. It is
 slow (O(m) per step) but simple; the incremental loop in dpadapt.engine must
 reproduce its results bit for bit. ReferenceGreedyUpdater refits through
-`tests/em_oracle.em_fit`, which runs every EM sweep and computes every
-E-step afresh, so TwoGroupUpdater's two exact shortcuts (the fixed-point
-stop and the reused E-step) are held to the path with neither.
-LargestFoldMinFirst is the README's
-model-free updater, whose order TwoGroupUpdater must follow without
-covariates.
+`tests/em_oracle.em_fit`, the reference EM, so TwoGroupUpdater's refits
+through `twogroup.em_fit` are held to it too. LargestFoldMinFirst is the
+README's model-free updater, whose order TwoGroupUpdater must follow
+without covariates.
 """
 
 from __future__ import annotations

@@ -24,13 +24,11 @@ given, both as `twogroup._ascend` does. `decrement_stop=False` gives the
 earlier rule, which stops only on the gradient tolerance, the
 iteration cap, a failed line search or a singular solve.
 
-Every one of the k sweeps runs, and every E-step is computed afresh from
-the table: there is no fixed-point stop and no reuse of an earlier fit's
-E-step, so `twogroup.em_fit` and `TwoGroupUpdater`, which take both
-shortcuts, can be held to the path with neither. On an intercept-only
-design the M-step is `twogroup._intercept_mstep`, as in `twogroup.em_fit`
-(its optimality against Newton is checked on its own);
-`closed_form=False` ascends by Newton there too, as the earlier rule did.
+Every one of the k sweeps computes its E-step afresh from the table, on
+one design row per hypothesis. On an intercept-only design the M-step is
+`twogroup._intercept_mstep`, as in `twogroup.em_fit` (its optimality
+against Newton is checked on its own); `closed_form=False` ascends by
+Newton there too, as the earlier rule did.
 """
 
 from __future__ import annotations
@@ -162,18 +160,8 @@ def em_fit(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
     fit = init if init is not None else default_fit(x)
-    return sweeps(masked, full_design(fit.basis, x, masked.size), fit, k, stats, decrement_stop, closed_form)
-
-
-def full_design(basis, x, n: int) -> np.ndarray:
-    """The basis' design with one row per hypothesis: n intercept rows
-    without covariates, where the package broadcasts one."""
-    return np.ones((n, 1)) if basis.kind == "intercept" else basis.design(x)
-
-
-def sweeps(masked, design, fit, k, stats=None, decrement_stop=True, closed_form=True):
-    """em_fit's k sweeps from fit's weights, on the table's design rows."""
     basis = fit.basis
+    design = full_design(basis, x, masked.size)
     w, v = fit.pi_weights.copy(), fit.f1_weights.copy()
     arrays = _masked_arrays(masked)
     logs = _log_arrays(*arrays)
@@ -199,6 +187,12 @@ def sweeps(masked, design, fit, k, stats=None, decrement_stop=True, closed_form=
             )
         trace.append(_observed_loglik_arrays(design, w, v, *arrays))
     return TwoGroupFit(w, v, basis, k, tuple(trace))
+
+
+def full_design(basis, x, n: int) -> np.ndarray:
+    """The basis' design with one row per hypothesis: n intercept rows
+    without covariates, where the package broadcasts one."""
+    return np.ones((n, 1)) if basis.kind == "intercept" else basis.design(x)
 
 
 def observed_loglik(masked: MaskedTable, x, fit: TwoGroupFit) -> float:

@@ -83,7 +83,6 @@ class TestAccuracy:
             for v in x
         )
         assert worst <= 1e-14
-        assert np.array_equal(normal_logcdf(x), [normal_logcdf(float(v)) for v in x])
         assert normal_logcdf(-math.inf) == -math.inf
 
     def test_logistic_within_4_ulp_without_warnings(self):

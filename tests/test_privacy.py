@@ -352,7 +352,7 @@ class TestBudgetAndNoiseTypes:
 _BAD = {
     "level": (0.0, -1.0, math.nan, math.inf, 1.0),
     "positive": (0.0, -1.0, math.nan, math.inf),
-    "count": (0, -1, math.nan, math.inf, 2.5),
+    "count": (0, -1, math.nan, math.inf, 2.5, True),
 }
 _P = np.linspace(0.01, 0.99, 40)
 

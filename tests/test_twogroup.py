@@ -221,22 +221,10 @@ def oracle_case(seed, n, design):
     return p, x, float(rng.uniform(0.2, 0.49)), rng
 
 
-def counting_posterior(monkeypatch):
-    """Count twogroup._posterior passes from here on."""
-    calls = [0]
-    real = twogroup._posterior
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(twogroup, "_posterior", counted)
-    return calls
-
-
 class TestEmFitMatchesOracle:
-    """em_fit against em_oracle.em_fit, which runs every sweep, in weights,
-    trace and Newton totals."""
+    """em_fit against em_oracle.em_fit, which computes every E-step from the
+    table on one design row per hypothesis, in weights, trace and Newton
+    totals."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -278,7 +266,7 @@ class TestEmFitMatchesOracle:
     )
     def test_long_fits_match_every_sweep(self, seed, n, design, masked, k):
         # on small tables long fits often reach a bitwise fixed point, where
-        # em_fit stops; a second fit from such a point stops at its first sweep
+        # every later sweep must repeat it; a second fit starts from that point
         p, x, s, _ = oracle_case(seed, n, design)
         tbl = table_with_threshold(p, s) if masked else table_all_revealed(p)
         fit = ref = None
@@ -294,18 +282,15 @@ class TestEmFitMatchesOracle:
         ("linear", 5, 40, 30, 19),
         ("quadratic2d", 2, 12, 40, 28),
     ])
-    def test_stop_mid_fit_matches_every_sweep(self, monkeypatch, design, seed, n, k, sweeps):
-        # the M-step of sweep `sweeps` returns its input weights: the fit
-        # stops there, before its last sweep, and pads the trace and (with
-        # covariates) the Newton totals, which include line-search and
-        # iteration-cap stops on the quadratic2d table; refitting from the
-        # fixed point stops at the first sweep without a posterior pass
+    def test_stop_mid_fit_matches_every_sweep(self, design, seed, n, k, sweeps):
+        # the M-step of sweep `sweeps` returns its input weights, so the trace
+        # is flat from there on; the Newton totals (with covariates) include
+        # line-search and iteration-cap stops on the quadratic2d table, and a
+        # refit from the fixed point matches too
         p, x, s, _ = oracle_case(seed, n, design)
         tbl = table_with_threshold(p, s)
-        passes = counting_posterior(monkeypatch)
         stats, ref_stats = NewtonStats(), NewtonStats()
         fit = em_fit(tbl, x, k=k, stats=stats)
-        assert passes[0] == sweeps
         ref = em_oracle.em_fit(tbl, x, k=k, stats=ref_stats)
         assert_same_fit(fit, ref)
         assert stats == ref_stats
@@ -314,7 +299,6 @@ class TestEmFitMatchesOracle:
             assert stats.stops["line_search"] > 0 and stats.stops["max_iter"] > 0
         assert len(set(fit.loglik_trace[sweeps - 1:])) == 1
         again = em_fit(tbl, x, init=fit, k=k, stats=stats)
-        assert passes[0] == sweeps + 1
         assert_same_fit(again, em_oracle.em_fit(tbl, x, init=ref, k=k, stats=ref_stats))
         assert stats == ref_stats
 
@@ -449,14 +433,10 @@ class TestObjectiveReuse:
             assert self.slope_bytes(slopes, eta) == ((resp - pi).tobytes(), (-(pi * (1.0 - pi))).tobytes())
 
 
-def oracle_gradient_rule_sweeps(design, arrays, fit, k, stats, estep=None):
-    """A stand-in for twogroup._em_sweeps: em_oracle's sweeps, every one run,
-    with Newton M-steps under the earlier gradient-only rule, on the table
-    the arrays were taken from (clipping it again changes no value)."""
-    mm, _, rev, is_rev = arrays[:4]
-    table = MaskedTable(mm, np.where(is_rev, rev, np.nan))
-    rows = np.broadcast_to(design, (mm.size, design.shape[1]))
-    return em_oracle.sweeps(table, rows, fit, k, decrement_stop=False, closed_form=False), None
+def oracle_gradient_rule_fit(masked, x, init=None, k=5, stats=None):
+    """A stand-in for twogroup.em_fit: em_oracle's fit, with Newton M-steps
+    under the earlier gradient-only rule, also without covariates."""
+    return em_oracle.em_fit(masked, x, init, k, stats, decrement_stop=False, closed_form=False)
 
 
 class TestNewtonStop:
@@ -534,16 +514,16 @@ class TestNewtonStop:
         cfg = MethodConfig(name=method, mu=0.5)
         shapes = []
 
-        real_sweeps = twogroup._em_sweeps
+        real_fit = twogroup.em_fit
 
-        def recording_sweeps(*args, **kwargs):
-            fit, estep = real_sweeps(*args, **kwargs)
+        def recording_fit(*args):
+            fit = real_fit(*args)
             shapes.append(float(fit.alt_shape(np.ones((1, fit.basis.dim)))[0]))
-            return fit, estep
+            return fit
 
-        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
+        monkeypatch.setattr(twogroup, "em_fit", recording_fit)
         new = run_arm(cfg, x, p, method_rng(seed, 0, 1))
-        monkeypatch.setattr(twogroup, "_em_sweeps", oracle_gradient_rule_sweeps)
+        monkeypatch.setattr(twogroup, "em_fit", oracle_gradient_rule_fit)
         old = run_arm(cfg, x, p, method_rng(seed, 0, 1))
         assert new.rejected == old.rejected
         assert np.array_equal(new.trajectory, old.trajectory)
@@ -846,15 +826,15 @@ class TestGreedyUpdate:
     def test_fit_window_follows_the_table(self, monkeypatch):
         # one updater over three runs, two of them the same size: every fit of
         # a run is on that run's window of fold minima, revealed values and
-        # covariates, also when it reuses the arrays of an earlier refit
+        # covariates
         fitted = []
-        real_sweeps = twogroup._em_sweeps
+        real_fit = twogroup.em_fit
 
-        def recording_sweeps(design, arrays, *args):
-            fitted.append((design, arrays))
-            return real_sweeps(design, arrays, *args)
+        def recording_fit(masked, x, *args):
+            fitted.append((masked, x))
+            return real_fit(masked, x, *args)
 
-        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
+        monkeypatch.setattr(twogroup, "em_fit", recording_fit)
         runs = []
 
         class Spy(TwoGroupUpdater):
@@ -879,12 +859,10 @@ class TestGreedyUpdate:
             assert np.array_equal(run_x, x)
             n_fit = min(max(200, round(0.2 * n)), n)
             window = np.argsort(masked_min, kind="stable")[:n_fit]
-            design = FeatureMap.for_covariates(x[window]).design(x[window])
-            for revealed, (sub_design, arrays) in zip(calls, fitted[first_fit:], strict=True):
-                want = twogroup._masked_arrays(MaskedTable(masked_min[window], revealed[window]))
-                assert len(arrays) == len(want)
-                assert all(same_bits(a, b) for a, b in zip(arrays, want))
-                assert same_bits(sub_design, design)
+            for revealed, (masked, sub_x) in zip(calls, fitted[first_fit:], strict=True):
+                assert same_bits(masked.masked_min, masked_min[window])
+                assert same_bits(masked.revealed, revealed[window])
+                assert same_bits(sub_x, x[window])
         assert len(runs) == 3
 
 
@@ -922,45 +900,19 @@ class TestUpdaterReuse:
         assert_same_result(again, run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater()))
 
 
-def count_shortcuts(monkeypatch):
-    """Count, per twogroup._em_sweeps call, the run's first refit, later
-    refits that reuse the last E-step ("hits") or recompute it ("misses"),
-    and fits that stop at a fixed point, before their k-th posterior pass."""
-    counts = dict.fromkeys(["first", "hits", "misses", "stops"], 0)
-    passes = counting_posterior(monkeypatch)
-    real = twogroup._em_sweeps
-
-    def counted(design, arrays, fit, k, stats, estep=None):
-        before = passes[0]
-        out = real(design, arrays, fit, k, stats, estep)
-        if fit.em_iters == 0:
-            counts["first"] += 1
-        else:
-            counts["misses" if estep is None else "hits"] += 1
-        counts["stops"] += passes[0] - before - (estep is None) < k
-        return out
-
-    monkeypatch.setattr(twogroup, "_em_sweeps", counted)
-    return counts
-
-
 class TestRefitShortcuts:
-    """Covariate runs against the whole-vector reference, whose refits run
-    every sweep and compute every E-step afresh (em_oracle.em_fit)."""
+    """Covariate runs against the whole-vector reference, whose refits
+    compute every E-step from the table (em_oracle.em_fit)."""
 
     @pytest.mark.parametrize("kind", ["linear", "grid"])
     def test_runs_match_every_sweep(self, monkeypatch, kind):
-        # the loop reveals window rows between some refits, so the E-step
-        # reuse must miss there and hit elsewhere; some refits stop at a
-        # bitwise fixed point
+        # the loop reveals window rows between some refits and not between
+        # others; every refit is warm-started from the last fit
         if kind == "linear":
             p, x = covariate_table(1)
         else:
             x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(2, 0))
-        counts = count_shortcuts(monkeypatch)
         got = run_adapt_nonprivate(p, x, 0.1, TwoGroupUpdater())
-        assert counts["first"] == 1
-        assert counts["hits"] > 0 and counts["misses"] > 0 and counts["stops"] > 0, counts
         assert got.model["newton"]["ascents"] > 0
         with monkeypatch.context() as mp:
             mp.setattr(engine, "_adapt_loop", adapt_oracle.reference_adapt_loop)
@@ -982,14 +934,14 @@ class TestSweepWithoutCovariates:
         # on the null-only table adapt's fit reaches A_MAX, where every null
         # probability ties; the sweep still goes by fold minimum
         shapes = []
-        real_sweeps = twogroup._em_sweeps
+        real_fit = twogroup.em_fit
 
-        def recording_sweeps(*args):
-            fit, estep = real_sweeps(*args)
+        def recording_fit(*args):
+            fit = real_fit(*args)
             shapes.append(float(fit.alt_shape(np.ones((1, 1)))[0]))
-            return fit, estep
+            return fit
 
-        monkeypatch.setattr(twogroup, "_em_sweeps", recording_sweeps)
+        monkeypatch.setattr(twogroup, "em_fit", recording_fit)
         cfg = MethodConfig(arm)
         for seed in seeds:
             x, p, _ = simulate.generate(scenario, data_rng(seed, 0))
@@ -1019,12 +971,13 @@ class TestSweepWithoutCovariates:
 
     @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
     def test_no_scores_and_one_refit_per_window_state(self, monkeypatch, arm):
-        # the sweep scores no row, and the run refits once per window state
-        # it shows, as the whole-vector reference does
+        # the sweep scores no row, and the run refits through em_fit once per
+        # window state it shows, as the whole-vector reference does
         calls = count_calls(
-            monkeypatch, (twogroup, "_em_sweeps"), (twogroup, "null_probability"),
-            (twogroup, "removal_order"), (adapt_oracle, "em_fit"),
+            monkeypatch, (twogroup, "null_probability"), (twogroup, "removal_order"),
+            (adapt_oracle, "em_fit"),
         )
+        refits = count_calls(monkeypatch, (twogroup, "em_fit"))
         states = []
         real_propose = TwoGroupUpdater.propose
 
@@ -1042,26 +995,27 @@ class TestSweepWithoutCovariates:
             want = run_arm(cfg, x, p, method_rng(1, 0, 0))
         assert_same_result(got, want)
         assert calls["null_probability"] == calls["removal_order"] == 0
-        assert calls["_em_sweeps"] == calls["em_fit"] == len(set(states)) > 1
+        assert refits["em_fit"] == calls["em_fit"] == len(set(states)) > 1
 
     def test_refits_once_per_propose_when_the_window_changes_each_batch(self, monkeypatch):
         # a table of at most 200 rows is fitted whole, so every batch reveals
-        # a window row
-        calls = count_calls(monkeypatch, (twogroup, "_em_sweeps"), (TwoGroupUpdater, "propose"))
+        # a window row and refits through em_fit
+        calls = count_calls(monkeypatch, (twogroup, "em_fit"), (TwoGroupUpdater, "propose"))
         _, p, _ = gen_no_side_info(Scenario(n=150, t=30), data_rng(0, 0))
         result = run_adapt_nonprivate(p, None, 0.1, TwoGroupUpdater(refit_every=7))
         assert result.stop_t > 7
-        assert calls["_em_sweeps"] == calls["propose"] > 1
+        assert calls["em_fit"] == calls["propose"] > 1
 
 
 @pytest.mark.parametrize("arm", ["adapt", "dp-adapt"])
 def test_refits_once_per_propose_with_covariates(monkeypatch, arm):
-    # with covariates the fit orders the removals, so every batch refits
-    calls = count_calls(monkeypatch, (twogroup, "_em_sweeps"), (TwoGroupUpdater, "propose"))
+    # with covariates the fit orders the removals, so every batch refits, and
+    # a wrapper on twogroup.em_fit (as the benchmark's tracer sets) sees each
+    calls = count_calls(monkeypatch, (twogroup, "em_fit"), (TwoGroupUpdater, "propose"))
     x, p, _ = gen_grid(Scenario(kind="grid", grid_side=30, beta=3.5), data_rng(2, 0))
     got = run_arm(MethodConfig(arm), x, p, method_rng(2, 0, 0))
     assert got.stop_t > 0
-    assert calls["_em_sweeps"] == calls["propose"] > 1
+    assert calls["em_fit"] == calls["propose"] > 1
 
 
 def test_runaway_shape_weights_do_not_overflow():
